@@ -13,9 +13,9 @@ from math import sqrt
 import numpy as np
 
 from .basis import BasisSet
-from .direction import directional_matrix, directional_matrix_of_boundary
+from .direction import directional_matrix_of_boundary, state_along
 from .errors import DomainError
-from .states import StateClass, check_density, classify, hermitian_eigenvalues, maximally_mixed
+from .states import StateClass, _validate, classify, hermitian_eigenvalues, maximally_mixed
 from .stratification import boundary_state
 
 SPECTRAL_MATCH_TOL = 1e-12
@@ -34,9 +34,7 @@ class AntipodeReport:
 
 def antipodal_state(basis: BasisSet, direction, length: float) -> np.ndarray:
     """The matrix (1/N) I - r T_n, i.e. the state at length r along -n."""
-    if length < 0:
-        raise DomainError(f"length must be >= 0, got {length}")
-    return maximally_mixed(basis.dim) - length * directional_matrix(basis, direction)
+    return state_along(basis, -np.asarray(direction, dtype=float), length)
 
 
 def max_antipodal_length(dim: int, rank: int) -> float:
@@ -55,11 +53,9 @@ def antipode_of_boundary(dim: int, rank: int) -> AntipodeReport:
     """
     length = max_antipodal_length(dim, rank)
     t = directional_matrix_of_boundary(dim, rank)
-    cap = check_density(maximally_mixed(dim) - length * t)
+    cap, w, _ = _validate(maximally_mixed(dim) - length * t, psd=True)
     target = boundary_state(dim, dim - rank)
-    dev = float(
-        np.abs(hermitian_eigenvalues(cap) - hermitian_eigenvalues(target)).max()
-    )
+    dev = float(np.abs(w - hermitian_eigenvalues(target)).max())
     return AntipodeReport(
         rank=rank,
         direction_state=boundary_state(dim, rank),
@@ -80,7 +76,7 @@ def antipodal_family(dim: int, rank: int, length: float) -> tuple[np.ndarray, St
     """
     if not 1 <= rank <= dim - 1:
         raise DomainError(f"rank must be in 1..{dim - 1}, got {rank}")
-    if length < 0:
+    if not length >= 0:
         raise DomainError(f"length must be >= 0, got {length}")
     diag = np.empty(dim)
     diag[:rank] = 1.0 / dim - length * sqrt((dim - rank) / (rank * dim))

@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .antipode import antipodal_family, antipode_of_boundary
 from .basis import build_basis
@@ -208,6 +210,8 @@ def cmd_direction(args: argparse.Namespace) -> None:
         report = direction_report(basis, v, zero_tol=args.zero_tol)
         _emit_json({"manifest": manifest, **_direction_dict(n, report)}, args)
         return
+    if args.scan < 0:
+        raise DomainError(f"--scan must be >= 0, got {args.scan}")
     rows = []
     for i in range(args.scan):
         v = sample_direction(args.seed, n * n - 1, i)
@@ -230,6 +234,8 @@ def cmd_antipode(args: argparse.Namespace) -> None:
     if args.table:
         if args.max_dim is None:
             raise DomainError("--table requires --max-dim M")
+        if args.max_dim < 2:
+            raise DomainError(f"--max-dim must be >= 2, got {args.max_dim}")
         rows = []
         for n in range(2, args.max_dim + 1):
             for q in range(1, n):
@@ -275,6 +281,8 @@ def cmd_lemma(args: argparse.Namespace) -> None:
     else:
         if args.seed is None or args.count is None or args.size is None:
             raise DomainError("lemma requires --tuples FILE or --count K --size n --seed S")
+        if args.count < 0:
+            raise DomainError(f"count must be >= 0, got {args.count}")
         tuples = [
             sample_unit_sum_tuple(args.seed, args.size, i) for i in range(args.count)
         ]
@@ -331,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    common.add_argument(
+    # only the commands that count zero eigenvalues take --zero-tol
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
         "--zero-tol",
         type=float,
         default=DEFAULT_ZERO_TOL,
@@ -351,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_convert)
 
     p = sub.add_parser(
-        "classify", parents=[common], help="stratum report of a density matrix file"
+        "classify", parents=[common, tol], help="stratum report of a density matrix file"
     )
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -359,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "strata-scan",
-        parents=[common],
+        parents=[common, tol],
         help="sample states of every rank and report distances vs. sphere radii",
     )
     p.add_argument("--dim", type=int, required=True, metavar="N")
@@ -369,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "direction",
-        parents=[common],
+        parents=[common, tol],
         help="mu-spectrum, admissible length, and cap state of a direction",
     )
     p.add_argument("--dim", type=int, required=True, metavar="N")
@@ -402,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_lemma)
 
     p = sub.add_parser(
-        "sample", parents=[common], help="sample rank-constrained density matrices"
+        "sample", parents=[common, tol], help="sample rank-constrained density matrices"
     )
     p.add_argument("--dim", type=int, required=True, metavar="N")
     p.add_argument("--rank", type=int, required=True, metavar="K")
@@ -418,7 +428,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.handler(args)
+        # checks that reject inf input would also print numpy "invalid value" warnings
+        with np.errstate(invalid="ignore"):
+            args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,14 +52,14 @@ def directional_matrix(basis: BasisSet, direction) -> np.ndarray:
             f"got shape {v.shape}"
         )
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
         raise DomainError(f"direction must have unit norm, got |n| = {norm!r}")
     return np.tensordot(v, basis.elements, axes=(0, 0))
 
 
 def state_along(basis: BasisSet, direction, length: float) -> np.ndarray:
     """The matrix (1/N) I + r T_n; Hermitian and unit trace, positivity not guaranteed."""
-    if length < 0:
+    if not length >= 0:
         raise DomainError(f"length must be >= 0, got {length}")
     return maximally_mixed(basis.dim) + length * directional_matrix(basis, direction)
 

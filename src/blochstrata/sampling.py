@@ -31,6 +31,15 @@ def _generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _attempts(kind: str, seed: int, index: int) -> Iterator[int]:
+    """Attempt numbers for a redraw loop; NumericError once they run out."""
+    yield from range(_MAX_REDRAWS)
+    raise NumericError(
+        f"degenerate {kind} draw persisted for {_MAX_REDRAWS} attempts "
+        f"(seed={seed}, index={index})"
+    )
+
+
 def _check_seed_index(seed: int, index: int) -> None:
     if not 0 <= seed <= _MAX_SEED:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
@@ -70,17 +79,13 @@ def sample_state(config: SamplerConfig, index: int) -> np.ndarray:
         raise DomainError(f"index must be >= 0, got {index}")
     rng = _generator(config.seed, _STATE_TAG, config.dim, config.rank, index)
     n, k = config.dim, config.rank
-    for _ in range(_MAX_REDRAWS):
+    for _ in _attempts("Ginibre", config.seed, index):
         z = rng.standard_normal((2, n, k))
         g = (z[0] + 1j * z[1]) / sqrt(2.0)
         h = g @ g.conj().T
         tr = float(h.trace().real)
         if tr > 1e-300:
             return h / tr
-    raise NumericError(
-        f"degenerate Ginibre draw persisted for {_MAX_REDRAWS} attempts "
-        f"(seed={config.seed}, index={index})"
-    )
 
 
 def sample_states(config: SamplerConfig) -> Iterator[np.ndarray]:
@@ -94,15 +99,11 @@ def sample_direction(seed: int, num_coords: int, index: int) -> np.ndarray:
         raise DomainError(f"direction space must have >= 3 coordinates, got {num_coords}")
     _check_seed_index(seed, index)
     rng = _generator(seed, _DIRECTION_TAG, num_coords, index)
-    for _ in range(_MAX_REDRAWS):
+    for _ in _attempts("direction", seed, index):
         v = rng.standard_normal(num_coords)
         norm = float(np.linalg.norm(v))
         if norm > 1e-150:
             return v / norm
-    raise NumericError(
-        f"degenerate direction draw persisted for {_MAX_REDRAWS} attempts "
-        f"(seed={seed}, index={index})"
-    )
 
 
 def sample_bloch_in_ball(seed: int, num_coords: int, radius: float, index: int) -> np.ndarray:
@@ -111,22 +112,18 @@ def sample_bloch_in_ball(seed: int, num_coords: int, radius: float, index: int) 
     Direction times radius * u**(1/d) with u uniform in [0, 1), so the
     result's norm is strictly below the radius.
     """
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius}")
+    if not 0 < radius < np.inf:
+        raise DomainError(f"radius must be positive and finite, got {radius}")
     if num_coords < 1:
         raise DomainError(f"vector must have >= 1 coordinate, got {num_coords}")
     _check_seed_index(seed, index)
     rng = _generator(seed, _BALL_TAG, num_coords, index)
-    for _ in range(_MAX_REDRAWS):
+    for _ in _attempts("ball", seed, index):
         v = rng.standard_normal(num_coords)
         norm = float(np.linalg.norm(v))
         if norm > 1e-150:
             u = rng.random()
             return v * (radius * u ** (1.0 / num_coords) / norm)
-    raise NumericError(
-        f"degenerate ball draw persisted for {_MAX_REDRAWS} attempts "
-        f"(seed={seed}, index={index})"
-    )
 
 
 def sample_unit_sum_tuple(seed: int, size: int, index: int) -> np.ndarray:

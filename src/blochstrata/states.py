@@ -18,8 +18,7 @@ from .errors import DomainError, NumericError
 
 DEFAULT_ZERO_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
-UNIT_TRACE_TOL = 1e-10
-DENSITY_TRACE_TOL = 1e-12
+UNIT_TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
@@ -59,28 +58,22 @@ def maximally_mixed(dim: int) -> np.ndarray:
 
 
 def check_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate and return a square Hermitian complex matrix."""
+    """Validate and return a square, finite, Hermitian complex matrix."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     dev = float(np.abs(m - m.conj().T).max())
-    if dev > tol:
+    # written so that NaN fails: a non-finite entry always makes dev non-finite
+    if not dev <= tol:
+        if not np.isfinite(dev):
+            raise DomainError("matrix has non-finite entries")
         raise DomainError(f"matrix is not Hermitian: max |m - m^H| = {dev:.3e}")
     return m
 
 
-def check_density(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+def check_density(matrix) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, eigenvalues >= -1e-10."""
-    m = check_hermitian(matrix)
-    tr = float(m.trace().real)
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise DomainError(f"density matrix must have unit trace, got {tr!r}")
-    w = hermitian_eigenvalues(m)
-    if w[0] < -PSD_TOL:
-        raise DomainError(
-            f"matrix is not positive semidefinite: smallest eigenvalue {w[0]:.3e}"
-        )
-    return m
+    return _validate(matrix, psd=True)[0]
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -96,17 +89,40 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         raise NumericError(f"eigensolver failed on shape {h.shape}: {exc}") from exc
 
 
+def _validate(
+    matrix, *, zero_tol: float | None = None, psd: bool = False, unit_trace: bool = True
+):
+    """The one validation gate: returns (m, ascending eigenvalues, zero count).
+
+    m is square, finite, Hermitian and, with unit_trace, of trace 1.  The
+    eigensolve runs only for psd (smallest eigenvalue >= -PSD_TOL) or for
+    zero_tol (count of |w| <= zero_tol); otherwise w and zeros are None.
+    """
+    if zero_tol is not None and not 0.0 < zero_tol < np.inf:
+        raise DomainError(f"zero_tol must be positive and finite, got {zero_tol}")
+    m = check_hermitian(matrix)
+    if unit_trace:
+        tr = float(m.trace().real)
+        if not abs(tr - 1.0) <= UNIT_TRACE_TOL:
+            raise DomainError(f"matrix must have unit trace, got {tr!r}")
+    if not psd and zero_tol is None:
+        return m, None, None
+    w = hermitian_eigenvalues(m)
+    if psd and not w[0] >= -PSD_TOL:
+        raise DomainError(
+            f"matrix is not positive semidefinite: smallest eigenvalue {w[0]:.3e}"
+        )
+    zeros = None if zero_tol is None else int(np.count_nonzero(np.abs(w) <= zero_tol))
+    return m, w, zeros
+
+
 def spectrum(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectrum:
     """Descending eigenvalues of a Hermitian matrix with the zero count.
 
     ``zero_count`` is the number of eigenvalues with |w| <= zero_tol.
     """
-    if zero_tol <= 0:
-        raise DomainError(f"zero_tol must be positive, got {zero_tol}")
-    m = check_hermitian(matrix)
-    w = hermitian_eigenvalues(m)[::-1]
-    zeros = int(np.count_nonzero(np.abs(w) <= zero_tol))
-    return Spectrum(values=w, zero_count=zeros)
+    _, w, zeros = _validate(matrix, zero_tol=zero_tol, unit_trace=False)
+    return Spectrum(values=w[::-1], zero_count=zeros)
 
 
 def purity(matrix) -> float:
@@ -123,16 +139,9 @@ def classify(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> StateClass:
     POSITIVE_INTERIOR otherwise.  Inputs with trace away from 1 are a
     precondition violation, not silently renormalized.
     """
-    if zero_tol <= 0:
-        raise DomainError(f"zero_tol must be positive, got {zero_tol}")
-    m = check_hermitian(matrix)
-    tr = float(m.trace().real)
-    if abs(tr - 1.0) > UNIT_TRACE_TOL:
-        raise DomainError(f"classification requires unit trace, got {tr!r}")
-    w = hermitian_eigenvalues(m)
+    _, w, zeros = _validate(matrix, zero_tol=zero_tol)
     if w[0] < -zero_tol:
         return StateClass(StateKind.NONPOSITIVE)
-    zeros = int(np.count_nonzero(np.abs(w) <= zero_tol))
     if zeros >= 1:
         return StateClass(StateKind.BOUNDARY, zero_count=zeros)
     return StateClass(StateKind.POSITIVE_INTERIOR)
@@ -152,17 +161,16 @@ def from_bloch(basis: BasisSet, vector) -> np.ndarray:
             f"expected a vector of length {n * n - 1} for dimension {n}, "
             f"got shape {v.shape}"
         )
+    if not np.isfinite(v).all():
+        raise DomainError("Bloch vector has non-finite entries")
     return maximally_mixed(n) + np.tensordot(v, basis.elements, axes=(0, 0))
 
 
 def to_bloch(basis: BasisSet, matrix) -> np.ndarray:
     """Bloch coordinates V_j = Tr{m T_j} of a unit-trace Hermitian matrix."""
-    m = check_hermitian(matrix)
+    m = _validate(matrix)[0]
     if m.shape != (basis.dim, basis.dim):
         raise DomainError(
             f"matrix shape {m.shape} does not match basis dimension {basis.dim}"
         )
-    tr = float(m.trace().real)
-    if abs(tr - 1.0) > UNIT_TRACE_TOL:
-        raise DomainError(f"Bloch coordinates require unit trace, got {tr!r}")
     return expand(basis, m)

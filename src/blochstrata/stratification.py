@@ -14,15 +14,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import DomainError
-from .states import (
-    DEFAULT_ZERO_TOL,
-    PSD_TOL,
-    UNIT_TRACE_TOL,
-    check_density,
-    check_hermitian,
-    hermitian_eigenvalues,
-    maximally_mixed,
-)
+from .states import DEFAULT_ZERO_TOL, _validate, check_density, maximally_mixed
 
 ON_SPHERE_TOL = 1e-9
 EQUALITY_TOL = 1e-12
@@ -84,11 +76,15 @@ def harriman_check(values) -> HarrimanResult:
     Equality holds iff every a_j equals 1/n; the slack sum(a_j^2) - 1/n is the
     sum of squared deviations from the uniform tuple.
     """
-    a = np.asarray(values, dtype=float)
+    try:
+        a = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"tuple entries are not numeric: {exc}") from exc
     if a.ndim != 1 or a.size < 1:
         raise DomainError(f"expected a nonempty 1-d tuple of reals, got shape {a.shape}")
     total = float(a.sum())
-    if abs(total - 1.0) > UNIT_SUM_TOL:
+    # a non-finite entry makes the sum non-finite, which fails this test
+    if not abs(total - 1.0) <= UNIT_SUM_TOL:
         raise DomainError(f"tuple must sum to 1, got {total!r}")
     n = a.size
     sum_sq = float(a @ a)
@@ -108,19 +104,8 @@ def stratum_report(rho, zero_tol: float = DEFAULT_ZERO_TOL) -> StratumReport:
     Full-rank states (p = 0) report radius 0 and satisfied = True, so one
     report pipeline covers interior and boundary samples alike.
     """
-    if zero_tol <= 0:
-        raise DomainError(f"zero_tol must be positive, got {zero_tol}")
-    m = check_hermitian(rho)
+    m, _, zeros = _validate(rho, zero_tol=zero_tol, psd=True)
     n = m.shape[0]
-    tr = float(m.trace().real)
-    if abs(tr - 1.0) > UNIT_TRACE_TOL:
-        raise DomainError(f"density matrix must have unit trace, got {tr!r}")
-    w = hermitian_eigenvalues(m)
-    if w[0] < -PSD_TOL:
-        raise DomainError(
-            f"matrix is not positive semidefinite: smallest eigenvalue {w[0]:.3e}"
-        )
-    zeros = int(np.count_nonzero(np.abs(w) <= zero_tol))
     dist = float(np.linalg.norm(m - maximally_mixed(n)))
     radius = stratum_radius(n, zeros) if zeros else 0.0
     return StratumReport(

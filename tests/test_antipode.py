@@ -44,6 +44,7 @@ def test_antipode_plus_state_is_twice_center():
     for r in (0.1, 0.3):
         total = antipodal_state(b, v, r) + state_along(b, v, r)
         np.testing.assert_allclose(total, 2 * maximally_mixed(3), atol=1e-14)
+        assert antipodal_state(b, v, r).tobytes() == state_along(b, -v, r).tobytes()
 
 
 def test_max_antipodal_length_values():
@@ -140,3 +141,5 @@ def test_family_rejects_bad_arguments():
         antipodal_family(3, 0, 0.1)
     with pytest.raises(DomainError):
         antipodal_family(3, 2, -0.1)
+    with pytest.raises(DomainError):
+        antipodal_family(3, 2, float("nan"))

@@ -224,6 +224,93 @@ def test_lemma_requires_inputs(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_zero_tol_only_on_commands_that_read_it():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["basis", "--dim", "2", "--zero-tol", "1e-3"])
+    assert exc.value.code == 2
+
+
+def _bad_matrix(tmp_path, value):
+    m = matrix_to_dict(maximally_mixed(2))
+    m["re"][0][0] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(m))
+    return str(path)
+
+
+def _nan_bloch(tmp_path):
+    path = tmp_path / "nan_bloch.json"
+    path.write_text(json.dumps({"dim": 2, "coords": [0.0, float("nan"), 0.0]}))
+    return str(path)
+
+
+def _text_tuples(tmp_path):
+    path = tmp_path / "tuples.json"
+    path.write_text(json.dumps([[0.5, "half"]]))
+    return str(path)
+
+
+def _inf_tuples(tmp_path):
+    path = tmp_path / "tuples.json"
+    path.write_text(json.dumps([[float("inf"), float("-inf"), 1.0]]))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_args,message",
+    [
+        pytest.param(
+            lambda tmp: ["direction", "--dim", "3", "--seed", "1", "--scan", "-5"],
+            "--scan", id="direction-negative-scan",
+        ),
+        pytest.param(
+            lambda tmp: ["lemma", "--count", "-3", "--size", "4", "--seed", "1"],
+            "count", id="lemma-negative-count",
+        ),
+        pytest.param(
+            lambda tmp: ["antipode", "--table", "--max-dim", "1"],
+            "--max-dim", id="antipode-table-max-dim-1",
+        ),
+        pytest.param(
+            lambda tmp: ["lemma", "--tuples", _text_tuples(tmp)],
+            "not numeric", id="lemma-non-numeric-tuple",
+        ),
+        pytest.param(
+            lambda tmp: ["lemma", "--tuples", _inf_tuples(tmp)],
+            "sum to 1", id="lemma-inf-tuple",
+        ),
+        pytest.param(
+            lambda tmp: ["classify", "--in", _bad_matrix(tmp, float("nan"))],
+            "non-finite", id="classify-nan-matrix",
+        ),
+        pytest.param(
+            lambda tmp: ["classify", "--in", _bad_matrix(tmp, float("inf"))],
+            "non-finite", id="classify-inf-matrix",
+        ),
+        pytest.param(
+            lambda tmp: ["convert", "--in", _bad_matrix(tmp, float("nan"))],
+            "non-finite", id="convert-nan-matrix",
+        ),
+        pytest.param(
+            lambda tmp: ["convert", "--in", _nan_bloch(tmp)],
+            "non-finite", id="convert-nan-bloch",
+        ),
+        pytest.param(
+            lambda tmp: ["strata-scan", "--dim", "2", "--count", "1", "--seed", "1",
+                         "--zero-tol", "nan"],
+            "zero_tol", id="strata-scan-nan-zero-tol",
+        ),
+    ],
+)
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys):
+    rc, out, err = run(make_args(tmp_path), capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_sample_json(capsys):
     rc, out, _ = run(
         ["sample", "--dim", "3", "--rank", "2", "--count", "2", "--seed", "1"], capsys

@@ -57,6 +57,13 @@ def test_rejects_non_unit_direction(basis3):
         directional_matrix(basis3, np.full(8, 0.5))
 
 
+def test_nan_inputs_are_rejected(basis3):
+    with pytest.raises(DomainError):
+        directional_matrix(basis3, np.full(8, np.nan))
+    with pytest.raises(DomainError):
+        state_along(basis3, np.eye(8)[0], float("nan"))
+
+
 def test_qubit_report():
     b = build_basis(2)
     rep = direction_report(b, np.array([0.0, 0.0, 1.0]))

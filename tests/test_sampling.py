@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import blochstrata.sampling as sampling
 from blochstrata import (
     DomainError,
+    NumericError,
     SamplerConfig,
     StateKind,
     build_basis,
@@ -111,6 +113,39 @@ def test_sampler_validation():
         sample_bloch_in_ball(1, 8, 0.0, 0)
     with pytest.raises(DomainError):
         sample_bloch_in_ball(1, 8, -1.0, 0)
+    with pytest.raises(DomainError):
+        sample_bloch_in_ball(1, 8, float("nan"), 0)
     config = SamplerConfig(seed=0, dim=3, rank=1, count=1)
     with pytest.raises(DomainError):
         sample_state(config, -1)
+
+
+class _ZeroRng:
+    """Stands in for a generator whose every Gaussian draw is degenerate."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        return np.zeros(shape)
+
+    def random(self):
+        return 0.5
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: sample_state(SamplerConfig(seed=1, dim=3, rank=2, count=1), 0),
+        lambda: sample_direction(1, 8, 0),
+        lambda: sample_bloch_in_ball(1, 8, 0.5, 0),
+    ],
+    ids=["state", "direction", "ball"],
+)
+def test_degenerate_draws_give_up_after_max_redraws(draw, monkeypatch):
+    rng = _ZeroRng()
+    monkeypatch.setattr(sampling, "_generator", lambda *key: rng)
+    with pytest.raises(NumericError, match="degenerate"):
+        draw()
+    assert rng.draws == sampling._MAX_REDRAWS

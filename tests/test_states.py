@@ -12,13 +12,17 @@ from blochstrata import (
     DomainError,
     StateKind,
     build_basis,
+    check_density,
+    check_hermitian,
     classify,
+    direction_report,
     expand,
     extremal_spectra,
     from_bloch,
     maximally_mixed,
     purity,
     spectrum,
+    stratum_report,
     to_bloch,
 )
 
@@ -128,6 +132,43 @@ def test_classify_cases():
 def test_classify_rejects_non_hermitian():
     with pytest.raises(DomainError):
         classify(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+@pytest.mark.parametrize(
+    "check",
+    [check_hermitian, check_density, classify, lambda m: to_bloch(build_basis(2), m)],
+    ids=["check_hermitian", "check_density", "classify", "to_bloch"],
+)
+def test_non_finite_entries_are_rejected(check, where, bad):
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[where] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        check(m)
+
+
+@pytest.mark.parametrize("zero_tol", [np.nan, np.inf, 0.0, -1e-9])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        spectrum,
+        classify,
+        stratum_report,
+        lambda m, zero_tol: direction_report(build_basis(3), np.eye(8)[0], zero_tol),
+    ],
+    ids=["spectrum", "classify", "stratum_report", "direction_report"],
+)
+def test_zero_tol_must_be_positive_and_finite(entry, zero_tol):
+    with pytest.raises(DomainError, match="zero_tol"):
+        entry(maximally_mixed(3), zero_tol=zero_tol)
+
+
+def test_from_bloch_rejects_non_finite(basis3):
+    v = np.zeros(8)
+    v[3] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        from_bloch(basis3, v)
 
 
 @settings(deadline=None, max_examples=50)

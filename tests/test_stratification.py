@@ -130,6 +130,33 @@ def test_stratum_report_rejects_nonpositive():
         stratum_report(np.diag([2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_entry_points_reject_non_finite(bad):
+    m = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    m[1, 2] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        stratum_report(m)
+    with pytest.raises(DomainError, match="non-finite"):
+        distance_to_max(m)
+
+
+def test_one_trace_tolerance_for_every_density_entry_point():
+    # a trace error of 1e-11 is outside the one unit-trace tolerance, 1e-12
+    m = np.diag([0.5 + 1e-11, 0.5])
+    with pytest.raises(DomainError, match="unit trace"):
+        stratum_report(m)
+    with pytest.raises(DomainError, match="unit trace"):
+        distance_to_max(m)
+
+
+@pytest.mark.parametrize(
+    "bad", [[np.nan, 1.0], [np.inf, -np.inf, 1.0], [np.inf], ["a", 1.0], [None, 1.0]]
+)
+def test_harriman_rejects_non_finite_and_non_numeric(bad):
+    with pytest.raises(DomainError):
+        harriman_check(bad)
+
+
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_constructed_boundary_states_sit_on_their_spheres(dim):
     for q in range(1, dim):
