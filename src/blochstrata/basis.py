@@ -9,44 +9,43 @@ sqrt(2); for N = 3 the standard Gell-Mann matrices over sqrt(2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
 
 from .errors import DomainError
 
-HERMITICITY_TOL = 1e-14
-TRACE_TOL = 1e-14
+ELEMENT_HERMITICITY_TOL = 1e-14
+ELEMENT_TRACE_TOL = 1e-14
 GRAM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class BasisSet:
-    """An ordered set of N**2 - 1 traceless Hermitian matrices, orthonormal
-    in the trace inner product Tr{A B}.
+    """The generalized Gell-Mann basis of N x N traceless Hermitian matrices:
+    N**2 - 1 matrices, orthonormal in the trace inner product Tr{A B}.
 
-    ``elements`` is a read-only complex array of shape (N**2 - 1, N, N).
-    Instances are immutable and safe to share between threads.
+    ``BasisSet(dim)`` (or :func:`build_basis`) stores only ``dim``;
+    :func:`expand` and :func:`~blochstrata.states.from_bloch` use the
+    closed-form index formulas of this basis.  ``elements``, the read-only
+    complex array of shape (N**2 - 1, N, N), is built on first read and
+    cached on the instance.  Instances are immutable and safe to share
+    between threads; threads that race on the first read build equal arrays.
     """
 
     dim: int
-    elements: np.ndarray
 
     def __post_init__(self):
-        n = self.dim
-        if n < 2:
-            raise DomainError(f"basis dimension must be >= 2, got {n}")
-        elements = np.array(self.elements, dtype=complex)
-        if elements.shape != (n * n - 1, n, n):
-            raise DomainError(
-                f"expected {n * n - 1} matrices of shape ({n}, {n}), "
-                f"got array of shape {elements.shape}"
-            )
-        elements.setflags(write=False)
-        object.__setattr__(self, "elements", elements)
+        if self.dim < 2:
+            raise DomainError(f"basis dimension must be >= 2, got {self.dim}")
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        return _gell_mann_tensor(self.dim)
 
     def __len__(self) -> int:
-        return self.elements.shape[0]
+        return self.dim * self.dim - 1
 
     def __iter__(self):
         return iter(self.elements)
@@ -74,18 +73,25 @@ class ValidationReport:
 
 
 def build_basis(dim: int) -> BasisSet:
-    """Construct the generalized Gell-Mann basis for N x N Hermitian matrices.
+    """The generalized Gell-Mann basis for N x N Hermitian matrices.
 
     Element order is fixed: all symmetric off-diagonal pairs
     (E_jk + E_kj)/sqrt(2) in lexicographic (j, k) order, then all
     antisymmetric pairs -i(E_jk - E_kj)/sqrt(2), then the N - 1 diagonal
     traceless matrices diag(1, ..., 1, -l, 0, ..., 0)/sqrt(l(l+1)) with
     growing leading block.  Each element has unit Hilbert-Schmidt norm.
-    The construction is pure and bit-deterministic.
+    The construction is pure and bit-deterministic; the dense tensor is
+    built only when ``elements`` is read.
     """
-    if dim < 2:
-        raise DomainError(f"basis dimension must be >= 2, got {dim}")
-    n = dim
+    return BasisSet(dim)
+
+
+def _gell_mann_tensor(n: int) -> np.ndarray:
+    """The (N**2 - 1, N, N) element tensor in build_basis order, read-only.
+
+    Written entry by entry from the definition, independently of the closed
+    forms in _coordinates and _traceless_part, which the tests check against it.
+    """
     mats = np.zeros((n * n - 1, n, n), dtype=complex)
     inv_sqrt2 = 1.0 / sqrt(2.0)
     idx = 0
@@ -105,7 +111,57 @@ def build_basis(dim: int) -> BasisSet:
             mats[idx, m, m] = scale
         mats[idx, l, l] = -l * scale
         idx += 1
-    return BasisSet(dim=n, elements=mats)
+    mats.setflags(write=False)
+    return mats
+
+
+def _diagonal_scales(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For l = 1..N-1: the diagonal element's entries 1/sqrt(l(l+1)) and l/sqrt(l(l+1))."""
+    l = np.arange(1, n)
+    scale = 1.0 / np.sqrt(l * (l + 1))
+    return scale, l * scale
+
+
+def _coordinates(m: np.ndarray) -> np.ndarray:
+    """Tr{m T_j} for every element, from the index formulas (no element tensor).
+
+    Each product is taken before the sum, in the order the dense contraction
+    takes them, so the off-diagonal coordinates equal it bit for bit and stay
+    finite wherever it does.  The diagonal ones are a scaled cumulative sum of
+    the diagonal and may differ from it in the last bit.
+    """
+    n = m.shape[0]
+    j, k = np.triu_indices(n, 1)
+    upper, lower = m[j, k], m[k, j]
+    c = 1.0 / sqrt(2.0)
+    d = m.diagonal().real
+    scale, top = _diagonal_scales(n)
+    return np.concatenate(
+        (
+            c * upper.real + c * lower.real,
+            c * lower.imag - c * upper.imag,
+            scale * np.cumsum(d[:-1]) - top * d[1:],
+        )
+    )
+
+
+def _traceless_part(v: np.ndarray, n: int) -> np.ndarray:
+    """sum_j v_j T_j as an N x N complex matrix, from the index formulas."""
+    pairs = n * (n - 1) // 2
+    scale, top = _diagonal_scales(n)
+    d = v[2 * pairs :]
+    # diagonal entry m: sum over l > m of v_l/sqrt(l(l+1)), minus m v_m/sqrt(m(m+1))
+    diagonal = np.zeros(n)
+    diagonal[:-1] = np.cumsum((scale * d)[::-1])[::-1]
+    diagonal[1:] -= top * d
+    out = np.diag(diagonal).astype(complex)
+    j, k = np.triu_indices(n, 1)
+    c = 1.0 / sqrt(2.0)
+    sym, anti = c * v[:pairs], c * v[pairs : 2 * pairs]
+    out.real[j, k] = out.real[k, j] = sym
+    out.imag[j, k] = -anti
+    out.imag[k, j] = anti
+    return out
 
 
 def expand(basis: BasisSet, matrix: np.ndarray) -> np.ndarray:
@@ -119,7 +175,7 @@ def expand(basis: BasisSet, matrix: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"matrix shape {m.shape} does not match basis dimension {basis.dim}"
         )
-    return np.einsum("ij,kji->k", m, basis.elements).real
+    return _coordinates(m)
 
 
 def verify_basis(basis: BasisSet) -> ValidationReport:
@@ -133,10 +189,10 @@ def verify_basis(basis: BasisSet) -> ValidationReport:
     elems = basis.elements
     for j, e in enumerate(elems):
         herm_dev = float(np.abs(e - e.conj().T).max())
-        if herm_dev > HERMITICITY_TOL:
+        if herm_dev > ELEMENT_HERMITICITY_TOL:
             violations.append(Violation("hermiticity", (j,), herm_dev))
         trace_dev = float(abs(e.trace()))
-        if trace_dev > TRACE_TOL:
+        if trace_dev > ELEMENT_TRACE_TOL:
             violations.append(Violation("trace", (j,), trace_dev))
     gram = np.einsum("aij,bji->ab", elems, elems)
     gram_dev = np.abs(gram - np.eye(len(elems)))

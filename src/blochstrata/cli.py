@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .antipode import antipodal_family, antipode_of_boundary
 from .basis import build_basis
@@ -428,9 +426,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # checks that reject inf input would also print numpy "invalid value" warnings
-        with np.errstate(invalid="ignore"):
-            args.handler(args)
+        args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,11 @@ def format_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; numpy reads them as 1.0/0.0
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def matrix_to_dict(matrix: np.ndarray) -> dict:
     m = np.asarray(matrix, dtype=complex)
     return {
@@ -35,7 +40,7 @@ def matrix_from_dict(data) -> np.ndarray:
     if not isinstance(data, dict) or not {"dim", "re", "im"} <= set(data):
         raise DomainError('matrix JSON must have keys "dim", "re", "im"')
     n = data["dim"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f'matrix "dim" must be a positive integer, got {n!r}')
     try:
         re = np.asarray(data["re"], dtype=float)
@@ -46,7 +51,11 @@ def matrix_from_dict(data) -> np.ndarray:
         raise DomainError(
             f'matrix "re"/"im" must be {n}x{n} arrays, got {re.shape} and {im.shape}'
         )
-    return re + 1j * im
+    if any(bool in map(type, row) for row in (*data["re"], *data["im"])):
+        raise DomainError("matrix entries must be numbers, got a JSON boolean")
+    # 1j * inf has a NaN real part; the validation gate rejects it as non-finite
+    with np.errstate(invalid="ignore"):
+        return re + 1j * im
 
 
 def bloch_to_dict(dim: int, coords: np.ndarray) -> dict:
@@ -57,7 +66,7 @@ def bloch_from_dict(data) -> tuple[int, np.ndarray]:
     if not isinstance(data, dict) or not {"dim", "coords"} <= set(data):
         raise DomainError('Bloch vector JSON must have keys "dim", "coords"')
     n = data["dim"]
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise DomainError(f'Bloch "dim" must be an integer >= 2, got {n!r}')
     try:
         coords = np.asarray(data["coords"], dtype=float)
@@ -67,6 +76,8 @@ def bloch_from_dict(data) -> tuple[int, np.ndarray]:
         raise DomainError(
             f"expected {n * n - 1} coordinates for dimension {n}, got shape {coords.shape}"
         )
+    if bool in map(type, data["coords"]):
+        raise DomainError("Bloch coordinates must be numbers, got a JSON boolean")
     return n, coords
 
 

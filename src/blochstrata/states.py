@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import BasisSet, expand
+from .basis import BasisSet, _traceless_part, expand
 from .errors import DomainError, NumericError
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -57,6 +57,9 @@ def maximally_mixed(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
 
 
+# inf - inf is NaN, which the deviation test rejects; numpy need not warn about
+# it.  The decorator form costs about half of a with-block on this hot path.
+@np.errstate(invalid="ignore")
 def check_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate and return a square, finite, Hermitian complex matrix."""
     m = np.asarray(matrix, dtype=complex)
@@ -82,7 +85,10 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     The input is symmetrized as (m + m^H)/2 first, so solver-dependent
     complex dust on nearly-Hermitian inputs is discarded.
     """
-    h = (matrix + matrix.conj().T) / 2.0
+    # halving first cannot overflow, and gives the bits of (m + m^H)/2
+    # wherever that is finite and not subnormal
+    half = matrix / 2.0
+    h = half + half.conj().T
     try:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
@@ -152,7 +158,7 @@ def from_bloch(basis: BasisSet, vector) -> np.ndarray:
 
     The result always has unit trace and is Hermitian; positivity is NOT
     guaranteed (vectors outside the admissible region give nonpositive
-    matrices).
+    matrices).  Raises NumericError if an entry overflows.
     """
     v = np.asarray(vector, dtype=float)
     n = basis.dim
@@ -163,14 +169,25 @@ def from_bloch(basis: BasisSet, vector) -> np.ndarray:
         )
     if not np.isfinite(v).all():
         raise DomainError("Bloch vector has non-finite entries")
-    return maximally_mixed(n) + np.tensordot(v, basis.elements, axes=(0, 0))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return maximally_mixed(n) + _traceless_part(v, n)
+    except FloatingPointError as exc:
+        raise NumericError(f"matrix of this Bloch vector is not finite: {exc}") from exc
 
 
 def to_bloch(basis: BasisSet, matrix) -> np.ndarray:
-    """Bloch coordinates V_j = Tr{m T_j} of a unit-trace Hermitian matrix."""
+    """Bloch coordinates V_j = Tr{m T_j} of a unit-trace Hermitian matrix.
+
+    Raises NumericError if a coordinate overflows.
+    """
     m = _validate(matrix)[0]
     if m.shape != (basis.dim, basis.dim):
         raise DomainError(
             f"matrix shape {m.shape} does not match basis dimension {basis.dim}"
         )
-    return expand(basis, m)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return expand(basis, m)
+    except FloatingPointError as exc:
+        raise NumericError(f"Bloch coordinates of this matrix are not finite: {exc}") from exc

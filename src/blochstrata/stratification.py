@@ -82,8 +82,9 @@ def harriman_check(values) -> HarrimanResult:
         raise DomainError(f"tuple entries are not numeric: {exc}") from exc
     if a.ndim != 1 or a.size < 1:
         raise DomainError(f"expected a nonempty 1-d tuple of reals, got shape {a.shape}")
-    total = float(a.sum())
-    # a non-finite entry makes the sum non-finite, which fails this test
+    # a non-finite entry makes the sum non-finite (inf - inf is NaN), which fails this test
+    with np.errstate(invalid="ignore"):
+        total = float(a.sum())
     if not abs(total - 1.0) <= UNIT_SUM_TOL:
         raise DomainError(f"tuple must sum to 1, got {total!r}")
     n = a.size

@@ -1,6 +1,6 @@
 """Tests for the generalized Gell-Mann basis construction and validation."""
 
-import dataclasses
+import hashlib
 from math import sqrt
 
 import numpy as np
@@ -97,7 +97,9 @@ def test_verify_flags_scaled_element():
     b = build_basis(3)
     elems = b.elements.copy()
     elems[0] = 2.0 * elems[0]
-    report = verify_basis(dataclasses.replace(b, elements=elems))
+    corrupted = build_basis(3)
+    vars(corrupted)["elements"] = elems
+    report = verify_basis(corrupted)
     gram_violations = [v for v in report.violations if v.invariant == "gram"]
     assert gram_violations
     diag = next(v for v in gram_violations if v.location == (0, 0))
@@ -109,7 +111,9 @@ def test_verify_flags_identity_substitution():
     b = build_basis(dim)
     elems = b.elements.copy()
     elems[0] = np.eye(dim)
-    report = verify_basis(dataclasses.replace(b, elements=elems))
+    corrupted = build_basis(dim)
+    vars(corrupted)["elements"] = elems
+    report = verify_basis(corrupted)
     trace_violations = [v for v in report.violations if v.invariant == "trace"]
     assert trace_violations and trace_violations[0].location == (0,)
     assert trace_violations[0].magnitude == pytest.approx(dim, abs=1e-12)
@@ -125,6 +129,51 @@ def test_basis_is_read_only():
 def test_rejects_bad_dimension(dim):
     with pytest.raises(DomainError):
         build_basis(dim)
+
+
+# SHA-256 over build_basis(n).elements.view(np.uint64) for n = 2..16, as
+# built by the dense construction of blochstrata 0.1.0
+ELEMENTS_SHA256_2_TO_16 = "457d453aec45951dd644a255d77b3d635526c9d801069256bf4cadd98788839a"
+
+
+def test_elements_bitwise_equal_to_dense_construction_of_v0_1_0():
+    digest = hashlib.sha256()
+    for dim in range(2, 17):
+        digest.update(build_basis(dim).elements.view(np.uint64).tobytes())
+    assert digest.hexdigest() == ELEMENTS_SHA256_2_TO_16
+
+
+def test_elements_built_only_when_read():
+    b = build_basis(64)
+    assert len(b) == 64 * 64 - 1
+    assert "elements" not in vars(b)
+    assert b.elements is b.elements  # built once, then cached
+    assert b.elements.shape == (4095, 64, 64)
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_closed_form_expand_matches_dense_contraction(dim):
+    rng = np.random.default_rng(dim)
+    b = build_basis(dim)
+    pairs = dim * (dim - 1)
+    for _ in range(5):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        general = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
+        for m in (rho, general):
+            dense = np.einsum("ij,kji->k", m, b.elements).real
+            fast = expand(b, m)
+            assert np.abs(fast - dense).max() <= 1e-15
+            # off-diagonal coordinates take the products in the dense order
+            assert fast[:pairs].tobytes() == dense[:pairs].tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7])
+def test_expand_of_element_is_unit_vector(dim):
+    b = build_basis(dim)
+    for k, e in enumerate(b.elements):
+        np.testing.assert_allclose(expand(b, e), np.eye(len(b))[k], atol=1e-15)
 
 
 def test_expand_rejects_wrong_shape():

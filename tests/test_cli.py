@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blochstrata.cli as cli
 from blochstrata import NumericError, boundary_state, maximally_mixed
@@ -230,9 +234,10 @@ def test_zero_tol_only_on_commands_that_read_it():
     assert exc.value.code == 2
 
 
-def _bad_matrix(tmp_path, value):
+def _bad_matrix(tmp_path, value, where=(0, 0)):
     m = matrix_to_dict(maximally_mixed(2))
-    m["re"][0][0] = value
+    j, k = where
+    m["re"][j][k] = m["re"][k][j] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(m))
     return str(path)
@@ -241,6 +246,12 @@ def _bad_matrix(tmp_path, value):
 def _nan_bloch(tmp_path):
     path = tmp_path / "nan_bloch.json"
     path.write_text(json.dumps({"dim": 2, "coords": [0.0, float("nan"), 0.0]}))
+    return str(path)
+
+
+def _json_file(tmp_path, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -300,6 +311,18 @@ def _inf_tuples(tmp_path):
                          "--zero-tol", "nan"],
             "zero_tol", id="strata-scan-nan-zero-tol",
         ),
+        pytest.param(
+            lambda tmp: ["convert", "--in", _json_file(tmp, {"dim": 2, "coords": [0.1, 0.2, True]})],
+            "boolean", id="convert-bool-coordinate",
+        ),
+        pytest.param(
+            lambda tmp: ["classify", "--in", _json_file(tmp, {"dim": True, "re": [[1]], "im": [[0]]})],
+            "dim", id="classify-bool-dim",
+        ),
+        pytest.param(
+            lambda tmp: ["classify", "--in", _bad_matrix(tmp, 1.7e308, where=(0, 1))],
+            "positive semidefinite", id="classify-entries-near-float-max",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
@@ -309,6 +332,109 @@ def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "command,payload,message",
+    [
+        pytest.param(
+            "convert", {"dim": 2, "re": [[0.5, 1.7e308], [1.7e308, 0.5]], "im": [[0, 0], [0, 0]]},
+            "Bloch coordinates", id="convert-matrix-overflow",
+        ),
+        pytest.param(
+            "convert", {"dim": 8, "coords": [1e308] * 63}, "matrix", id="convert-bloch-overflow",
+        ),
+    ],
+)
+def test_finite_input_with_non_finite_result_is_one_numeric_error_line(
+    command, payload, message, tmp_path, capsys
+):
+    rc, out, err = run([command, "--in", _json_file(tmp_path, payload)], capsys)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def _valid_document(n, bloch):
+    if bloch:
+        return {"dim": n, "coords": [0.0] * (n * n - 1)}
+    return matrix_to_dict(maximally_mixed(n))
+
+
+def _entries(doc):
+    """(list, index) of every numeric entry of a document."""
+    if "coords" in doc:
+        return [(doc["coords"], i) for i in range(len(doc["coords"]))]
+    return [(row, i) for key in ("re", "im") for row in doc[key] for i in range(len(row))]
+
+
+@st.composite
+def invalid_inputs(draw):
+    """JSON text that convert and classify must reject: (text, kind)."""
+    n = draw(st.integers(2, 4))
+    bloch = draw(st.booleans())
+    doc = _valid_document(n, bloch)
+    kind = draw(
+        st.sampled_from(
+            ["malformed", "non-finite", "beyond-float", "overflow", "shape", "dim", "boolean"]
+        )
+    )
+    if kind == "malformed":
+        # every proper prefix of a JSON object is malformed
+        text = json.dumps(doc)
+        return text[: draw(st.integers(0, len(text) - 1))], kind
+    if kind == "non-finite":
+        row, i = draw(st.sampled_from(_entries(doc)))
+        row[i] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    elif kind == "beyond-float":
+        row, i = draw(st.sampled_from(_entries(doc)))
+        row[i] = "BEYOND"
+        literal = draw(st.sampled_from(["1e400", "-1e400"]))
+        return json.dumps(doc).replace('"BEYOND"', literal), kind
+    elif kind == "overflow":
+        # finite entries near the float maximum: coordinates or matrix overflow,
+        # or the eigenvalues show the matrix is not positive semidefinite
+        x = draw(st.floats(1.65e308, 1.7976931348623157e308)) * draw(st.sampled_from([1, -1]))
+        if bloch:
+            doc = _valid_document(max(n, 3), bloch)
+            doc["coords"][-(doc["dim"] - 1):] = [abs(x)] * (doc["dim"] - 1)
+        else:
+            doc["re"][0][1] = doc["re"][1][0] = x
+    elif kind == "shape":
+        key = "coords" if bloch else draw(st.sampled_from(["re", "im"]))
+        target = doc[key] if bloch or draw(st.booleans()) else doc[key][-1]
+        if draw(st.booleans()):
+            target.pop()
+        else:
+            target.append(0.0 if bloch or target is not doc[key] else [0.0] * n)
+    elif kind == "dim":
+        doc["dim"] = draw(
+            st.one_of(st.integers(-3, 1), st.sampled_from([2.0, "2", None, [2]]))
+        )
+    else:
+        if draw(st.booleans()):
+            doc["dim"] = draw(st.booleans())
+        else:
+            row, i = draw(st.sampled_from(_entries(doc)))
+            row[i] = draw(st.booleans())
+    return json.dumps(doc), kind
+
+
+@settings(deadline=None, max_examples=150)
+@given(command=st.sampled_from(["convert", "classify"]), case=invalid_inputs())
+def test_convert_and_classify_reject_bad_input_with_one_line(command, case, tmp_path_factory):
+    text, kind = case
+    path = tmp_path_factory.mktemp("contract") / "input.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    # a numpy warning would raise here (RuntimeWarning is an error in the test suite)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([command, "--in", str(path)])
+    assert rc in (2, 3), kind
+    prefix = "error: " if rc == 2 else "numeric error: "
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1
 
 
 def test_sample_json(capsys):

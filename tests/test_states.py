@@ -10,12 +10,14 @@ from hypothesis.extra.numpy import arrays
 
 from blochstrata import (
     DomainError,
+    NumericError,
     StateKind,
     build_basis,
     check_density,
     check_hermitian,
     classify,
     direction_report,
+    directional_matrix,
     expand,
     extremal_spectra,
     from_bloch,
@@ -77,6 +79,62 @@ def test_round_trip_random_vectors(dim):
         v = rng.standard_normal(dim * dim - 1) * 0.3
         back = to_bloch(b, from_bloch(b, v))
         assert np.abs(back - v).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_closed_form_from_bloch_matches_dense_contraction(dim):
+    rng = np.random.default_rng(100 + dim)
+    b = build_basis(dim)
+    for _ in range(5):
+        v = rng.uniform(-1, 1, dim * dim - 1)
+        dense = maximally_mixed(dim) + np.tensordot(v, b.elements, axes=(0, 0))
+        assert np.abs(from_bloch(b, v) - dense).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7])
+def test_from_bloch_of_unit_vector_is_element(dim):
+    b = build_basis(dim)
+    for k, e in enumerate(np.eye(len(b))):
+        np.testing.assert_allclose(from_bloch(b, e) - maximally_mixed(dim), b[k], atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_from_bloch_agrees_with_directional_matrix(dim):
+    rng = np.random.default_rng(dim)
+    b = build_basis(dim)
+    for _ in range(10):
+        v = rng.standard_normal(dim * dim - 1)
+        v /= np.linalg.norm(v)
+        shifted = from_bloch(b, v) - maximally_mixed(dim)
+        assert np.abs(shifted - directional_matrix(b, v)).max() <= 1e-15
+
+
+def test_round_trip_at_dim_64_never_builds_the_element_tensor():
+    rng = np.random.default_rng(64)
+    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    b = build_basis(64)
+    back = from_bloch(b, to_bloch(b, rho))
+    assert np.abs(back - rho).max() <= 1e-12
+    assert "elements" not in vars(b)
+
+
+def test_non_finite_results_are_numeric_errors():
+    huge = np.array([[0.5, 1.7e308], [1.7e308, 0.5]], dtype=complex)
+    with pytest.raises(NumericError, match="not finite"):
+        to_bloch(build_basis(2), huge)
+    with pytest.raises(NumericError, match="not finite"):
+        from_bloch(build_basis(8), np.full(63, 1e308))
+
+
+def test_eigenvalues_of_entries_near_float_max():
+    # (m + m^H)/2 would overflow to inf and feed NaN to the eigensolver
+    huge = np.array([[0.5, 1.7e308], [1.7e308, 0.5]], dtype=complex)
+    np.testing.assert_allclose(spectrum(huge).values, [1.7e308, -1.7e308])
+    assert classify(huge).kind is StateKind.NONPOSITIVE
+    with pytest.raises(DomainError, match="positive semidefinite"):
+        check_density(huge)
 
 
 def test_to_bloch_rejects_non_unit_trace(basis2):
