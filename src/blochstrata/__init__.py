@@ -17,6 +17,7 @@ from .basis import BasisSet, ValidationReport, Violation, build_basis, expand, v
 from .direction import (
     DirectionReport,
     direction_report,
+    direction_reports,
     directional_matrix,
     directional_matrix_of_boundary,
     extremal_spectra,
@@ -53,6 +54,7 @@ from .stratification import (
     harriman_check,
     stratum_radius,
     stratum_report,
+    stratum_reports,
 )
 
 __version__ = "0.1.0"
@@ -82,6 +84,7 @@ __all__ = [
     "check_hermitian",
     "classify",
     "direction_report",
+    "direction_reports",
     "directional_matrix",
     "directional_matrix_of_boundary",
     "distance_to_max",
@@ -101,6 +104,7 @@ __all__ = [
     "state_along",
     "stratum_radius",
     "stratum_report",
+    "stratum_reports",
     "to_bloch",
     "verify_basis",
 ]

@@ -19,7 +19,8 @@ from .errors import DomainError
 from .states import (
     DEFAULT_ZERO_TOL,
     StateClass,
-    classify,
+    _spectra,
+    _state_class,
     hermitian_eigenvalues,
     maximally_mixed,
 )
@@ -74,19 +75,52 @@ def direction_report(
     equals the multiplicity of the most negative eigenvalue of T_n (clustered
     within 1e-8).
     """
-    v = np.asarray(direction, dtype=float)
-    t = directional_matrix(basis, v)
-    mu = hermitian_eigenvalues(t)[::-1]
+    return direction_reports(basis, np.asarray(direction, dtype=float)[None], zero_tol)[0]
+
+
+def direction_reports(
+    basis: BasisSet, directions, zero_tol: float = DEFAULT_ZERO_TOL
+) -> list[DirectionReport]:
+    """direction_report of each row of an (M, N**2 - 1) array of unit directions.
+
+    One product with the basis forms every T_n, one eigensolve gives every
+    mu-spectrum, and one gate call validates and classifies every cap state.
+    Norms and T_n are the BLAS products directional_matrix takes, with the
+    same strides, so every report equals direction_report of its row bit for
+    bit.  A failing row raises the error direction_report raises for it,
+    after the rows before it have been checked.
+    """
+    v = np.ascontiguousarray(directions, dtype=float)
     n = basis.dim
-    max_length = 1.0 / (n * abs(mu[-1]))
-    cap = maximally_mixed(n) + max_length * t
-    return DirectionReport(
-        direction=v,
-        mu=mu,
-        max_length=max_length,
-        cap_state_class=classify(cap, zero_tol),
-        cap_zero_count=int(np.count_nonzero(mu <= mu[-1] + MU_CLUSTER_TOL)),
-    )
+    d = n * n - 1
+    if v.shape[1:] != (d,):
+        raise DomainError(
+            f"expected a direction of length {d} for dimension {n}, got shape {v.shape[1:]}"
+        )
+    norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel()
+    failed = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+    j = failed[0] if failed.size else len(v)  # every row before j has unit norm
+    t = np.matmul(v[:j].astype(complex)[:, None, :], basis.elements.reshape(d, n * n))
+    t = t.reshape(j, n, n)
+    mu = hermitian_eigenvalues(t)[:, ::-1]
+    max_length = 1.0 / (n * np.abs(mu[:, -1]))
+    _, w, zeros = _spectra(maximally_mixed(n) + max_length[:, None, None] * t, zero_tol=zero_tol)
+    if j < len(v):
+        raise DomainError(f"direction must have unit norm, got |n| = {float(norms[j])!r}")
+    cap_zero_counts = np.count_nonzero(mu <= mu[:, -1:] + MU_CLUSTER_TOL, axis=1)
+    return [
+        DirectionReport(
+            direction=row,
+            mu=row_mu,
+            max_length=length,
+            cap_state_class=_state_class(smallest, cap_zeros, zero_tol),
+            cap_zero_count=count,
+        )
+        for row, row_mu, length, smallest, cap_zeros, count in zip(
+            v, mu, max_length.tolist(), w[:, 0].tolist(), zeros.tolist(),
+            cap_zero_counts.tolist(),
+        )
+    ]
 
 
 def extremal_spectra(dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ Bloch vector schema: {"dim": N, "coords": [...]} with N**2 - 1 coordinates.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +26,14 @@ def format_bool(b: bool) -> str:
 def _is_int(value) -> bool:
     # JSON true/false load as bool, a subclass of int; numpy reads them as 1.0/0.0
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_numbers(values, what: str) -> None:
+    """Reject booleans and strings, which numpy reads as numbers (true as 1.0, "0.5" as 0.5)."""
+    kinds = set(map(type, values))
+    for kind, name in ((bool, "boolean"), (str, "string")):
+        if kind in kinds:
+            raise DomainError(f"{what} must be numbers, got a JSON {name}")
 
 
 def matrix_to_dict(matrix: np.ndarray) -> dict:
@@ -51,8 +60,7 @@ def matrix_from_dict(data) -> np.ndarray:
         raise DomainError(
             f'matrix "re"/"im" must be {n}x{n} arrays, got {re.shape} and {im.shape}'
         )
-    if any(bool in map(type, row) for row in (*data["re"], *data["im"])):
-        raise DomainError("matrix entries must be numbers, got a JSON boolean")
+    require_numbers(chain.from_iterable((*data["re"], *data["im"])), "matrix entries")
     # 1j * inf has a NaN real part; the validation gate rejects it as non-finite
     with np.errstate(invalid="ignore"):
         return re + 1j * im
@@ -76,8 +84,7 @@ def bloch_from_dict(data) -> tuple[int, np.ndarray]:
         raise DomainError(
             f"expected {n * n - 1} coordinates for dimension {n}, got shape {coords.shape}"
         )
-    if bool in map(type, data["coords"]):
-        raise DomainError("Bloch coordinates must be numbers, got a JSON boolean")
+    require_numbers(data["coords"], "Bloch coordinates")
     return n, coords
 
 

@@ -57,9 +57,9 @@ def maximally_mixed(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
 
 
-# inf - inf is NaN, which the deviation test rejects; numpy need not warn about
-# it.  The decorator form costs about half of a with-block on this hot path.
-@np.errstate(invalid="ignore")
+# inf - inf is NaN, and entries near the float maximum may differ by more than
+# it; the deviation test rejects both, so numpy need not warn about them.
+@np.errstate(invalid="ignore", over="ignore")
 def check_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate and return a square, finite, Hermitian complex matrix."""
     m = np.asarray(matrix, dtype=complex)
@@ -68,7 +68,7 @@ def check_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
     dev = float(np.abs(m - m.conj().T).max())
     # written so that NaN fails: a non-finite entry always makes dev non-finite
     if not dev <= tol:
-        if not np.isfinite(dev):
+        if not np.isfinite(m).all():
             raise DomainError("matrix has non-finite entries")
         raise DomainError(f"matrix is not Hermitian: max |m - m^H| = {dev:.3e}")
     return m
@@ -80,7 +80,7 @@ def check_density(matrix) -> np.ndarray:
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix in ascending order.
+    """Real eigenvalues of a Hermitian matrix, or of each matrix of a stack, ascending.
 
     The input is symmetrized as (m + m^H)/2 first, so solver-dependent
     complex dust on nearly-Hermitian inputs is discarded.
@@ -88,38 +88,63 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     # halving first cannot overflow, and gives the bits of (m + m^H)/2
     # wherever that is finite and not subnormal
     half = matrix / 2.0
-    h = half + half.conj().T
+    h = half + half.conj().swapaxes(-1, -2)
     try:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed on shape {h.shape}: {exc}") from exc
 
 
+def _spectra(stack, *, zero_tol: float | None = None, psd: bool = False, unit_trace: bool = True):
+    """The one validation gate, over an (M, N, N) stack: returns (m, w, zeros).
+
+    Every matrix of m is square, finite, Hermitian and, with unit_trace, of
+    trace 1.  One eigensolve covers the stack, and runs only for psd (each
+    smallest eigenvalue >= -PSD_TOL) or for zero_tol: w is then (M, N)
+    ascending and zeros the (M,) counts of |w| <= zero_tol; otherwise w and
+    zeros are None.  A failing stack raises the DomainError of its first
+    failing matrix, the one a loop of one-matrix calls would raise, so an
+    empty stack checks nothing, not even zero_tol.
+    """
+    m = np.asarray(stack, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise DomainError(f"expected a square matrix, got shape {m.shape[1:]}")
+    if len(m) and zero_tol is not None and not 0.0 < zero_tol < np.inf:
+        raise DomainError(f"zero_tol must be positive and finite, got {zero_tol}")
+    # inf - inf is NaN, finite entries may overflow to inf; both fail the checks
+    with np.errstate(invalid="ignore", over="ignore"):
+        ok = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= HERMITICITY_TOL
+        if unit_trace:
+            tr = m.trace(axis1=1, axis2=2).real
+            ok &= np.abs(tr - 1.0) <= UNIT_TRACE_TOL
+    failed = np.flatnonzero(~ok)
+    j = failed[0] if failed.size else len(m)  # every matrix before j passed
+    w = zeros = None
+    if psd or zero_tol is not None:
+        w = hermitian_eigenvalues(m[:j])
+        if psd:
+            negative = np.flatnonzero(~(w[:, 0] >= -PSD_TOL))
+            if negative.size:
+                raise DomainError(
+                    "matrix is not positive semidefinite: smallest eigenvalue "
+                    f"{w[negative[0], 0]:.3e}"
+                )
+        if zero_tol is not None:
+            zeros = np.count_nonzero(np.abs(w) <= zero_tol, axis=1)
+    if j < len(m):
+        check_hermitian(m[j])  # raises the message for a non-finite or non-Hermitian m[j]
+        raise DomainError(f"matrix must have unit trace, got {float(tr[j])!r}")
+    return m, w, zeros
+
+
 def _validate(
     matrix, *, zero_tol: float | None = None, psd: bool = False, unit_trace: bool = True
 ):
-    """The one validation gate: returns (m, ascending eigenvalues, zero count).
-
-    m is square, finite, Hermitian and, with unit_trace, of trace 1.  The
-    eigensolve runs only for psd (smallest eigenvalue >= -PSD_TOL) or for
-    zero_tol (count of |w| <= zero_tol); otherwise w and zeros are None.
-    """
-    if zero_tol is not None and not 0.0 < zero_tol < np.inf:
-        raise DomainError(f"zero_tol must be positive and finite, got {zero_tol}")
-    m = check_hermitian(matrix)
-    if unit_trace:
-        tr = float(m.trace().real)
-        if not abs(tr - 1.0) <= UNIT_TRACE_TOL:
-            raise DomainError(f"matrix must have unit trace, got {tr!r}")
-    if not psd and zero_tol is None:
-        return m, None, None
-    w = hermitian_eigenvalues(m)
-    if psd and not w[0] >= -PSD_TOL:
-        raise DomainError(
-            f"matrix is not positive semidefinite: smallest eigenvalue {w[0]:.3e}"
-        )
-    zeros = None if zero_tol is None else int(np.count_nonzero(np.abs(w) <= zero_tol))
-    return m, w, zeros
+    """_spectra of one matrix: returns (m, ascending eigenvalues, zero count)."""
+    m, w, zeros = _spectra(
+        np.asarray(matrix, dtype=complex)[None], zero_tol=zero_tol, psd=psd, unit_trace=unit_trace
+    )
+    return m[0], None if w is None else w[0], None if zeros is None else int(zeros[0])
 
 
 def spectrum(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectrum:
@@ -146,7 +171,12 @@ def classify(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> StateClass:
     precondition violation, not silently renormalized.
     """
     _, w, zeros = _validate(matrix, zero_tol=zero_tol)
-    if w[0] < -zero_tol:
+    return _state_class(w[0], zeros, zero_tol)
+
+
+def _state_class(smallest: float, zeros: int, zero_tol: float) -> StateClass:
+    """classify from the smallest eigenvalue and the zero count."""
+    if smallest < -zero_tol:
         return StateClass(StateKind.NONPOSITIVE)
     if zeros >= 1:
         return StateClass(StateKind.BOUNDARY, zero_count=zeros)

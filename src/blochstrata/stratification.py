@@ -13,8 +13,9 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DomainError
-from .states import DEFAULT_ZERO_TOL, _validate, check_density, maximally_mixed
+from .errors import DomainError, NumericError
+from .serialize import require_numbers
+from .states import DEFAULT_ZERO_TOL, _spectra, check_density, maximally_mixed
 
 ON_SPHERE_TOL = 1e-9
 EQUALITY_TOL = 1e-12
@@ -82,13 +83,19 @@ def harriman_check(values) -> HarrimanResult:
         raise DomainError(f"tuple entries are not numeric: {exc}") from exc
     if a.ndim != 1 or a.size < 1:
         raise DomainError(f"expected a nonempty 1-d tuple of reals, got shape {a.shape}")
-    # a non-finite entry makes the sum non-finite (inf - inf is NaN), which fails this test
-    with np.errstate(invalid="ignore"):
+    require_numbers(values, "tuple entries")
+    # a non-finite entry, or finite ones past the float range, make the sum
+    # non-finite (inf - inf is NaN), which fails this test
+    with np.errstate(invalid="ignore", over="ignore"):
         total = float(a.sum())
     if not abs(total - 1.0) <= UNIT_SUM_TOL:
         raise DomainError(f"tuple must sum to 1, got {total!r}")
     n = a.size
-    sum_sq = float(a @ a)
+    try:
+        with np.errstate(over="raise"):
+            sum_sq = float(a @ a)
+    except FloatingPointError as exc:
+        raise NumericError(f"sum of squares of this tuple is not finite: {exc}") from exc
     bound = 1.0 / n
     slack = sum_sq - bound
     return HarrimanResult(
@@ -105,15 +112,34 @@ def stratum_report(rho, zero_tol: float = DEFAULT_ZERO_TOL) -> StratumReport:
     Full-rank states (p = 0) report radius 0 and satisfied = True, so one
     report pipeline covers interior and boundary samples alike.
     """
-    m, _, zeros = _validate(rho, zero_tol=zero_tol, psd=True)
-    n = m.shape[0]
-    dist = float(np.linalg.norm(m - maximally_mixed(n)))
-    radius = stratum_radius(n, zeros) if zeros else 0.0
-    return StratumReport(
-        dim=n,
-        zero_count=zeros,
-        distance=dist,
-        radius=radius,
-        on_sphere=abs(dist - radius) <= ON_SPHERE_TOL,
-        satisfied=dist >= radius - ON_SPHERE_TOL,
-    )
+    return stratum_reports(np.asarray(rho, dtype=complex)[None], zero_tol)[0]
+
+
+def stratum_reports(stack, zero_tol: float = DEFAULT_ZERO_TOL) -> list[StratumReport]:
+    """stratum_report of each density matrix of an (M, N, N) stack, in order.
+
+    One gate call validates the stack and solves every spectrum.  Each
+    distance is the BLAS dot product np.linalg.norm takes, with the same
+    strides, so every report equals stratum_report of its matrix bit for bit.
+    The first matrix that fails validation raises its error; a zero count of
+    N, which needs zero_tol >= 1/N, raises after validation of the stack.
+    """
+    m, _, zeros = _spectra(stack, zero_tol=zero_tol, psd=True)
+    n = m.shape[-1]
+    x = (m - maximally_mixed(n)).reshape(len(m), 1, n * n)
+    re, im = x.real, x.imag
+    sq = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
+    zeros = zeros.tolist()
+    # one radius per zero count present, looked up in item order
+    radius = {p: stratum_radius(n, p) if p else 0.0 for p in dict.fromkeys(zeros)}
+    return [
+        StratumReport(
+            dim=n,
+            zero_count=p,
+            distance=dist,
+            radius=radius[p],
+            on_sphere=abs(dist - radius[p]) <= ON_SPHERE_TOL,
+            satisfied=dist >= radius[p] - ON_SPHERE_TOL,
+        )
+        for dist, p in zip(np.sqrt(sq).ravel().tolist(), zeros)
+    ]

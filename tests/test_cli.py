@@ -323,6 +323,36 @@ def _inf_tuples(tmp_path):
             lambda tmp: ["classify", "--in", _bad_matrix(tmp, 1.7e308, where=(0, 1))],
             "positive semidefinite", id="classify-entries-near-float-max",
         ),
+        pytest.param(
+            lambda tmp: ["classify", "--in", _json_file(
+                tmp, {"dim": 2, "re": [[0.5, 1.7e308], [-1.7e308, 0.5]], "im": [[0, 0], [0, 0]]}
+            )],
+            "not Hermitian", id="classify-antisymmetric-entries-near-float-max",
+        ),
+        pytest.param(
+            lambda tmp: ["classify", "--in", _json_file(
+                tmp, {"dim": 2, "re": [[1.7e308, 0], [0, 1.7e308]], "im": [[0, 0], [0, 0]]}
+            )],
+            "unit trace", id="classify-trace-past-float-max",
+        ),
+        pytest.param(
+            lambda tmp: ["classify", "--in", _json_file(
+                tmp, {"dim": 2, "re": [["0.5", 0], [0, "0.5"]], "im": [[0, 0], [0, 0]]}
+            )],
+            "string", id="classify-numeric-string",
+        ),
+        pytest.param(
+            lambda tmp: ["convert", "--in", _json_file(tmp, {"dim": 2, "coords": ["0.1", 0, 0]})],
+            "string", id="convert-numeric-string",
+        ),
+        pytest.param(
+            lambda tmp: ["lemma", "--tuples", _json_file(tmp, [["0.5", 0.5]])],
+            "string", id="lemma-numeric-string",
+        ),
+        pytest.param(
+            lambda tmp: ["lemma", "--tuples", _json_file(tmp, [[True, False]])],
+            "boolean", id="lemma-boolean-tuple",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
@@ -377,7 +407,8 @@ def invalid_inputs(draw):
     doc = _valid_document(n, bloch)
     kind = draw(
         st.sampled_from(
-            ["malformed", "non-finite", "beyond-float", "overflow", "shape", "dim", "boolean"]
+            ["malformed", "non-finite", "beyond-float", "overflow", "shape", "dim", "boolean",
+             "string"]
         )
     )
     if kind == "malformed":
@@ -412,12 +443,15 @@ def invalid_inputs(draw):
         doc["dim"] = draw(
             st.one_of(st.integers(-3, 1), st.sampled_from([2.0, "2", None, [2]]))
         )
-    else:
+    elif kind == "boolean":
         if draw(st.booleans()):
             doc["dim"] = draw(st.booleans())
         else:
             row, i = draw(st.sampled_from(_entries(doc)))
             row[i] = draw(st.booleans())
+    else:
+        row, i = draw(st.sampled_from(_entries(doc)))
+        row[i] = repr(row[i])  # a numeric string, such as "0.5"
     return json.dumps(doc), kind
 
 
@@ -436,6 +470,71 @@ def test_convert_and_classify_reject_bad_input_with_one_line(command, case, tmp_
     assert out.getvalue() == ""
     assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1
 
+
+
+_NOT_INTS = ["true", "x", "2.5", "", "1e3", "nan", "--1"]
+_ZERO_TOLS = ["1e-9", "1e-300", "0.3", "1", "0", "-1e-9", "nan", "inf", "-inf", "true", "x"]
+_TUPLE_TEXTS = [
+    "[[0.5, 0.5]]", "[[1]]", "[]", "[[]]", '{"a": 1}', "3", "[1, 2]", "[[[0.5, 0.5]]]", "[",
+    "NaN", "[[NaN, 1]]", '[["0.5", "0.5"]]', '[["half", 0.5]]', "[[true, false]]",
+    "[[null, 1]]", "[[1e400, -1e400, 1]]", "[[1e308, -1e308, 1]]", "[[1.7e308, 1.7e308]]",
+]
+
+
+@st.composite
+def scan_commands(draw):
+    """argv of strata-scan, direction, sample or lemma, often invalid, plus a tuple file's text."""
+    command = draw(st.sampled_from(["strata-scan", "direction", "sample", "lemma"]))
+    argv, tuples = [command], None
+
+    def option(flag, low, high, bad=_NOT_INTS):
+        """The flag four times in five; its value in range three times in four."""
+        if draw(st.integers(0, 4)):
+            good = draw(st.integers(0, 3))
+            value = str(draw(st.integers(low, high))) if good else draw(st.sampled_from(bad))
+            argv.extend([flag, value])
+
+    seeds = [str(2**64 - 1), str(2**64), "-1", "true", "1.5"]
+    if command == "lemma":
+        if draw(st.booleans()):
+            tuples = draw(st.sampled_from(_TUPLE_TEXTS))
+            argv.extend(["--tuples", "TUPLES"])
+        option("--count", -3, 50)
+        option("--size", -2, 20)
+        option("--seed", 0, 3, seeds)
+        return argv, tuples
+    option("--dim", -1, 6)
+    option("--seed", 0, 3, seeds)
+    if draw(st.booleans()):
+        argv.extend(["--zero-tol", draw(st.sampled_from(_ZERO_TOLS))])
+    option("--scan" if command == "direction" else "--count", -3, 50)
+    if command == "sample":
+        option("--rank", -1, 7)
+        if draw(st.booleans()):
+            argv.extend(["--format", draw(st.sampled_from(["csv", "json", "xml"]))])
+    return argv, tuples
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=scan_commands())
+def test_scan_commands_accept_or_reject_with_one_line(case, tmp_path_factory):
+    argv, tuples = case
+    if tuples is not None:
+        path = tmp_path_factory.mktemp("contract") / "tuples.json"
+        path.write_text(tuples)
+        argv = [str(path) if a == "TUPLES" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    # a numpy warning would raise here (RuntimeWarning is an error in the test suite)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse: usage, then one "error:" line
+            rc = exc.code
+    assert rc in (0, 2, 3)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(errors) == (rc != 0)
+    if rc == 0:
+        assert err.getvalue() == "" and out.getvalue().startswith(("# manifest ", "{"))
 
 def test_sample_json(capsys):
     rc, out, _ = run(

@@ -150,7 +150,11 @@ def test_one_trace_tolerance_for_every_density_entry_point():
 
 
 @pytest.mark.parametrize(
-    "bad", [[np.nan, 1.0], [np.inf, -np.inf, 1.0], [np.inf], ["a", 1.0], [None, 1.0]]
+    "bad",
+    [
+        [np.nan, 1.0], [np.inf, -np.inf, 1.0], [np.inf], ["a", 1.0], [None, 1.0],
+        ["0.5", 0.5], [True, False],
+    ],
 )
 def test_harriman_rejects_non_finite_and_non_numeric(bad):
     with pytest.raises(DomainError):
