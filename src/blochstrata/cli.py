@@ -31,7 +31,7 @@ from .serialize import (
     matrix_from_dict,
     matrix_to_dict,
 )
-from .states import DEFAULT_ZERO_TOL, from_bloch, to_bloch
+from .states import DEFAULT_ZERO_TOL, _check_zero_tol, from_bloch, to_bloch
 from .stratification import StratumReport, harriman_check, stratum_report, stratum_reports
 
 STRATA_HEADER = "N,p,distance,radius_p,on_sphere,satisfied"
@@ -257,6 +257,9 @@ def cmd_antipode(args: argparse.Namespace) -> None:
     if args.table:
         if args.max_dim is None:
             raise DomainError("--table requires --max-dim M")
+        ignored = [f"--{k}" for k in ("dim", "q", "length") if getattr(args, k) is not None]
+        if ignored:
+            raise DomainError(f"--table does not take {', '.join(ignored)}")
         if args.max_dim < 2:
             raise DomainError(f"--max-dim must be >= 2, got {args.max_dim}")
         rows = []
@@ -277,6 +280,8 @@ def cmd_antipode(args: argparse.Namespace) -> None:
         return
     if args.dim is None or args.q is None:
         raise DomainError("antipode requires --dim N and --q Q (or --table --max-dim M)")
+    if args.max_dim is not None:
+        raise DomainError("--max-dim requires --table")
     rep = antipode_of_boundary(args.dim, args.q)
     payload = {
         "manifest": _manifest(args),
@@ -452,6 +457,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked before the handler runs, so no count, format or early exit skips it
+        if hasattr(args, "zero_tol"):
+            _check_zero_tol(args.zero_tol)
         args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

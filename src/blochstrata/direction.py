@@ -45,17 +45,31 @@ def directional_matrix(basis: BasisSet, direction) -> np.ndarray:
 
     Rejects non-unit input rather than renormalizing silently.
     """
-    v = np.asarray(direction, dtype=float)
+    _, t, error = _directional_matrices(basis, np.asarray(direction, dtype=float)[None])
+    if error is not None:
+        raise error
+    return t[0]
+
+
+def _directional_matrices(basis: BasisSet, directions):
+    """(v, t, error): the rows as floats, T_n of the rows before the first non-unit
+    row, and that row's DomainError or None.  Norms and T_n are per-row BLAS
+    products, the v0.1.0 norm and basis contraction operation for operation."""
+    v = np.ascontiguousarray(directions, dtype=float)
     n = basis.dim
-    if v.shape != (n * n - 1,):
+    d = n * n - 1
+    if v.shape[1:] != (d,):
         raise DomainError(
-            f"expected a direction of length {n * n - 1} for dimension {n}, "
-            f"got shape {v.shape}"
+            f"expected a direction of length {d} for dimension {n}, got shape {v.shape[1:]}"
         )
-    norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= UNIT_NORM_TOL:
-        raise DomainError(f"direction must have unit norm, got |n| = {norm!r}")
-    return np.tensordot(v, basis.elements, axes=(0, 0))
+    norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel()
+    failed = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+    j = failed[0] if failed.size else len(v)  # every row before j has unit norm
+    error = None if j == len(v) else DomainError(
+        f"direction must have unit norm, got |n| = {float(norms[j])!r}"
+    )
+    t = np.matmul(v[:j].astype(complex)[:, None, :], basis.elements.reshape(d, n * n))
+    return v, t.reshape(j, n, n), error
 
 
 def state_along(basis: BasisSet, direction, length: float) -> np.ndarray:
@@ -83,30 +97,19 @@ def direction_reports(
 ) -> list[DirectionReport]:
     """direction_report of each row of an (M, N**2 - 1) array of unit directions.
 
-    One product with the basis forms every T_n, one eigensolve gives every
-    mu-spectrum, and one gate call validates and classifies every cap state.
-    Norms and T_n are the BLAS products directional_matrix takes, with the
-    same strides, so every report equals direction_report of its row bit for
-    bit.  A failing row raises the error direction_report raises for it,
-    after the rows before it have been checked.
+    One product with the basis forms every T_n, as in directional_matrix, one
+    eigensolve gives every mu-spectrum, and one gate call validates and
+    classifies every cap state, so every report equals direction_report of
+    its row bit for bit.  A failing row raises the error direction_report
+    raises for it, after the rows before it have been checked.
     """
-    v = np.ascontiguousarray(directions, dtype=float)
+    v, t, error = _directional_matrices(basis, directions)
     n = basis.dim
-    d = n * n - 1
-    if v.shape[1:] != (d,):
-        raise DomainError(
-            f"expected a direction of length {d} for dimension {n}, got shape {v.shape[1:]}"
-        )
-    norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel()
-    failed = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
-    j = failed[0] if failed.size else len(v)  # every row before j has unit norm
-    t = np.matmul(v[:j].astype(complex)[:, None, :], basis.elements.reshape(d, n * n))
-    t = t.reshape(j, n, n)
     mu = hermitian_eigenvalues(t)[:, ::-1]
     max_length = 1.0 / (n * np.abs(mu[:, -1]))
     _, w, zeros = _spectra(maximally_mixed(n) + max_length[:, None, None] * t, zero_tol=zero_tol)
-    if j < len(v):
-        raise DomainError(f"direction must have unit norm, got |n| = {float(norms[j])!r}")
+    if error is not None:
+        raise error
     cap_zero_counts = np.count_nonzero(mu <= mu[:, -1:] + MU_CLUSTER_TOL, axis=1)
     return [
         DirectionReport(

@@ -22,6 +22,7 @@ _BALL_TAG = 2
 _TUPLE_TAG = 3
 
 _MAX_REDRAWS = 8
+_MIN_GAUSSIAN_NORM = 1e-150  # a Gaussian draw this short has no usable direction
 _MAX_SEED = 2**64 - 1
 
 
@@ -38,6 +39,15 @@ def _attempts(kind: str, seed: int, index: int) -> Iterator[int]:
         f"degenerate {kind} draw persisted for {_MAX_REDRAWS} attempts "
         f"(seed={seed}, index={index})"
     )
+
+
+def _gaussian(rng: np.random.Generator, num_coords: int, kind: str, seed: int, index: int):
+    """(v, |v|) of a standard Gaussian draw, redrawn while |v| <= _MIN_GAUSSIAN_NORM."""
+    for _ in _attempts(kind, seed, index):
+        v = rng.standard_normal(num_coords)
+        norm = float(np.linalg.norm(v))
+        if norm > _MIN_GAUSSIAN_NORM:
+            return v, norm
 
 
 def _check_seed_index(seed: int, index: int) -> None:
@@ -57,8 +67,7 @@ class SamplerConfig:
     count: int
 
     def __post_init__(self):
-        if not 0 <= self.seed <= _MAX_SEED:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _check_seed_index(self.seed, 0)
         if self.dim < 2:
             raise DomainError(f"dimension must be >= 2, got {self.dim}")
         if not 1 <= self.rank <= self.dim:
@@ -75,8 +84,7 @@ def sample_state(config: SamplerConfig, index: int) -> np.ndarray:
     the probability-zero degenerate draw G = 0 is redrawn a bounded number
     of times.
     """
-    if index < 0:
-        raise DomainError(f"index must be >= 0, got {index}")
+    _check_seed_index(config.seed, index)
     rng = _generator(config.seed, _STATE_TAG, config.dim, config.rank, index)
     n, k = config.dim, config.rank
     for _ in _attempts("Ginibre", config.seed, index):
@@ -99,11 +107,8 @@ def sample_direction(seed: int, num_coords: int, index: int) -> np.ndarray:
         raise DomainError(f"direction space must have >= 3 coordinates, got {num_coords}")
     _check_seed_index(seed, index)
     rng = _generator(seed, _DIRECTION_TAG, num_coords, index)
-    for _ in _attempts("direction", seed, index):
-        v = rng.standard_normal(num_coords)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-150:
-            return v / norm
+    v, norm = _gaussian(rng, num_coords, "direction", seed, index)
+    return v / norm
 
 
 def sample_bloch_in_ball(seed: int, num_coords: int, radius: float, index: int) -> np.ndarray:
@@ -118,12 +123,8 @@ def sample_bloch_in_ball(seed: int, num_coords: int, radius: float, index: int) 
         raise DomainError(f"vector must have >= 1 coordinate, got {num_coords}")
     _check_seed_index(seed, index)
     rng = _generator(seed, _BALL_TAG, num_coords, index)
-    for _ in _attempts("ball", seed, index):
-        v = rng.standard_normal(num_coords)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-150:
-            u = rng.random()
-            return v * (radius * u ** (1.0 / num_coords) / norm)
+    v, norm = _gaussian(rng, num_coords, "ball", seed, index)
+    return v * (radius * rng.random() ** (1.0 / num_coords) / norm)
 
 
 def sample_unit_sum_tuple(seed: int, size: int, index: int) -> np.ndarray:

@@ -57,21 +57,9 @@ def maximally_mixed(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
 
 
-# inf - inf is NaN, and entries near the float maximum may differ by more than
-# it; the deviation test rejects both, so numpy need not warn about them.
-@np.errstate(invalid="ignore", over="ignore")
-def check_hermitian(matrix, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def check_hermitian(matrix) -> np.ndarray:
     """Validate and return a square, finite, Hermitian complex matrix."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    dev = float(np.abs(m - m.conj().T).max())
-    # written so that NaN fails: a non-finite entry always makes dev non-finite
-    if not dev <= tol:
-        if not np.isfinite(m).all():
-            raise DomainError("matrix has non-finite entries")
-        raise DomainError(f"matrix is not Hermitian: max |m - m^H| = {dev:.3e}")
-    return m
+    return _validate(matrix, unit_trace=False)[0]
 
 
 def check_density(matrix) -> np.ndarray:
@@ -95,25 +83,34 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         raise NumericError(f"eigensolver failed on shape {h.shape}: {exc}") from exc
 
 
+def _check_zero_tol(zero_tol: float) -> None:
+    """The gate's check of a zero-eigenvalue tolerance: positive and finite."""
+    if not 0.0 < zero_tol < np.inf:
+        raise DomainError(f"zero_tol must be positive and finite, got {zero_tol}")
+
+
 def _spectra(stack, *, zero_tol: float | None = None, psd: bool = False, unit_trace: bool = True):
     """The one validation gate, over an (M, N, N) stack: returns (m, w, zeros).
 
-    Every matrix of m is square, finite, Hermitian and, with unit_trace, of
-    trace 1.  One eigensolve covers the stack, and runs only for psd (each
-    smallest eigenvalue >= -PSD_TOL) or for zero_tol: w is then (M, N)
-    ascending and zeros the (M,) counts of |w| <= zero_tol; otherwise w and
-    zeros are None.  A failing stack raises the DomainError of its first
+    Every matrix of m is square with N >= 1, finite, Hermitian and, with
+    unit_trace, of trace 1.  One eigensolve covers the stack, and runs only
+    for psd (each smallest eigenvalue >= -PSD_TOL) or for zero_tol: w is then
+    (M, N) ascending and zeros the (M,) counts of |w| <= zero_tol; otherwise
+    w and zeros are None.  A failing stack raises the DomainError of its first
     failing matrix, the one a loop of one-matrix calls would raise, so an
     empty stack checks nothing, not even zero_tol.
     """
     m = np.asarray(stack, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise DomainError(f"expected a square matrix, got shape {m.shape[1:]}")
-    if len(m) and zero_tol is not None and not 0.0 < zero_tol < np.inf:
-        raise DomainError(f"zero_tol must be positive and finite, got {zero_tol}")
+    if not m.shape[1]:
+        raise DomainError("expected a matrix of at least 1 x 1, got shape (0, 0)")
+    if len(m) and zero_tol is not None:
+        _check_zero_tol(zero_tol)
     # inf - inf is NaN, finite entries may overflow to inf; both fail the checks
     with np.errstate(invalid="ignore", over="ignore"):
-        ok = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= HERMITICITY_TOL
+        dev = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        ok = dev <= HERMITICITY_TOL
         if unit_trace:
             tr = m.trace(axis1=1, axis2=2).real
             ok &= np.abs(tr - 1.0) <= UNIT_TRACE_TOL
@@ -132,18 +129,17 @@ def _spectra(stack, *, zero_tol: float | None = None, psd: bool = False, unit_tr
         if zero_tol is not None:
             zeros = np.count_nonzero(np.abs(w) <= zero_tol, axis=1)
     if j < len(m):
-        check_hermitian(m[j])  # raises the message for a non-finite or non-Hermitian m[j]
+        if not np.isfinite(m[j]).all():
+            raise DomainError("matrix has non-finite entries")
+        if not dev[j] <= HERMITICITY_TOL:
+            raise DomainError(f"matrix is not Hermitian: max |m - m^H| = {float(dev[j]):.3e}")
         raise DomainError(f"matrix must have unit trace, got {float(tr[j])!r}")
     return m, w, zeros
 
 
-def _validate(
-    matrix, *, zero_tol: float | None = None, psd: bool = False, unit_trace: bool = True
-):
+def _validate(matrix, **gate):
     """_spectra of one matrix: returns (m, ascending eigenvalues, zero count)."""
-    m, w, zeros = _spectra(
-        np.asarray(matrix, dtype=complex)[None], zero_tol=zero_tol, psd=psd, unit_trace=unit_trace
-    )
+    m, w, zeros = _spectra(np.asarray(matrix, dtype=complex)[None], **gate)
     return m[0], None if w is None else w[0], None if zeros is None else int(zeros[0])
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .serialize import require_numbers
-from .states import DEFAULT_ZERO_TOL, _spectra, check_density, maximally_mixed
+from .states import DEFAULT_ZERO_TOL, _spectra, maximally_mixed
 
 ON_SPHERE_TOL = 1e-9
 EQUALITY_TOL = 1e-12
@@ -46,8 +46,7 @@ class HarrimanResult:
 
 def distance_to_max(rho) -> float:
     """Hilbert-Schmidt distance sqrt(Tr{(rho - (1/N) I)^2}) of a density matrix."""
-    m = check_density(rho)
-    return float(np.linalg.norm(m - maximally_mixed(m.shape[0])))
+    return stratum_report(rho).distance
 
 
 def stratum_radius(dim: int, zero_count: int) -> float:
@@ -119,8 +118,8 @@ def stratum_reports(stack, zero_tol: float = DEFAULT_ZERO_TOL) -> list[StratumRe
     """stratum_report of each density matrix of an (M, N, N) stack, in order.
 
     One gate call validates the stack and solves every spectrum.  Each
-    distance is the BLAS dot product np.linalg.norm takes, with the same
-    strides, so every report equals stratum_report of its matrix bit for bit.
+    distance is the root of per-row BLAS dot products of the real and the
+    imaginary parts, the v0.1.0 norm operation for operation, stack or not.
     The first matrix that fails validation raises its error; a zero count of
     N, which needs zero_tol >= 1/N, raises after validation of the stack.
     """

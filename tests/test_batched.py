@@ -20,14 +20,21 @@ from blochstrata import (
     StateKind,
     boundary_state,
     build_basis,
+    check_density,
+    check_hermitian,
+    classify,
     direction_report,
     direction_reports,
+    directional_matrix,
     directional_matrix_of_boundary,
+    distance_to_max,
     expand,
     sample_direction,
     sample_state,
+    spectrum,
     stratum_report,
     stratum_reports,
+    to_bloch,
 )
 
 ZERO_TOL = 1e-9
@@ -169,6 +176,28 @@ def test_direction_reports_match_per_item_formulas(dim):
     assert max(r.cap_zero_count for r in reports) == dim - 1
 
 
+def sample_stack(dim):
+    config = SamplerConfig(seed=dim, dim=dim, rank=1 + dim // 2, count=20)
+    return np.stack([sample_state(config, i) for i in range(20)])
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_scalar_calls_match_per_item_formulas(dim):
+    basis = build_basis(dim)
+    d = dim * dim - 1
+    for i in range(30):
+        v = sample_direction(dim, d, i)
+        t = np.tensordot(v, basis.elements, axes=(0, 0))
+        assert directional_matrix(basis, v).tobytes() == t.tobytes()
+        long = 1.5 * v
+        with pytest.raises(DomainError) as bad:
+            directional_matrix(basis, long)
+        assert str(bad.value).endswith(f"|n| = {float(np.linalg.norm(long))!r}")
+    for stack in (rank_deficient_stack(dim), sample_stack(dim)):
+        for m in stack:
+            assert distance_to_max(m) == reference_stratum(m)[2]
+
+
 def test_empty_stacks_give_no_reports():
     assert stratum_reports(np.empty((0, 3, 3))) == []
     assert direction_reports(build_basis(3), np.empty((0, 8))) == []
@@ -233,6 +262,14 @@ def test_a_stack_of_non_square_matrices_is_rejected():
         stratum_reports(np.zeros((4, 2, 3)))
     with pytest.raises(DomainError, match=r"length 3 .* got shape \(4,\)"):
         direction_reports(build_basis(2), np.zeros((2, 4)))
+    with pytest.raises(DomainError, match=r"at least 1 x 1, got shape \(0, 0\)"):
+        stratum_reports(np.zeros((4, 0, 0)))
+    for check in (
+        check_hermitian, check_density, classify, spectrum, stratum_report,
+        lambda m: to_bloch(build_basis(2), m),
+    ):
+        with pytest.raises(DomainError, match=r"at least 1 x 1, got shape \(0, 0\)"):
+            check(np.zeros((0, 0)))
 
 
 def scripted_sampler(fail_at, bad_at=None):

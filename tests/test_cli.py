@@ -7,7 +7,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blochstrata.cli as cli
@@ -353,6 +353,43 @@ def _inf_tuples(tmp_path):
             lambda tmp: ["lemma", "--tuples", _json_file(tmp, [[True, False]])],
             "boolean", id="lemma-boolean-tuple",
         ),
+        pytest.param(
+            lambda tmp: ["strata-scan", "--dim", "3", "--count", "0", "--seed", "1",
+                         "--zero-tol", "nan"],
+            "zero_tol", id="strata-scan-count-0-nan-zero-tol",
+        ),
+        pytest.param(
+            lambda tmp: ["direction", "--dim", "3", "--scan", "0", "--seed", "1",
+                         "--zero-tol", "inf"],
+            "zero_tol", id="direction-scan-0-inf-zero-tol",
+        ),
+        pytest.param(
+            lambda tmp: ["sample", "--dim", "3", "--rank", "1", "--count", "0", "--seed", "1",
+                         "--format", "csv", "--zero-tol", "-1"],
+            "zero_tol", id="sample-csv-count-0-negative-zero-tol",
+        ),
+        pytest.param(
+            lambda tmp: ["sample", "--dim", "3", "--rank", "1", "--count", "0", "--seed", "1",
+                         "--format", "json", "--zero-tol", "nan"],
+            "zero_tol", id="sample-json-count-0-nan-zero-tol",
+        ),
+        pytest.param(
+            lambda tmp: ["sample", "--dim", "3", "--rank", "1", "--count", "2", "--seed", "1",
+                         "--format", "json", "--zero-tol", "nan"],
+            "zero_tol", id="sample-json-count-2-nan-zero-tol",
+        ),
+        pytest.param(
+            lambda tmp: ["antipode", "--table", "--max-dim", "3", "--length", "nan"],
+            "--table does not take --length", id="antipode-table-with-length",
+        ),
+        pytest.param(
+            lambda tmp: ["antipode", "--table", "--max-dim", "3", "--dim", "3", "--q", "1"],
+            "--table does not take --dim, --q", id="antipode-table-with-dim-and-q",
+        ),
+        pytest.param(
+            lambda tmp: ["antipode", "--dim", "3", "--q", "1", "--max-dim", "4"],
+            "--max-dim requires --table", id="antipode-max-dim-without-table",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
@@ -481,10 +518,15 @@ _TUPLE_TEXTS = [
 ]
 
 
+_LENGTHS = ["0", "0.1", "0.5", "1", "1e308", "-1", "nan", "inf", "-inf", "true", "x"]
+
+
 @st.composite
 def scan_commands(draw):
-    """argv of strata-scan, direction, sample or lemma, often invalid, plus a tuple file's text."""
-    command = draw(st.sampled_from(["strata-scan", "direction", "sample", "lemma"]))
+    """argv of a command that takes no input file, often invalid, plus a tuple file's text."""
+    command = draw(
+        st.sampled_from(["strata-scan", "direction", "sample", "lemma", "basis", "antipode"])
+    )
     argv, tuples = [command], None
 
     def option(flag, low, high, bad=_NOT_INTS):
@@ -503,6 +545,20 @@ def scan_commands(draw):
         option("--size", -2, 20)
         option("--seed", 0, 3, seeds)
         return argv, tuples
+    if command == "basis":
+        option("--dim", -1, 8)
+        if draw(st.booleans()):
+            argv.extend(["--format", draw(st.sampled_from(["csv", "json", "xml"]))])
+        return argv, tuples
+    if command == "antipode":
+        if draw(st.booleans()):
+            argv.append("--table")
+        option("--max-dim", -1, 8)
+        option("--dim", -1, 8)
+        option("--q", -1, 8)
+        if draw(st.booleans()):
+            argv.extend(["--length", draw(st.sampled_from(_LENGTHS))])
+        return argv, tuples
     option("--dim", -1, 6)
     option("--seed", 0, 3, seeds)
     if draw(st.booleans()):
@@ -515,8 +571,18 @@ def scan_commands(draw):
     return argv, tuples
 
 
-@settings(deadline=None, max_examples=200)
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(deadline=None, max_examples=300)
 @given(case=scan_commands())
+# manifests that once carried NaN or Infinity with exit 0
+@example(case=(["strata-scan", "--dim", "3", "--count", "0", "--seed", "1", "--zero-tol", "nan"],
+               None))
+@example(case=(["sample", "--dim", "3", "--rank", "1", "--count", "2", "--seed", "1",
+                "--format", "json", "--zero-tol", "inf"], None))
+@example(case=(["antipode", "--table", "--max-dim", "2", "--length", "nan"], None))
 def test_scan_commands_accept_or_reject_with_one_line(case, tmp_path_factory):
     argv, tuples = case
     if tuples is not None:
@@ -534,7 +600,12 @@ def test_scan_commands_accept_or_reject_with_one_line(case, tmp_path_factory):
     errors = [line for line in err.getvalue().splitlines() if "error:" in line]
     assert len(errors) == (rc != 0)
     if rc == 0:
-        assert err.getvalue() == "" and out.getvalue().startswith(("# manifest ", "{"))
+        text = out.getvalue()
+        assert err.getvalue() == "" and text.startswith(("# manifest ", "{"))
+        # the manifest is strict JSON: NaN or Infinity in it would fail here
+        if text.startswith("#"):
+            text = text.splitlines()[0][len("# manifest "):]
+        json.loads(text, parse_constant=_no_constants)
 
 def test_sample_json(capsys):
     rc, out, _ = run(

@@ -149,3 +149,50 @@ def test_degenerate_draws_give_up_after_max_redraws(draw, monkeypatch):
     with pytest.raises(NumericError, match="degenerate"):
         draw()
     assert rng.draws == sampling._MAX_REDRAWS
+
+
+class _TinyThenOnesRng(_ZeroRng):
+    """A generator whose first Gaussian draw is too short to normalize."""
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        return np.full(shape, 1e-151 if self.draws == 1 else 1.0)
+
+
+@pytest.mark.parametrize(
+    "draw,expected",
+    [
+        (lambda: sample_direction(1, 4, 0), np.full(4, 0.5)),
+        (lambda: sample_bloch_in_ball(1, 4, 0.5, 0), np.full(4, 0.25 * 0.5 ** 0.25)),
+    ],
+    ids=["direction", "ball"],
+)
+def test_a_too_short_gaussian_draw_is_redrawn(draw, expected, monkeypatch):
+    rng = _TinyThenOnesRng()
+    monkeypatch.setattr(sampling, "_generator", lambda *key: rng)
+    np.testing.assert_allclose(draw(), expected, rtol=1e-15)
+    assert rng.draws == 2
+
+
+def test_every_sampler_words_seed_and_index_errors_alike():
+    config = SamplerConfig(seed=0, dim=3, rank=1, count=1)
+    bad_seed = [
+        lambda: SamplerConfig(seed=2**64, dim=3, rank=1, count=1),
+        lambda: sample_direction(2**64, 8, 0),
+        lambda: sample_bloch_in_ball(2**64, 8, 0.5, 0),
+        lambda: sample_unit_sum_tuple(2**64, 4, 0),
+    ]
+    bad_index = [
+        lambda: sample_state(config, -1),
+        lambda: sample_direction(0, 8, -1),
+        lambda: sample_bloch_in_ball(0, 8, 0.5, -1),
+        lambda: sample_unit_sum_tuple(0, 4, -1),
+    ]
+    for draws, message in [
+        (bad_seed, f"seed must be a 64-bit unsigned integer, got {2**64}"),
+        (bad_index, "index must be >= 0, got -1"),
+    ]:
+        for draw in draws:
+            with pytest.raises(DomainError) as exc:
+                draw()
+            assert str(exc.value) == message
