@@ -52,6 +52,7 @@ from .stratification import (
     boundary_state,
     distance_to_max,
     harriman_check,
+    harriman_checks,
     stratum_radius,
     stratum_report,
     stratum_reports,
@@ -92,6 +93,7 @@ __all__ = [
     "extremal_spectra",
     "from_bloch",
     "harriman_check",
+    "harriman_checks",
     "max_antipodal_length",
     "maximally_mixed",
     "purity",

@@ -14,8 +14,16 @@ import numpy as np
 
 from .basis import BasisSet
 from .direction import directional_matrix_of_boundary, state_along
-from .errors import DomainError
-from .states import StateClass, _validate, classify, hermitian_eigenvalues, maximally_mixed
+from .errors import DomainError, NumericError
+from .states import (
+    DEFAULT_ZERO_TOL,
+    UNIT_TRACE_TOL,
+    StateClass,
+    _state_class,
+    _validate,
+    hermitian_eigenvalues,
+    maximally_mixed,
+)
 from .stratification import boundary_state
 
 SPECTRAL_MATCH_TOL = 1e-12
@@ -72,14 +80,31 @@ def antipodal_family(dim: int, rank: int, length: float) -> tuple[np.ndarray, St
     1/N + r sqrt(q/(N(N-q))) (N-q times).  Interior for r strictly below the
     antipodal cap, a boundary state with q zeros at the cap, nonpositive
     beyond.  Built directly from the diagonal formula, independently of the
-    basis-multiplication path, so the two routes can be cross-checked.
+    basis-multiplication path, so the two routes can be cross-checked.  The
+    class comes from the diagonal too: the q small entries equal
+    sqrt((N-q)/(qN)) (cap - r), so they are measured against the cap and
+    keep their sign at any length.  At large r the entries lose 1/N to
+    rounding, and a state whose trace is then not 1 within the unit-trace
+    tolerance is a NumericError.
     """
     if not 1 <= rank <= dim - 1:
         raise DomainError(f"rank must be in 1..{dim - 1}, got {rank}")
     if not length >= 0:
         raise DomainError(f"length must be >= 0, got {length}")
+    if length == np.inf:
+        raise DomainError(f"length must be finite, got {length}")
+    cap = max_antipodal_length(dim, rank)
+    shrink = sqrt((dim - rank) / (rank * dim))
     diag = np.empty(dim)
-    diag[:rank] = 1.0 / dim - length * sqrt((dim - rank) / (rank * dim))
-    diag[rank:] = 1.0 / dim + length * sqrt(rank / (dim * (dim - rank)))
-    state = np.diag(diag).astype(complex)
-    return state, classify(state)
+    diag[:rank] = 1.0 / dim - length * shrink
+    diag[rank:] = 1.0 / dim + length * cap
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trace fails below
+        trace = float(diag.sum())
+    if not abs(trace - 1.0) <= UNIT_TRACE_TOL:
+        raise NumericError(
+            f"at length {length!r} the entries 1/N - r c and 1/N + r c lose 1/N to rounding: "
+            f"their trace is {trace!r}"
+        )
+    smallest = shrink * (cap - length)
+    zeros = rank if abs(smallest) <= DEFAULT_ZERO_TOL else 0
+    return np.diag(diag).astype(complex), _state_class(smallest, zeros, DEFAULT_ZERO_TOL)

@@ -14,14 +14,19 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .antipode import antipodal_family, antipode_of_boundary
 from .basis import build_basis
 from .direction import direction_report, direction_reports
-from .errors import BlochGeometryError, DomainError, NumericError
-from .sampling import SamplerConfig, sample_direction, sample_state, sample_unit_sum_tuple
+from .errors import DomainError, NumericError
+from .sampling import (
+    SamplerConfig,
+    _blocks,
+    _direction_block,
+    _state_block,
+    _tuple_block,
+    sample_direction,
+)
 from .serialize import (
     bloch_from_dict,
     bloch_to_dict,
@@ -32,17 +37,18 @@ from .serialize import (
     matrix_to_dict,
 )
 from .states import DEFAULT_ZERO_TOL, _check_zero_tol, from_bloch, to_bloch
-from .stratification import StratumReport, harriman_check, stratum_report, stratum_reports
+from .stratification import (
+    StratumReport,
+    harriman_check,
+    harriman_checks,
+    stratum_report,
+    stratum_reports,
+)
 
 STRATA_HEADER = "N,p,distance,radius_p,on_sphere,satisfied"
 DIRECTION_HEADER = "N,mu_min,mu_max,max_length,cap_zero_count"
 ANTIPODE_HEADER = "N,q,max_len,match"
 LEMMA_HEADER = "size,sum_of_squares,bound,slack,equality"
-
-# Samples per batched report call in the scans.  Speed was flat, within noise,
-# from 64 to 1500; a fixed block keeps the stack's memory constant whatever
-# the count.
-SCAN_BLOCK = 256
 
 
 def _timestamp() -> str:
@@ -89,25 +95,6 @@ def _csv_text(manifest: dict, header: str, rows, trailing_comments=()) -> str:
     lines.extend(rows)
     lines.extend(trailing_comments)
     return "\n".join(lines) + "\n"
-
-
-def _blocks(count: int, draw):
-    """Stacks of up to SCAN_BLOCK consecutive draws draw(0), ..., draw(count - 1).
-
-    When a draw raises, the stack of the draws before it comes first, so the
-    caller reports those items, and fails where a loop over single items
-    would, before the error ends the stream.
-    """
-    for start in range(0, count, SCAN_BLOCK):
-        drawn = []
-        try:
-            for i in range(start, min(start + SCAN_BLOCK, count)):
-                drawn.append(draw(i))
-        except BlochGeometryError:
-            if drawn:
-                yield np.stack(drawn)
-            raise
-        yield np.stack(drawn)
 
 
 def _stratum_dict(report: StratumReport) -> dict:
@@ -192,7 +179,7 @@ def cmd_strata_scan(args: argparse.Namespace) -> None:
     for rank in range(1, n + 1):
         config = SamplerConfig(seed=args.seed, dim=n, rank=rank, count=args.count)
         min_slack = None
-        for stack in _blocks(args.count, lambda i: sample_state(config, i)):
+        for stack in _blocks(args.count, lambda idx: _state_block(config, idx)):
             for report in stratum_reports(stack, zero_tol=args.zero_tol):
                 rows.append(_stratum_row(report))
                 slack = report.distance - report.radius
@@ -237,7 +224,7 @@ def cmd_direction(args: argparse.Namespace) -> None:
     if args.scan < 0:
         raise DomainError(f"--scan must be >= 0, got {args.scan}")
     rows = []
-    for stack in _blocks(args.scan, lambda i: sample_direction(args.seed, n * n - 1, i)):
+    for stack in _blocks(args.scan, lambda idx: _direction_block(args.seed, n * n - 1, idx)):
         for r in direction_reports(basis, stack, zero_tol=args.zero_tol):
             rows.append(
                 ",".join(
@@ -305,42 +292,44 @@ def cmd_lemma(args: argparse.Namespace) -> None:
         data = load_json(args.tuples)
         if not isinstance(data, list) or not all(isinstance(t, list) for t in data):
             raise DomainError("tuple file must contain a JSON list of lists of reals")
-        tuples = data
+        # tuples from a file may differ in length, so each is one check
+        checked = [(len(t), harriman_check(t)) for t in data]
     else:
         if args.seed is None or args.count is None or args.size is None:
             raise DomainError("lemma requires --tuples FILE or --count K --size n --seed S")
         if args.count < 0:
             raise DomainError(f"count must be >= 0, got {args.count}")
-        tuples = [
-            sample_unit_sum_tuple(args.seed, args.size, i) for i in range(args.count)
+        checked = [
+            (args.size, res)
+            for stack in _blocks(args.count, lambda idx: _tuple_block(args.seed, args.size, idx))
+            for res in harriman_checks(stack)
         ]
-    rows = []
-    for t in tuples:
-        res = harriman_check(t)
-        rows.append(
-            ",".join(
-                [
-                    str(len(t)),
-                    format_float(res.sum_of_squares),
-                    format_float(res.bound),
-                    format_float(res.slack),
-                    format_bool(res.equality),
-                ]
-            )
+    rows = [
+        ",".join(
+            [
+                str(size),
+                format_float(res.sum_of_squares),
+                format_float(res.bound),
+                format_float(res.slack),
+                format_bool(res.equality),
+            ]
         )
+        for size, res in checked
+    ]
     _write(_csv_text(_manifest(args), LEMMA_HEADER, rows), args.out)
 
 
 def cmd_sample(args: argparse.Namespace) -> None:
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=args.rank, count=args.count)
     manifest = _manifest(args)
+    stacks = _blocks(config.count, lambda idx: _state_block(config, idx))
     if args.format == "json":
-        states = [matrix_to_dict(sample_state(config, i)) for i in range(config.count)]
+        states = [matrix_to_dict(rho) for stack in stacks for rho in stack]
         _emit_json({"manifest": manifest, "states": states}, args)
         return
     rows = [
         _stratum_row(report)
-        for stack in _blocks(config.count, lambda i: sample_state(config, i))
+        for stack in stacks
         for report in stratum_reports(stack, zero_tol=args.zero_tol)
     ]
     _write(_csv_text(manifest, STRATA_HEADER, rows), args.out)

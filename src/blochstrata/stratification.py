@@ -9,7 +9,7 @@ q = N - p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -31,7 +31,9 @@ class StratumReport:
     distance: float
     radius: float  # 0.0 for full-rank states
     on_sphere: bool
-    satisfied: bool  # distance >= radius - tolerance
+    # distance >= d_min - tolerance, d_min the least distance of any state with
+    # zero_count eigenvalues within zero_tol; false only if the theorem failed
+    satisfied: bool
 
 
 @dataclass(frozen=True)
@@ -70,39 +72,73 @@ def boundary_state(dim: int, rank: int) -> np.ndarray:
     return np.diag(diag)
 
 
+def _reals(values) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"tuple entries are not numeric: {exc}") from exc
+
+
 def harriman_check(values) -> HarrimanResult:
     """Check sum(a_j^2) >= 1/n for reals a_j summing to 1 (entries may be negative).
 
     Equality holds iff every a_j equals 1/n; the slack sum(a_j^2) - 1/n is the
     sum of squared deviations from the uniform tuple.
     """
-    try:
-        a = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"tuple entries are not numeric: {exc}") from exc
+    a = _reals(values)
     if a.ndim != 1 or a.size < 1:
         raise DomainError(f"expected a nonempty 1-d tuple of reals, got shape {a.shape}")
     require_numbers(values, "tuple entries")
+    return harriman_checks(a[None])[0]
+
+
+def harriman_checks(stack) -> list[HarrimanResult]:
+    """harriman_check of each row of an (M, n) stack of tuples, in order.
+
+    Each row's sum and sum of squares are the operations of a one-tuple
+    call, a pairwise row sum and a BLAS dot, stack or not.  The first row
+    that fails raises its error.
+    """
+    a = _reals(stack)
+    if a.ndim != 2 or not a.shape[1]:
+        raise DomainError(f"expected an (M, n) stack of nonempty tuples, got shape {a.shape}")
     # a non-finite entry, or finite ones past the float range, make the sum
-    # non-finite (inf - inf is NaN), which fails this test
+    # non-finite (inf - inf is NaN), which fails its test; a row that passes
+    # it is finite, so only overflow makes its sum of squares non-finite
     with np.errstate(invalid="ignore", over="ignore"):
-        total = float(a.sum())
-    if not abs(total - 1.0) <= UNIT_SUM_TOL:
-        raise DomainError(f"tuple must sum to 1, got {total!r}")
-    n = a.size
-    try:
-        with np.errstate(over="raise"):
-            sum_sq = float(a @ a)
-    except FloatingPointError as exc:
-        raise NumericError(f"sum of squares of this tuple is not finite: {exc}") from exc
-    bound = 1.0 / n
-    slack = sum_sq - bound
-    return HarrimanResult(
-        sum_of_squares=sum_sq,
-        bound=bound,
-        equality=slack <= EQUALITY_TOL,
-        slack=slack,
-    )
+        totals = a.sum(axis=1).tolist()
+        sums_sq = np.matmul(a[:, None, :], a[:, :, None]).ravel().tolist()
+    bound = 1.0 / a.shape[1]
+    results = []
+    for j, (total, sum_sq) in enumerate(zip(totals, sums_sq)):
+        if not abs(total - 1.0) <= UNIT_SUM_TOL:
+            raise DomainError(f"tuple must sum to 1, got {total!r}")
+        if not isfinite(sum_sq):
+            try:  # the one-tuple product again, for numpy's own overflow message
+                with np.errstate(over="raise"):
+                    a[j] @ a[j]
+            except FloatingPointError as exc:
+                raise NumericError(f"sum of squares of this tuple is not finite: {exc}") from exc
+        slack = sum_sq - bound
+        results.append(
+            HarrimanResult(
+                sum_of_squares=sum_sq, bound=bound, equality=slack <= EQUALITY_TOL, slack=slack
+            )
+        )
+    return results
+
+
+def _min_distance(dim: int, zero_count: int, zero_tol: float) -> float:
+    """Least distance to (1/N) I of a unit-trace state with p eigenvalues in [-t, t].
+
+    The p small eigenvalues sit at +t and the others are equal, which gives
+    sqrt(p t^2 + (1 - p t)^2/(N - p) - 1/N); it is 0 once t >= 1/N, where
+    (1/N) I itself qualifies.  At t = 0 it is the stratum radius r_p.
+    """
+    p, t = zero_count, zero_tol
+    if not p or t >= 1.0 / dim:
+        return 0.0
+    return sqrt(max(p * t * t + (1.0 - p * t) ** 2 / (dim - p) - 1.0 / dim, 0.0))
 
 
 def stratum_report(rho, zero_tol: float = DEFAULT_ZERO_TOL) -> StratumReport:
@@ -129,8 +165,9 @@ def stratum_reports(stack, zero_tol: float = DEFAULT_ZERO_TOL) -> list[StratumRe
     re, im = x.real, x.imag
     sq = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
     zeros = zeros.tolist()
-    # one radius per zero count present, looked up in item order
+    # one radius and one least distance per zero count present, looked up in item order
     radius = {p: stratum_radius(n, p) if p else 0.0 for p in dict.fromkeys(zeros)}
+    least = {p: _min_distance(n, p, zero_tol) for p in radius}
     return [
         StratumReport(
             dim=n,
@@ -138,7 +175,7 @@ def stratum_reports(stack, zero_tol: float = DEFAULT_ZERO_TOL) -> list[StratumRe
             distance=dist,
             radius=radius[p],
             on_sphere=abs(dist - radius[p]) <= ON_SPHERE_TOL,
-            satisfied=dist >= radius[p] - ON_SPHERE_TOL,
+            satisfied=dist >= least[p] - ON_SPHERE_TOL,
         )
         for dist, p in zip(np.sqrt(sq).ravel().tolist(), zeros)
     ]

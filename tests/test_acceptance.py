@@ -5,6 +5,7 @@ criterion.  The heavy Monte-Carlo scans run through the CLI so the same
 artifacts double as the determinism check.
 """
 
+import hashlib
 import os
 import time
 from math import sqrt
@@ -302,3 +303,65 @@ def test_criterion_11_scan_determinism(scans, tmp_path):
         ok &= rc == 0 and rerun.read_bytes() == scans.directions[n].read_bytes()
     check(11, "byte-identical repeat scans", ok,
           f"{len(STRATA_DIMS)} strata + {len(DIRECTION_DIMS)} direction scans")
+
+
+# SHA-256 of the fixed-seed outputs of v0.1.0 (seed 20260810, SOURCE_DATE_EPOCH=0)
+PINNED_SCANS = {
+    "strata": {
+        2: "24eb54a8e1c38136a313c11375b4c7f1a3ba29841dd06c796e19275ed6cfae64",
+        3: "6763deb9b0ddb34e12657e41234729c3c9e6de0c5c2ebdf0c42f76dc493461c7",
+        4: "db900e8f06aec053222b3d0de3a7a2b9596300693febe02f4a0ab9049a2e252e",
+        5: "3ad7b4df2fb5a3a6ecee94e47c19ad04a8b4c697bf395d84a183d2e698d4737d",
+        6: "9d74dcc61a69c21e83e1eee45b411a374b4cc29fcd5fa357f8e75a749958a0e9",
+    },
+    "directions": {
+        2: "ab54dd1ff6c9485a950cb689fe0a4181a9b119f9b372fbcf7dcd956e9b1c5020",
+        3: "313b58b393c4878e382dbf10b2874dfc943c5a921b4f254dd1c240c605ac89f2",
+        4: "5d296a6f391ec356855274b7976c66d079c342d40964f5e0cf503feb70ac2daa",
+        5: "ad1756eda8554c9a7323005c5270c934d4fa0bae112a54883cfcc949c01a33c9",
+    },
+}
+PINNED_COMMANDS = [
+    (["sample", "--dim", "4", "--rank", "2", "--count", "50", "--seed", str(SEED),
+      "--format", "csv"], "85beab62baa7dcca90bc2c5d24f6235aec2be8a27d0671108554e302b88dcef9"),
+    (["sample", "--dim", "4", "--rank", "2", "--count", "50", "--seed", str(SEED),
+      "--format", "json"], "26d48d6782ee2a2034b150d1a6acf16dd945118e340cc0489aacfffe6e763bdc"),
+    (["lemma", "--count", "500", "--size", "7", "--seed", str(SEED)],
+     "f229c74784085bc358c3a08e60904a871f23fbbdcee2f5fd84e79c5eb4b12cda"),
+    (["antipode", "--table", "--max-dim", "8"],
+     "7ce304cdf1d3bd892d6a49e4cec8b1508b0e2f2537eb7290ea2e957ee2dfa513"),
+]
+# SHA-256 of the concatenated bytes of draws 0..1199 of each sampler
+PINNED_DRAWS = {
+    "state": ("a61391019a709d9445eb0c7cd25f5135b56002cdd1aa6eafb8a902bc7773b8b9",
+              lambda i: bs.sample_state(bs.SamplerConfig(SEED, 4, 2, 1200), i)),
+    "direction": ("0059bdde2e6ca9237b5144e2743dea71e0eba04c141c6e1029ab15c53f09955c",
+                  lambda i: bs.sample_direction(SEED, 15, i)),
+    "ball": ("d7ef3725d1bad8c9cd81a382c3b173eea7af570c9003f875bfd88e3b76714cc2",
+             lambda i: bs.sample_bloch_in_ball(SEED, 15, bs.stratum_radius(4, 1), i)),
+    "tuple": ("227e2b1039bf5bd880c07a6a7beb88fd26c266150f14d0e02b236f1448a409b1",
+              lambda i: bs.sample_unit_sum_tuple(SEED, 7, i)),
+}
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_criterion_12_fixed_seed_outputs_are_pinned(scans, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    wrong = [
+        f"{kind} N={n}"
+        for kind, pinned in PINNED_SCANS.items()
+        for n, digest in pinned.items()
+        if sha256(getattr(scans, kind)[n].read_bytes()) != digest
+    ]
+    for j, (argv, digest) in enumerate(PINNED_COMMANDS):
+        out = tmp_path / f"pinned_{j}"
+        if cli_main([*argv, "--out", str(out)]) != 0 or sha256(out.read_bytes()) != digest:
+            wrong.append(" ".join(argv[:1]))
+    for name, (digest, draw) in PINNED_DRAWS.items():
+        if sha256(b"".join(draw(i).tobytes() for i in range(1200))) != digest:
+            wrong.append(f"{name} draws")
+    check(12, "fixed-seed outputs equal v0.1.0", not wrong,
+          f"{len(wrong)} of 17 differ" + (": " + ", ".join(wrong) if wrong else ""))

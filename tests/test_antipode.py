@@ -7,6 +7,7 @@ import pytest
 
 from blochstrata import (
     DomainError,
+    NumericError,
     StateKind,
     antipodal_family,
     antipodal_state,
@@ -136,6 +137,21 @@ def test_family_strictly_positive_inside(dim, q):
         assert cls.kind is StateKind.POSITIVE_INTERIOR
 
 
+def test_family_is_classified_against_the_cap_at_any_length():
+    for dim, q in [(3, 2), (5, 2), (8, 4)]:
+        top = max_antipodal_length(dim, q)
+        _, cls = antipodal_family(dim, q, top)
+        assert cls.kind is StateKind.BOUNDARY and cls.zero_count == q
+        for r in (top + 1e-6, 2 * top, 1e3):
+            rho, cls = antipodal_family(dim, q, r)
+            assert cls.kind is StateKind.NONPOSITIVE
+            assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        # beyond the unit-trace tolerance the entries no longer carry 1/N
+        for r in (1e17, 1e300, 1.7e308):
+            with pytest.raises(NumericError, match="lose 1/N to rounding"):
+                antipodal_family(dim, q, r)
+
+
 def test_family_rejects_bad_arguments():
     with pytest.raises(DomainError):
         antipodal_family(3, 0, 0.1)
@@ -143,3 +159,5 @@ def test_family_rejects_bad_arguments():
         antipodal_family(3, 2, -0.1)
     with pytest.raises(DomainError):
         antipodal_family(3, 2, float("nan"))
+    with pytest.raises(DomainError, match="length must be finite, got inf"):
+        antipodal_family(3, 2, float("inf"))

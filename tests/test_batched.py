@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import blochstrata.cli as cli
+import blochstrata.sampling as sampling
 from blochstrata import (
     DomainError,
     NumericError,
@@ -38,7 +39,7 @@ from blochstrata import (
 )
 
 ZERO_TOL = 1e-9
-BLOCK = cli.SCAN_BLOCK
+BLOCK = sampling.SCAN_BLOCK
 COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 
 
@@ -273,13 +274,17 @@ def test_a_stack_of_non_square_matrices_is_rejected():
 
 
 def scripted_sampler(fail_at, bad_at=None):
-    """sample_state that raises at index fail_at and, at bad_at, returns a non-PSD matrix."""
-    def sampler(config, index):
-        if index == fail_at:
-            raise NumericError(f"synthetic failure at {index}")
-        if index == bad_at:
-            return np.diag([1.5] + [-0.5] + [0.0] * (config.dim - 2)).astype(complex)
-        return sample_state(config, index)
+    """Block state sampler that raises at index fail_at and, at bad_at, gives a non-PSD matrix."""
+    def sampler(config, indices):
+        rows = []
+        for index in indices:
+            if index == fail_at:
+                raise NumericError(f"synthetic failure at {index}")
+            if index == bad_at:
+                rows.append(np.diag([1.5] + [-0.5] + [0.0] * (config.dim - 2)).astype(complex))
+            else:
+                rows.append(sample_state(config, index))
+        return np.stack(rows)
     return sampler
 
 
@@ -293,7 +298,7 @@ def scripted_sampler(fail_at, bad_at=None):
 def test_a_sampler_error_comes_after_the_reports_before_it(
     command, fail_at, bad_at, code, message, monkeypatch, capsys
 ):
-    monkeypatch.setattr(cli, "sample_state", scripted_sampler(fail_at, bad_at))
+    monkeypatch.setattr(cli, "_state_block", scripted_sampler(fail_at, bad_at))
     extra = ["--rank", "2", "--format", "csv"] if command == "sample" else []
     rc = cli.main([command, "--dim", "3", "--count", str(2 * BLOCK), "--seed", "1", *extra])
     captured = capsys.readouterr()
@@ -304,14 +309,18 @@ def test_a_sampler_error_comes_after_the_reports_before_it(
 def test_direction_scan_stops_drawing_at_a_sampler_error(monkeypatch, capsys):
     calls = []
 
-    def sampler(seed, num_coords, index):
-        calls.append(index)
-        if index == BLOCK + 5:
-            raise NumericError("synthetic failure")
-        return sample_direction(seed, num_coords, index)
+    def sampler(seed, num_coords, indices):
+        rows = []
+        for index in indices:
+            calls.append(index)
+            if index == BLOCK + 5:
+                raise NumericError("synthetic failure")
+            rows.append(sample_direction(seed, num_coords, index))
+        return np.stack(rows)
 
-    monkeypatch.setattr(cli, "sample_direction", sampler)
+    monkeypatch.setattr(cli, "_direction_block", sampler)
     rc = cli.main(["direction", "--dim", "3", "--scan", str(2 * BLOCK), "--seed", "1"])
     assert rc == 3 and "synthetic failure" in capsys.readouterr().err
-    assert calls == list(range(BLOCK + 6))
+    # the failing block is drawn again one item at a time, up to the failing item
+    assert calls == [*range(BLOCK + 6), *range(BLOCK, BLOCK + 6)]
 

@@ -390,6 +390,10 @@ def _inf_tuples(tmp_path):
             lambda tmp: ["antipode", "--dim", "3", "--q", "1", "--max-dim", "4"],
             "--max-dim requires --table", id="antipode-max-dim-without-table",
         ),
+        pytest.param(
+            lambda tmp: ["antipode", "--dim", "3", "--q", "2", "--length", "inf"],
+            "length must be finite, got inf", id="antipode-infinite-length",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
@@ -421,6 +425,22 @@ def test_finite_input_with_non_finite_result_is_one_numeric_error_line(
     assert out == ""
     assert err.startswith("numeric error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("length", ["1e17", "1e300"])
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_antipode_length_that_rounds_away_1_over_n_is_one_numeric_error_line(length, capsys):
+    rc, out, err = run(["antipode", "--dim", "3", "--q", "2", "--length", length], capsys)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+    assert f"at length {float(length)!r}" in err and "lose 1/N to rounding" in err
+
+
+def test_antipode_far_beyond_the_cap_is_nonpositive(capsys):
+    rc, out, _ = run(["antipode", "--dim", "3", "--q", "2", "--length", "1e6"], capsys)
+    assert rc == 0
+    assert json.loads(out)["family_class"] == "nonpositive"
 
 
 def _valid_document(n, bloch):

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blochstrata.stratification as stratification
 from blochstrata import (
+    DEFAULT_ZERO_TOL,
     DomainError,
+    NumericError,
     SamplerConfig,
     boundary_state,
     build_basis,
@@ -17,6 +20,7 @@ from blochstrata import (
     extremal_spectra,
     from_bloch,
     harriman_check,
+    harriman_checks,
     maximally_mixed,
     sample_state,
     spectrum,
@@ -190,3 +194,84 @@ def test_nonpositive_witness_just_outside_small_sphere(dim):
     small_radius = stratum_radius(dim, 1)
     rho = from_bloch(b, (small_radius + 1e-3) * n)
     assert np.linalg.eigvalsh(rho)[0] < 0
+
+
+@pytest.mark.parametrize("diag,p", [
+    ([1 - 9e-10, 9e-10], 1),
+    ([9e-10, (1 - 9e-10) / 2, (1 - 9e-10) / 2], 1),
+])
+def test_zero_eigenvalues_within_tolerance_give_no_false_counterexample(diag, p):
+    rep = stratum_report(np.diag(diag))
+    assert rep.zero_count == p
+    # inside r_p by more than the sphere tolerance, yet a valid state of the
+    # stratum: the verdict measures the distance against d_min(zero_tol)
+    assert rep.distance - rep.radius < -stratification.ON_SPHERE_TOL
+    assert not rep.on_sphere
+    assert rep.satisfied
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_least_distance_of_a_stratum(dim):
+    for p in range(1, dim):
+        assert stratification._min_distance(dim, p, 0.0) == pytest.approx(
+            stratum_radius(dim, p), abs=1e-15
+        )
+        assert stratification._min_distance(dim, p, 1.0 / dim) == 0.0
+        t = 1e-3
+        # the extremal state: p eigenvalues at +t, the others equal
+        extremal = np.diag([t] * p + [(1 - p * t) / (dim - p)] * (dim - p))
+        assert stratification._min_distance(dim, p, t) == pytest.approx(
+            distance_to_max(extremal), abs=1e-14
+        )
+    assert stratification._min_distance(dim, 0, DEFAULT_ZERO_TOL) == 0.0
+
+
+@st.composite
+def near_boundary_states(draw):
+    """(state, zero_tol): p eigenvalues in (0, zero_tol], unitarily conjugated."""
+    dim = draw(st.integers(2, 8))
+    p = draw(st.integers(1, dim - 1))
+    zero_tol = draw(st.sampled_from([DEFAULT_ZERO_TOL, 1e-6]))
+    small = [draw(st.floats(0.0, zero_tol, exclude_min=True)) for _ in range(p)]
+    weights = np.array([draw(st.floats(0.5, 1.0)) for _ in range(dim - p)])
+    large = (1.0 - sum(small)) * weights / weights.sum()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return u @ np.diag(np.concatenate([small, large])) @ u.conj().T, zero_tol
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=near_boundary_states())
+def test_states_with_eigenvalues_within_zero_tol_are_satisfied(case):
+    rho, zero_tol = case
+    assert stratum_report(rho, zero_tol=zero_tol).satisfied
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 16, 33, 130])
+def test_batched_harriman_checks_equal_one_tuple_calls(size):
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal((50, size)) * rng.choice([1e-3, 1.0, 1e4], size=(50, 1))
+    stack = x - x.mean(axis=1, keepdims=True) + 1.0 / size
+    stack[0] = 1.0 / size  # the equality case
+    assert harriman_checks(stack) == [harriman_check(row) for row in stack]
+
+
+def test_batched_harriman_checks_raise_for_the_first_failing_row():
+    ok = [0.5, 0.5, 0.0]
+    off_sum = [0.4, 0.4, 0.0]
+    overflow = [1e200, -1e200, 1.0]
+    for rows, error in [
+        ([ok, overflow, ok, off_sum], NumericError),
+        ([ok, off_sum, ok, overflow], DomainError),
+    ]:
+        bad = next(r for r in rows if r is not ok)
+        with pytest.raises(error) as one:
+            harriman_check(bad)
+        with pytest.raises(error) as batched:
+            harriman_checks(np.array(rows))
+        assert str(batched.value) == str(one.value)
+    with pytest.raises(DomainError, match=r"stack of nonempty tuples, got shape \(3,\)"):
+        harriman_checks(ok)
+    with pytest.raises(DomainError, match=r"got shape \(2, 0\)"):
+        harriman_checks(np.zeros((2, 0)))
