@@ -22,15 +22,18 @@ from .errors import DomainError, NumericError
 from .sampling import (
     SamplerConfig,
     _blocks,
+    _check_seed_index,
+    _check_tuple_draw,
     _direction_block,
     _state_block,
     _tuple_block,
     sample_direction,
+    sample_states,
 )
 from .serialize import (
+    _CSV_BOOL,
     bloch_from_dict,
     bloch_to_dict,
-    format_bool,
     format_float,
     load_json,
     matrix_from_dict,
@@ -49,6 +52,12 @@ STRATA_HEADER = "N,p,distance,radius_p,on_sphere,satisfied"
 DIRECTION_HEADER = "N,mu_min,mu_max,max_length,cap_zero_count"
 ANTIPODE_HEADER = "N,q,max_len,match"
 LEMMA_HEADER = "size,sum_of_squares,bound,slack,equality"
+
+# %.17g writes a float as format_float does; a bool cell is a _CSV_BOOL entry
+_STRATA_ROW = "%d,%d,%.17g,%.17g,%s,%s"
+_DIRECTION_ROW = "%d,%.17g,%.17g,%.17g,%d"
+_ANTIPODE_ROW = "%d,%d,%.17g,%s"
+_LEMMA_ROW = "%d,%.17g,%.17g,%.17g,%s"
 
 
 def _timestamp() -> str:
@@ -108,17 +117,34 @@ def _stratum_dict(report: StratumReport) -> dict:
     }
 
 
-def _stratum_row(report: StratumReport) -> str:
-    return ",".join(
-        [
-            str(report.dim),
-            str(report.zero_count),
-            format_float(report.distance),
-            format_float(report.radius),
-            format_bool(report.on_sphere),
-            format_bool(report.satisfied),
-        ]
-    )
+def _reject_ignored(args: argparse.Namespace, form: str, names) -> None:
+    """DomainError naming the options of names that the chosen form would ignore."""
+    ignored = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if ignored:
+        raise DomainError(f"{form} does not take {', '.join(ignored)}")
+
+
+def _scan(count: int, draw_block, report_block, row_template: str, count_name="count"):
+    """CSV rows of a scan of count items, the one block loop of the CLI.
+
+    draw_block(indices) stacks the items of a block of indices (see
+    sampling._blocks), and report_block(stack) gives one tuple of
+    row_template values per item.  A negative count is a DomainError.
+    """
+    if count < 0:
+        raise DomainError(f"{count_name} must be >= 0, got {count}")
+    return [row_template % v for stack in _blocks(count, draw_block) for v in report_block(stack)]
+
+
+def _stratum_values(reports) -> list[tuple]:
+    return [
+        (r.dim, r.zero_count, r.distance, r.radius, _CSV_BOOL[r.on_sphere], _CSV_BOOL[r.satisfied])
+        for r in reports
+    ]
+
+
+def _harriman_values(size: int, res) -> tuple:
+    return (size, res.sum_of_squares, res.bound, res.slack, _CSV_BOOL[res.equality])
 
 
 def cmd_basis(args: argparse.Namespace) -> None:
@@ -163,30 +189,28 @@ def cmd_classify(args: argparse.Namespace) -> None:
     m = matrix_from_dict(load_json(args.infile))
     report = stratum_report(m, zero_tol=args.zero_tol)
     if args.format == "csv":
-        _write(_csv_text(_manifest(args), STRATA_HEADER, [_stratum_row(report)]), args.out)
+        row = _STRATA_ROW % _stratum_values([report])[0]
+        _write(_csv_text(_manifest(args), STRATA_HEADER, [row]), args.out)
         return
     _emit_json({"manifest": _manifest(args), **_stratum_dict(report)}, args)
 
 
 def cmd_strata_scan(args: argparse.Namespace) -> None:
-    n = args.dim
-    if n < 2:
-        raise DomainError(f"dimension must be >= 2, got {n}")
-    if args.count < 0:
-        raise DomainError(f"count must be >= 0, got {args.count}")
-    rows: list[str] = []
-    comments: list[str] = []
-    for rank in range(1, n + 1):
-        config = SamplerConfig(seed=args.seed, dim=n, rank=rank, count=args.count)
-        min_slack = None
-        for stack in _blocks(args.count, lambda idx: _state_block(config, idx)):
-            for report in stratum_reports(stack, zero_tol=args.zero_tol):
-                rows.append(_stratum_row(report))
-                slack = report.distance - report.radius
-                if min_slack is None or slack < min_slack:
-                    min_slack = slack
-        if min_slack is not None:
-            comments.append(f"# min_slack rank={rank} {format_float(min_slack)}")
+    # rank 1 fits every dimension: this checks seed, dimension and count before the rank loop
+    config = SamplerConfig(seed=args.seed, dim=args.dim, rank=1, count=args.count)
+    rows, comments = [], []
+    for rank in range(1, config.dim + 1):
+        ranked = SamplerConfig(seed=args.seed, dim=args.dim, rank=rank, count=args.count)
+        least = []  # the least slack distance - radius of each block
+
+        def report_block(stack):
+            values = _stratum_values(stratum_reports(stack, zero_tol=args.zero_tol))
+            least.append(min(v[2] - v[3] for v in values))
+            return values
+
+        rows += _scan(args.count, lambda idx: _state_block(ranked, idx), report_block, _STRATA_ROW)
+        if least:
+            comments.append("# min_slack rank=%d %.17g" % (rank, min(least)))
     _write(_csv_text(_manifest(args), STRATA_HEADER, rows, comments), args.out)
 
 
@@ -206,63 +230,47 @@ def cmd_direction(args: argparse.Namespace) -> None:
     basis = build_basis(n)
     manifest = _manifest(args)
     if args.vector is not None:
-        file_dim, coords = bloch_from_dict(load_json(args.vector))
+        _reject_ignored(args, "--vector", ("seed", "scan"))
+        file_dim, v = bloch_from_dict(load_json(args.vector))
         if file_dim != n:
             raise DomainError(
                 f"--dim {n} does not match the vector file dimension {file_dim}"
             )
-        report = direction_report(basis, coords, zero_tol=args.zero_tol)
-        _emit_json({"manifest": manifest, **_direction_dict(n, report)}, args)
-        return
-    if args.seed is None:
+    elif args.seed is None:
         raise DomainError("direction requires --vector FILE or --seed S")
-    if args.scan is None:
+    elif args.scan is None:
         v = sample_direction(args.seed, n * n - 1, 0)
-        report = direction_report(basis, v, zero_tol=args.zero_tol)
-        _emit_json({"manifest": manifest, **_direction_dict(n, report)}, args)
+    else:
+        _check_seed_index(args.seed, 0)  # the direction space of a valid --dim is fine
+        rows = _scan(
+            args.scan,
+            lambda idx: _direction_block(args.seed, n * n - 1, idx),
+            lambda stack: [
+                (n, r.mu[-1], r.mu[0], r.max_length, r.cap_zero_count)
+                for r in direction_reports(basis, stack, zero_tol=args.zero_tol)
+            ],
+            _DIRECTION_ROW,
+            "--scan",
+        )
+        _write(_csv_text(manifest, DIRECTION_HEADER, rows), args.out)
         return
-    if args.scan < 0:
-        raise DomainError(f"--scan must be >= 0, got {args.scan}")
-    rows = []
-    for stack in _blocks(args.scan, lambda idx: _direction_block(args.seed, n * n - 1, idx)):
-        for r in direction_reports(basis, stack, zero_tol=args.zero_tol):
-            rows.append(
-                ",".join(
-                    [
-                        str(n),
-                        format_float(float(r.mu[-1])),
-                        format_float(float(r.mu[0])),
-                        format_float(r.max_length),
-                        str(r.cap_zero_count),
-                    ]
-                )
-            )
-    _write(_csv_text(manifest, DIRECTION_HEADER, rows), args.out)
+    report = direction_report(basis, v, zero_tol=args.zero_tol)
+    _emit_json({"manifest": manifest, **_direction_dict(n, report)}, args)
 
 
 def cmd_antipode(args: argparse.Namespace) -> None:
     if args.table:
         if args.max_dim is None:
             raise DomainError("--table requires --max-dim M")
-        ignored = [f"--{k}" for k in ("dim", "q", "length") if getattr(args, k) is not None]
-        if ignored:
-            raise DomainError(f"--table does not take {', '.join(ignored)}")
+        _reject_ignored(args, "--table", ("dim", "q", "length"))
         if args.max_dim < 2:
             raise DomainError(f"--max-dim must be >= 2, got {args.max_dim}")
         rows = []
         for n in range(2, args.max_dim + 1):
             for q in range(1, n):
                 rep = antipode_of_boundary(n, q)
-                rows.append(
-                    ",".join(
-                        [
-                            str(n),
-                            str(q),
-                            format_float(rep.max_antipodal_length),
-                            format_bool(rep.matches_complement),
-                        ]
-                    )
-                )
+                values = (n, q, rep.max_antipodal_length, _CSV_BOOL[rep.matches_complement])
+                rows.append(_ANTIPODE_ROW % values)
         _write(_csv_text(_manifest(args), ANTIPODE_HEADER, rows), args.out)
         return
     if args.dim is None or args.q is None:
@@ -289,49 +297,43 @@ def cmd_antipode(args: argparse.Namespace) -> None:
 
 def cmd_lemma(args: argparse.Namespace) -> None:
     if args.tuples is not None:
+        _reject_ignored(args, "--tuples", ("count", "size", "seed"))
         data = load_json(args.tuples)
         if not isinstance(data, list) or not all(isinstance(t, list) for t in data):
             raise DomainError("tuple file must contain a JSON list of lists of reals")
         # tuples from a file may differ in length, so each is one check
-        checked = [(len(t), harriman_check(t)) for t in data]
+        rows = _scan(
+            len(data),
+            lambda idx: [data[i] for i in idx],
+            lambda tuples: [_harriman_values(len(t), harriman_check(t)) for t in tuples],
+            _LEMMA_ROW,
+        )
     else:
         if args.seed is None or args.count is None or args.size is None:
             raise DomainError("lemma requires --tuples FILE or --count K --size n --seed S")
-        if args.count < 0:
-            raise DomainError(f"count must be >= 0, got {args.count}")
-        checked = [
-            (args.size, res)
-            for stack in _blocks(args.count, lambda idx: _tuple_block(args.seed, args.size, idx))
-            for res in harriman_checks(stack)
-        ]
-    rows = [
-        ",".join(
-            [
-                str(size),
-                format_float(res.sum_of_squares),
-                format_float(res.bound),
-                format_float(res.slack),
-                format_bool(res.equality),
-            ]
+        _check_tuple_draw(args.seed, args.size)
+        rows = _scan(
+            args.count,
+            lambda idx: _tuple_block(args.seed, args.size, idx),
+            lambda stack: [_harriman_values(args.size, r) for r in harriman_checks(stack)],
+            _LEMMA_ROW,
         )
-        for size, res in checked
-    ]
     _write(_csv_text(_manifest(args), LEMMA_HEADER, rows), args.out)
 
 
 def cmd_sample(args: argparse.Namespace) -> None:
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=args.rank, count=args.count)
     manifest = _manifest(args)
-    stacks = _blocks(config.count, lambda idx: _state_block(config, idx))
     if args.format == "json":
-        states = [matrix_to_dict(rho) for stack in stacks for rho in stack]
+        states = [matrix_to_dict(rho) for rho in sample_states(config)]
         _emit_json({"manifest": manifest, "states": states}, args)
         return
-    rows = [
-        _stratum_row(report)
-        for stack in stacks
-        for report in stratum_reports(stack, zero_tol=args.zero_tol)
-    ]
+    rows = _scan(
+        config.count,
+        lambda idx: _state_block(config, idx),
+        lambda stack: _stratum_values(stratum_reports(stack, zero_tol=args.zero_tol)),
+        _STRATA_ROW,
+    )
     _write(_csv_text(manifest, STRATA_HEADER, rows), args.out)
 
 

@@ -231,18 +231,24 @@ def _trace(h: np.ndarray) -> np.ndarray:
     return h.trace(axis1=1, axis2=2).real
 
 
-def _check_seed_index(seed: int, index: int) -> None:
+def _check_seed_index(seed: int, index: int, **shape: int) -> None:
+    """DomainError unless all are integers, seed 64-bit unsigned and index >= 0."""
+    for name, value in {"seed": seed, "index": index, **shape}.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if not 0 <= seed <= _MAX_SEED:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if index < 0:
         raise DomainError(f"index must be >= 0, got {index}")
 
 
-def _index_list(seed: int, indices) -> list[int]:
-    """The indices as a list of ints, after the seed and index checks."""
-    indices = [operator.index(i) for i in indices]
-    _check_seed_index(seed, min(indices, default=0))
-    return indices
+def _index_list(seed: int, indices, **shape: int) -> list[int]:
+    """The indices as a list of ints, after the seed, index and shape checks."""
+    indices = list(indices)
+    _check_seed_index(seed, min(indices, default=0), **shape)
+    return [operator.index(i) for i in indices]
 
 
 def _blocks(count: int, draw):
@@ -279,7 +285,7 @@ class SamplerConfig:
     count: int
 
     def __post_init__(self):
-        _check_seed_index(self.seed, 0)
+        _check_seed_index(self.seed, 0, dim=self.dim, rank=self.rank, count=self.count)
         if self.dim < 2:
             raise DomainError(f"dimension must be >= 2, got {self.dim}")
         if not 1 <= self.rank <= self.dim:
@@ -322,9 +328,9 @@ def sample_states(config: SamplerConfig) -> Iterator[np.ndarray]:
 
 def _direction_block(seed: int, num_coords: int, indices) -> np.ndarray:
     """(M, num_coords) stack of sample_direction(seed, num_coords, i), bit for bit."""
+    indices = _index_list(seed, indices, num_coords=num_coords)
     if num_coords < 3:
         raise DomainError(f"direction space must have >= 3 coordinates, got {num_coords}")
-    indices = _index_list(seed, indices)
     prefix = (_DIRECTION_TAG, num_coords)
     z, _ = _draws(seed, prefix, indices, (num_coords,))
     norm = _norms(z)
@@ -341,9 +347,9 @@ def _ball_block(seed: int, num_coords: int, radius: float, indices) -> np.ndarra
     """(M, num_coords) stack of sample_bloch_in_ball(seed, num_coords, radius, i)."""
     if not 0 < radius < np.inf:
         raise DomainError(f"radius must be positive and finite, got {radius}")
+    indices = _index_list(seed, indices, num_coords=num_coords)
     if num_coords < 1:
         raise DomainError(f"vector must have >= 1 coordinate, got {num_coords}")
-    indices = _index_list(seed, indices)
     prefix = (_BALL_TAG, num_coords)
     z, u = _draws(seed, prefix, indices, (num_coords,), uniform=True)
     norm = _norms(z)
@@ -362,10 +368,16 @@ def sample_bloch_in_ball(seed: int, num_coords: int, radius: float, index: int) 
     return _ball_block(seed, num_coords, radius, [index])[0]
 
 
-def _tuple_block(seed: int, size: int, indices) -> np.ndarray:
-    """(M, size) stack of sample_unit_sum_tuple(seed, size, i), bit for bit."""
+def _check_tuple_draw(seed: int, size: int) -> None:
+    """The checks of _tuple_block's arguments other than the indices."""
+    _check_seed_index(seed, 0, size=size)
     if size < 1:
         raise DomainError(f"tuple size must be >= 1, got {size}")
+
+
+def _tuple_block(seed: int, size: int, indices) -> np.ndarray:
+    """(M, size) stack of sample_unit_sum_tuple(seed, size, i), bit for bit."""
+    _check_tuple_draw(seed, size)
     indices = _index_list(seed, indices)
     x, _ = _draws(seed, (_TUPLE_TAG, size), indices, (size,))
     return x - x.mean(axis=1, keepdims=True) + 1.0 / size

@@ -1,4 +1,4 @@
-"""JSON wire formats for matrices and Bloch vectors, and CSV float formatting.
+"""JSON wire formats for matrices and Bloch vectors, and CSV cell formatting.
 
 Matrix schema: {"dim": N, "re": [[...]], "im": [[...]]}, row-major.
 Bloch vector schema: {"dim": N, "coords": [...]} with N**2 - 1 coordinates.
@@ -19,8 +19,8 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def format_bool(b: bool) -> str:
-    return "true" if b else "false"
+# CSV text of a bool, looked up by it: _CSV_BOOL[flag]
+_CSV_BOOL = ("false", "true")
 
 
 def _is_int(value) -> bool:

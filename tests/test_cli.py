@@ -394,6 +394,29 @@ def _inf_tuples(tmp_path):
             lambda tmp: ["antipode", "--dim", "3", "--q", "2", "--length", "inf"],
             "length must be finite, got inf", id="antipode-infinite-length",
         ),
+        pytest.param(
+            lambda tmp: ["lemma", "--count", "0", "--size", "0", "--seed", "1"],
+            "tuple size must be >= 1, got 0", id="lemma-count-0-size-0",
+        ),
+        pytest.param(
+            lambda tmp: ["lemma", "--count", "0", "--size", "3", "--seed", "-1"],
+            "seed must be a 64-bit unsigned integer, got -1", id="lemma-count-0-negative-seed",
+        ),
+        pytest.param(
+            lambda tmp: ["direction", "--dim", "3", "--scan", "0", "--seed", "-1"],
+            "seed must be a 64-bit unsigned integer, got -1", id="direction-scan-0-negative-seed",
+        ),
+        pytest.param(
+            lambda tmp: ["lemma", "--tuples", _json_file(tmp, [[0.5, 0.5]]),
+                         "--count", "5", "--size", "3", "--seed", "1"],
+            "--tuples does not take --count, --size, --seed", id="lemma-tuples-with-count",
+        ),
+        pytest.param(
+            lambda tmp: ["direction", "--dim", "2",
+                         "--vector", _json_file(tmp, {"dim": 2, "coords": [0, 0, 1]}),
+                         "--scan", "5", "--seed", "3"],
+            "--vector does not take --seed, --scan", id="direction-vector-with-scan",
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line

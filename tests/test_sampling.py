@@ -51,8 +51,32 @@ def test_numpy_integer_arguments_draw_the_same_stream():
     assert a.tobytes() == sample_direction(2**64 - 1, 8, 3).tobytes()
     c = SamplerConfig(seed=np.uint64(55), dim=np.int64(3), rank=np.int8(2), count=1)
     assert sample_state(c, 0).tobytes() == sample_state(SamplerConfig(55, 3, 2, 1), 0).tobytes()
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError):
         sample_direction(1.5, 8, 0)
+
+
+@pytest.mark.parametrize("draw,message", [
+    pytest.param(lambda: SamplerConfig(seed=1, dim=3.0, rank=1, count=1),
+                 "dim must be an integer, got 3.0", id="config-dim"),
+    pytest.param(lambda: SamplerConfig(seed=1, dim=3, rank=1, count=1.0),
+                 "count must be an integer, got 1.0", id="config-count"),
+    pytest.param(lambda: sample_direction(1, 8.0, 0),
+                 "num_coords must be an integer, got 8.0", id="direction-num-coords"),
+    pytest.param(lambda: sample_direction(1.0, 8, 0),
+                 "seed must be an integer, got 1.0", id="direction-seed"),
+    pytest.param(lambda: sample_unit_sum_tuple(1, 3.5, 0),
+                 "size must be an integer, got 3.5", id="tuple-size"),
+    pytest.param(lambda: sample_bloch_in_ball(1, 8.0, 0.5, 0),
+                 "num_coords must be an integer, got 8.0", id="ball-num-coords"),
+    pytest.param(lambda: sample_state(SamplerConfig(1, 3, 1, 1), 1.0),
+                 "index must be an integer, got 1.0", id="state-index"),
+    pytest.param(lambda: sample_direction(1, 8, "0"),
+                 "index must be an integer, got '0'", id="direction-string-index"),
+])
+def test_non_integer_sampler_arguments_are_domain_errors(draw, message):
+    with pytest.raises(DomainError) as exc:
+        draw()
+    assert str(exc.value) == message
 
 
 def test_different_indices_differ():

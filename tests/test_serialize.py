@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from blochstrata import DomainError
 from blochstrata.serialize import (
+    _CSV_BOOL,
     bloch_from_dict,
     bloch_to_dict,
-    format_bool,
     format_float,
     matrix_from_dict,
     matrix_to_dict,
@@ -20,9 +22,24 @@ def test_format_float_full_precision():
     assert float(format_float(np.pi)) == np.pi
 
 
+@given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=float("nan"))
+@example(x=-float("nan"))
+@example(x=float("inf"))
+@example(x=-float("inf"))
+@example(x=5e-324)
+@example(x=-2.2250738585072009e-308)
+def test_row_template_writes_floats_as_format_float(x):
+    # the CLI's CSV row templates write floats, Python or numpy, with %.17g
+    assert "%.17g" % x == format_float(x)
+    assert "%.17g" % np.float64(x) == format_float(x)
+
+
 def test_format_bool():
-    assert format_bool(True) == "true"
-    assert format_bool(False) == "false"
+    assert _CSV_BOOL[True] == "true"
+    assert _CSV_BOOL[False] == "false"
 
 
 def test_matrix_round_trip():
