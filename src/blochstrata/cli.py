@@ -22,8 +22,6 @@ from .errors import DomainError, NumericError
 from .sampling import (
     SamplerConfig,
     _blocks,
-    _check_seed_index,
-    _check_tuple_draw,
     _direction_block,
     _state_block,
     _tuple_block,
@@ -129,11 +127,13 @@ def _scan(count: int, draw_block, report_block, row_template: str, count_name="c
 
     draw_block(indices) stacks the items of a block of indices (see
     sampling._blocks), and report_block(stack) gives one tuple of
-    row_template values per item.  A negative count is a DomainError.
+    row_template values per item.  A negative count is a DomainError, raised
+    after the empty draw that checks the sampler's other arguments.
     """
+    rows = [row_template % v for stack in _blocks(count, draw_block) for v in report_block(stack)]
     if count < 0:
         raise DomainError(f"{count_name} must be >= 0, got {count}")
-    return [row_template % v for stack in _blocks(count, draw_block) for v in report_block(stack)]
+    return rows
 
 
 def _stratum_values(reports) -> list[tuple]:
@@ -241,7 +241,6 @@ def cmd_direction(args: argparse.Namespace) -> None:
     elif args.scan is None:
         v = sample_direction(args.seed, n * n - 1, 0)
     else:
-        _check_seed_index(args.seed, 0)  # the direction space of a valid --dim is fine
         rows = _scan(
             args.scan,
             lambda idx: _direction_block(args.seed, n * n - 1, idx),
@@ -311,7 +310,6 @@ def cmd_lemma(args: argparse.Namespace) -> None:
     else:
         if args.seed is None or args.count is None or args.size is None:
             raise DomainError("lemma requires --tuples FILE or --count K --size n --seed S")
-        _check_tuple_draw(args.seed, args.size)
         rows = _scan(
             args.count,
             lambda idx: _tuple_block(args.seed, args.size, idx),
@@ -455,7 +453,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except (NumericError, MemoryError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     return 0

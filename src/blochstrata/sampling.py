@@ -28,6 +28,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
+from numbers import Real
 from typing import Iterator
 
 import numpy as np
@@ -150,7 +151,10 @@ def _draws(seed: int, prefix: tuple, indices, shape, uniform: bool = False):
     the state of a fresh Philox(SeedSequence); a larger index, whose spawn
     key has one more word, gets its own generator.
     """
-    z = np.empty((len(indices), *shape))
+    try:
+        z = np.empty((len(indices), *shape))
+    except ValueError as exc:  # numpy refuses a size past the address space
+        raise NumericError(f"draws of shape {shape}: {exc}") from exc
     u = np.empty(len(indices)) if uniform else None
 
     def draw(rng, j):
@@ -186,31 +190,28 @@ def _draws(seed: int, prefix: tuple, indices, shape, uniform: bool = False):
     return z, u
 
 
-def _attempts(kind: str, seed: int, index: int) -> Iterator[int]:
-    """Attempt numbers for a redraw loop; NumericError once they run out."""
-    yield from range(_MAX_REDRAWS)
-    raise NumericError(
-        f"degenerate {kind} draw persisted for {_MAX_REDRAWS} attempts "
-        f"(seed={seed}, index={index})"
-    )
-
-
 def _redraw(seed, prefix, indices, z, u, values, measure, floor, kind) -> bool:
     """Redraw each row of z whose values entry is not above floor; True if any was.
 
     values holds measure(z) row by row.  A degenerate first draw, of
     probability zero, is drawn again from its index's own generator, from
-    the first attempt on, until measure passes; the uniform u, if any, is
-    drawn after the draw that passes.  z, u and values are updated in place.
+    the first attempt on, until measure passes, or NumericError after
+    _MAX_REDRAWS attempts; the uniform u, if any, is drawn after the draw
+    that passes.  z, u and values are updated in place.
     """
     rows = [j for j, x in enumerate(values.tolist()) if not x > floor]
     for j in rows:
         rng = _generator(seed, *prefix, indices[j])
-        for _ in _attempts(kind, seed, indices[j]):
+        for _ in range(_MAX_REDRAWS):
             z[j] = rng.standard_normal(z.shape[1:])
             values[j] = measure(z[j : j + 1])[0]
             if values[j] > floor:
                 break
+        else:
+            raise NumericError(
+                f"degenerate {kind} draw persisted for {_MAX_REDRAWS} attempts "
+                f"(seed={seed}, index={indices[j]})"
+            )
         if u is not None:
             u[j] = rng.random()
     return bool(rows)
@@ -231,8 +232,14 @@ def _trace(h: np.ndarray) -> np.ndarray:
     return h.trace(axis1=1, axis2=2).real
 
 
-def _check_seed_index(seed: int, index: int, **shape: int) -> None:
-    """DomainError unless all are integers, seed 64-bit unsigned and index >= 0."""
+def _index_list(seed: int, indices=(), **shape: int) -> list[int]:
+    """The indices as a list of ints.
+
+    DomainError unless the seed, the indices and the shape values are all
+    integers, the seed is 64-bit unsigned and every index is >= 0.
+    """
+    indices = list(indices)
+    index = min(indices, default=0)
     for name, value in {"seed": seed, "index": index, **shape}.items():
         try:
             operator.index(value)
@@ -242,12 +249,6 @@ def _check_seed_index(seed: int, index: int, **shape: int) -> None:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if index < 0:
         raise DomainError(f"index must be >= 0, got {index}")
-
-
-def _index_list(seed: int, indices, **shape: int) -> list[int]:
-    """The indices as a list of ints, after the seed, index and shape checks."""
-    indices = list(indices)
-    _check_seed_index(seed, min(indices, default=0), **shape)
     return [operator.index(i) for i in indices]
 
 
@@ -257,7 +258,10 @@ def _blocks(count: int, draw):
     When a block's draw raises, its indices are drawn one at a time, so the
     stack of the draws before the failing one comes first, and the caller
     reports those items and fails where a loop over single items would.
+    A count <= 0 makes one empty draw, so the draw's argument checks run.
     """
+    if count <= 0:
+        draw(range(0))
     for start in range(0, count, SCAN_BLOCK):
         indices = range(start, min(start + SCAN_BLOCK, count))
         try:
@@ -285,7 +289,7 @@ class SamplerConfig:
     count: int
 
     def __post_init__(self):
-        _check_seed_index(self.seed, 0, dim=self.dim, rank=self.rank, count=self.count)
+        _index_list(self.seed, dim=self.dim, rank=self.rank, count=self.count)
         if self.dim < 2:
             raise DomainError(f"dimension must be >= 2, got {self.dim}")
         if not 1 <= self.rank <= self.dim:
@@ -345,6 +349,8 @@ def sample_direction(seed: int, num_coords: int, index: int) -> np.ndarray:
 
 def _ball_block(seed: int, num_coords: int, radius: float, indices) -> np.ndarray:
     """(M, num_coords) stack of sample_bloch_in_ball(seed, num_coords, radius, i)."""
+    if not isinstance(radius, Real):
+        raise DomainError(f"radius must be a real number, got {radius!r}")
     if not 0 < radius < np.inf:
         raise DomainError(f"radius must be positive and finite, got {radius}")
     indices = _index_list(seed, indices, num_coords=num_coords)
@@ -368,17 +374,11 @@ def sample_bloch_in_ball(seed: int, num_coords: int, radius: float, index: int) 
     return _ball_block(seed, num_coords, radius, [index])[0]
 
 
-def _check_tuple_draw(seed: int, size: int) -> None:
-    """The checks of _tuple_block's arguments other than the indices."""
-    _check_seed_index(seed, 0, size=size)
-    if size < 1:
-        raise DomainError(f"tuple size must be >= 1, got {size}")
-
-
 def _tuple_block(seed: int, size: int, indices) -> np.ndarray:
     """(M, size) stack of sample_unit_sum_tuple(seed, size, i), bit for bit."""
-    _check_tuple_draw(seed, size)
-    indices = _index_list(seed, indices)
+    indices = _index_list(seed, indices, size=size)
+    if size < 1:
+        raise DomainError(f"tuple size must be >= 1, got {size}")
     x, _ = _draws(seed, (_TUPLE_TAG, size), indices, (size,))
     return x - x.mean(axis=1, keepdims=True) + 1.0 / size
 

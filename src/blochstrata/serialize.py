@@ -36,6 +36,14 @@ def require_numbers(values, what: str) -> None:
             raise DomainError(f"{what} must be numbers, got a JSON {name}")
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """values as a float array; DomainError if numpy cannot read them as numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # 10**400 overflows
+        raise DomainError(f"{what} are not numeric: {exc}") from exc
+
+
 def matrix_to_dict(matrix: np.ndarray) -> dict:
     m = np.asarray(matrix, dtype=complex)
     return {
@@ -51,11 +59,8 @@ def matrix_from_dict(data) -> np.ndarray:
     n = data["dim"]
     if not _is_int(n) or n < 1:
         raise DomainError(f'matrix "dim" must be a positive integer, got {n!r}')
-    try:
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"matrix entries are not numeric: {exc}") from exc
+    re = _floats(data["re"], "matrix entries")
+    im = _floats(data["im"], "matrix entries")
     if re.shape != (n, n) or im.shape != (n, n):
         raise DomainError(
             f'matrix "re"/"im" must be {n}x{n} arrays, got {re.shape} and {im.shape}'
@@ -76,10 +81,7 @@ def bloch_from_dict(data) -> tuple[int, np.ndarray]:
     n = data["dim"]
     if not _is_int(n) or n < 2:
         raise DomainError(f'Bloch "dim" must be an integer >= 2, got {n!r}')
-    try:
-        coords = np.asarray(data["coords"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"Bloch coordinates are not numeric: {exc}") from exc
+    coords = _floats(data["coords"], "Bloch coordinates")
     if coords.shape != (n * n - 1,):
         raise DomainError(
             f"expected {n * n - 1} coordinates for dimension {n}, got shape {coords.shape}"

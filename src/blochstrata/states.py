@@ -208,10 +208,6 @@ def to_bloch(basis: BasisSet, matrix) -> np.ndarray:
     Raises NumericError if a coordinate overflows.
     """
     m = _validate(matrix)[0]
-    if m.shape != (basis.dim, basis.dim):
-        raise DomainError(
-            f"matrix shape {m.shape} does not match basis dimension {basis.dim}"
-        )
     try:
         with np.errstate(over="raise", invalid="raise"):
             return expand(basis, m)

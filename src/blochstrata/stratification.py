@@ -14,7 +14,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .serialize import require_numbers
+from .serialize import _floats, require_numbers
 from .states import DEFAULT_ZERO_TOL, _spectra, maximally_mixed
 
 ON_SPHERE_TOL = 1e-9
@@ -72,20 +72,13 @@ def boundary_state(dim: int, rank: int) -> np.ndarray:
     return np.diag(diag)
 
 
-def _reals(values) -> np.ndarray:
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"tuple entries are not numeric: {exc}") from exc
-
-
 def harriman_check(values) -> HarrimanResult:
     """Check sum(a_j^2) >= 1/n for reals a_j summing to 1 (entries may be negative).
 
     Equality holds iff every a_j equals 1/n; the slack sum(a_j^2) - 1/n is the
     sum of squared deviations from the uniform tuple.
     """
-    a = _reals(values)
+    a = _floats(values, "tuple entries")
     if a.ndim != 1 or a.size < 1:
         raise DomainError(f"expected a nonempty 1-d tuple of reals, got shape {a.shape}")
     require_numbers(values, "tuple entries")
@@ -99,7 +92,7 @@ def harriman_checks(stack) -> list[HarrimanResult]:
     call, a pairwise row sum and a BLAS dot, stack or not.  The first row
     that fails raises its error.
     """
-    a = _reals(stack)
+    a = _floats(stack, "tuple entries")
     if a.ndim != 2 or not a.shape[1]:
         raise DomainError(f"expected an (M, n) stack of nonempty tuples, got shape {a.shape}")
     # a non-finite entry, or finite ones past the float range, make the sum

@@ -6,7 +6,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from blochstrata import DomainError, build_basis, expand, verify_basis
+from blochstrata import DomainError, build_basis, expand, to_bloch, verify_basis
 
 SQ2 = sqrt(2.0)
 
@@ -180,3 +180,5 @@ def test_expand_rejects_wrong_shape():
     b = build_basis(3)
     with pytest.raises(DomainError):
         expand(b, np.eye(4))
+    with pytest.raises(DomainError, match="does not match basis dimension 3"):
+        to_bloch(b, np.eye(2) / 2)

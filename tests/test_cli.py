@@ -261,6 +261,10 @@ def _text_tuples(tmp_path):
     return str(path)
 
 
+# a JSON integer outside the float range: numpy's float conversion overflows
+_HUGE = 10**400
+
+
 def _inf_tuples(tmp_path):
     path = tmp_path / "tuples.json"
     path.write_text(json.dumps([[float("inf"), float("-inf"), 1.0]]))
@@ -352,6 +356,31 @@ def _inf_tuples(tmp_path):
         pytest.param(
             lambda tmp: ["lemma", "--tuples", _json_file(tmp, [[True, False]])],
             "boolean", id="lemma-boolean-tuple",
+        ),
+        pytest.param(
+            lambda tmp: ["convert", "--in", _json_file(tmp, {"dim": 2})],
+            "neither a matrix nor a Bloch vector", id="convert-neither",
+        ),
+        pytest.param(
+            lambda tmp: ["classify", "--in", _bad_matrix(tmp, _HUGE)],
+            "matrix entries are not numeric", id="classify-huge-integer",
+        ),
+        pytest.param(
+            lambda tmp: ["convert", "--in", _bad_matrix(tmp, _HUGE)],
+            "matrix entries are not numeric", id="convert-matrix-huge-integer",
+        ),
+        pytest.param(
+            lambda tmp: ["convert", "--in", _json_file(tmp, {"dim": 2, "coords": [_HUGE, 0, 0]})],
+            "Bloch coordinates are not numeric", id="convert-bloch-huge-integer",
+        ),
+        pytest.param(
+            lambda tmp: ["lemma", "--tuples", _json_file(tmp, [[_HUGE, 1 - _HUGE]])],
+            "tuple entries are not numeric", id="lemma-huge-integer",
+        ),
+        pytest.param(
+            lambda tmp: ["direction", "--dim", "2",
+                         "--vector", _json_file(tmp, {"dim": 2, "coords": [0, 0, _HUGE]})],
+            "Bloch coordinates are not numeric", id="direction-vector-huge-integer",
         ),
         pytest.param(
             lambda tmp: ["strata-scan", "--dim", "3", "--count", "0", "--seed", "1",
@@ -705,6 +734,54 @@ def test_manifest_embedded_everywhere(tmp_path, capsys):
     assert first.startswith("# manifest ")
     embedded = json.loads(first[len("# manifest "):])
     assert embedded["command"] == "antipode"
+
+
+# Each argument fault of each scan command, with {count} for the count: a
+# count of 0 or -1 must fail with the line a count of 1 gives.
+_SCAN_FAULTS = [
+    "strata-scan --dim 2 --seed -1 --count {count}",
+    "strata-scan --dim 1 --seed 1 --count {count}",
+    "direction --dim 3 --seed -1 --scan {count}",
+    "direction --dim 3 --seed 18446744073709551616 --scan {count}",
+    "sample --dim 3 --rank 4 --seed 1 --count {count} --format csv",
+    "sample --dim 3 --rank 4 --seed 1 --count {count} --format json",
+    "lemma --size 0 --seed 1 --count {count}",
+    "lemma --size 3 --seed -1 --count {count}",
+]
+
+
+@pytest.mark.parametrize("command", _SCAN_FAULTS)
+def test_a_count_of_0_or_less_fails_as_a_count_of_1(command, capsys):
+    expected = run(command.format(count=1).split(), capsys)
+    assert expected[0] == 2 and expected[1] == "" and expected[2].count("\n") == 1
+    for count in (0, -1):
+        assert run(command.format(count=count).split(), capsys) == expected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["basis", "--dim", "100000"], id="basis-tensor-too-big"),
+        pytest.param(["direction", "--dim", "2000000000", "--seed", "1"], id="draw-too-big"),
+    ],
+)
+def test_an_array_numpy_refuses_is_one_numeric_error_line(args, capsys):
+    # numpy rejects these sizes before it allocates anything
+    rc, out, err = run(args, capsys)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+    assert "array is too big" in err
+
+
+def test_an_allocation_failure_is_one_numeric_error_line(capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 58.2 TiB for an array")
+
+    monkeypatch.setattr(cli, "_state_block", no_memory)
+    rc, out, err = run(["strata-scan", "--dim", "2", "--count", "1", "--seed", "1"], capsys)
+    assert (rc, out) == (3, "")
+    assert err == "numeric error: Unable to allocate 58.2 TiB for an array\n"
 
 
 def test_numeric_error_maps_to_exit_3(tmp_path, capsys, monkeypatch):

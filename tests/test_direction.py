@@ -110,6 +110,8 @@ def test_extremal_spectra_values():
         [1.0 / sqrt(12.0)] * 3 + [-sqrt(3.0 / 4.0)],
         atol=1e-15,
     )
+    with pytest.raises(DomainError):
+        extremal_spectra(1)
 
 
 @pytest.mark.parametrize("dim", range(2, 9))

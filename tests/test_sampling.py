@@ -151,6 +151,12 @@ def test_sampler_validation():
         sample_bloch_in_ball(1, 8, -1.0, 0)
     with pytest.raises(DomainError):
         sample_bloch_in_ball(1, 8, float("nan"), 0)
+    with pytest.raises(DomainError, match="radius"):
+        sample_bloch_in_ball(1, 8, "0.5", 0)
+    with pytest.raises(DomainError, match="radius"):
+        sample_bloch_in_ball(1, 8, None, 0)
+    with pytest.raises(DomainError):
+        sample_bloch_in_ball(1, 0, 0.5, 0)
     config = SamplerConfig(seed=0, dim=3, rank=1, count=1)
     with pytest.raises(DomainError):
         sample_state(config, -1)

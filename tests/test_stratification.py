@@ -68,6 +68,8 @@ def test_boundary_state_examples():
         boundary_state(3, 0)
     with pytest.raises(DomainError):
         boundary_state(3, 4)
+    with pytest.raises(DomainError):
+        maximally_mixed(1)
 
 
 def test_harriman_examples():
@@ -157,7 +159,7 @@ def test_one_trace_tolerance_for_every_density_entry_point():
     "bad",
     [
         [np.nan, 1.0], [np.inf, -np.inf, 1.0], [np.inf], ["a", 1.0], [None, 1.0],
-        ["0.5", 0.5], [True, False],
+        ["0.5", 0.5], [True, False], [], [[0.5, 0.5]], [10**400, 1.0],
     ],
 )
 def test_harriman_rejects_non_finite_and_non_numeric(bad):
