@@ -8,12 +8,11 @@ up to eigenvalue ordering, the boundary state R(N-q).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
 from .basis import BasisSet
-from .direction import directional_matrix_of_boundary, state_along
+from .direction import _check_length, directional_matrix_of_boundary, state_along
 from .errors import DomainError, NumericError
 from .states import (
     DEFAULT_ZERO_TOL,
@@ -24,7 +23,7 @@ from .states import (
     hermitian_eigenvalues,
     maximally_mixed,
 )
-from .stratification import boundary_state
+from .stratification import boundary_state, stratum_radius
 
 SPECTRAL_MATCH_TOL = 1e-12
 
@@ -49,7 +48,7 @@ def max_antipodal_length(dim: int, rank: int) -> float:
     """Largest Bloch length sqrt(q/(N(N-q))) admissible opposite R(q)."""
     if not 1 <= rank <= dim - 1:
         raise DomainError(f"rank must be in 1..{dim - 1}, got {rank}")
-    return sqrt(rank / (dim * (dim - rank)))
+    return stratum_radius(dim, rank)
 
 
 def antipode_of_boundary(dim: int, rank: int) -> AntipodeReport:
@@ -89,12 +88,9 @@ def antipodal_family(dim: int, rank: int, length: float) -> tuple[np.ndarray, St
     """
     if not 1 <= rank <= dim - 1:
         raise DomainError(f"rank must be in 1..{dim - 1}, got {rank}")
-    if not length >= 0:
-        raise DomainError(f"length must be >= 0, got {length}")
-    if length == np.inf:
-        raise DomainError(f"length must be finite, got {length}")
+    _check_length(length)
     cap = max_antipodal_length(dim, rank)
-    shrink = sqrt((dim - rank) / (rank * dim))
+    shrink = stratum_radius(dim, dim - rank)
     diag = np.empty(dim)
     diag[:rank] = 1.0 / dim - length * shrink
     diag[rank:] = 1.0 / dim + length * cap

@@ -8,6 +8,7 @@ sqrt(2); for N = 3 the standard Gell-Mann matrices over sqrt(2).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
@@ -37,6 +38,10 @@ class BasisSet:
     dim: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.dim)
+        except TypeError:
+            raise DomainError(f"basis dimension must be an integer, got {self.dim!r}") from None
         if self.dim < 2:
             raise DomainError(f"basis dimension must be >= 2, got {self.dim}")
 

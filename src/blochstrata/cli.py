@@ -196,10 +196,11 @@ def cmd_classify(args: argparse.Namespace) -> None:
 
 
 def cmd_strata_scan(args: argparse.Namespace) -> None:
-    # rank 1 fits every dimension: this checks seed, dimension and count before the rank loop
+    # rank 1 fits every dimension: this checks seed, dimension and count before the rank loop,
+    # which a count of 0 skips, as no rank could add a row
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=1, count=args.count)
     rows, comments = [], []
-    for rank in range(1, config.dim + 1):
+    for rank in range(1, config.dim + 1) if config.count else ():
         ranked = SamplerConfig(seed=args.seed, dim=args.dim, rank=rank, count=args.count)
         least = []  # the least slack distance - radius of each block
 

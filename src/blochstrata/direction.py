@@ -24,6 +24,7 @@ from .states import (
     hermitian_eigenvalues,
     maximally_mixed,
 )
+from .stratification import stratum_radius
 
 UNIT_NORM_TOL = 1e-10
 MU_CLUSTER_TOL = 1e-8
@@ -72,10 +73,17 @@ def _directional_matrices(basis: BasisSet, directions):
     return v, t.reshape(j, n, n), error
 
 
-def state_along(basis: BasisSet, direction, length: float) -> np.ndarray:
-    """The matrix (1/N) I + r T_n; Hermitian and unit trace, positivity not guaranteed."""
+def _check_length(length: float) -> None:
+    """DomainError unless the Bloch length is finite and >= 0."""
     if not length >= 0:
         raise DomainError(f"length must be >= 0, got {length}")
+    if length == np.inf:
+        raise DomainError(f"length must be finite, got {length}")
+
+
+def state_along(basis: BasisSet, direction, length: float) -> np.ndarray:
+    """The matrix (1/N) I + r T_n; Hermitian and unit trace, positivity not guaranteed."""
+    _check_length(length)
     return maximally_mixed(basis.dim) + length * directional_matrix(basis, direction)
 
 
@@ -155,6 +163,6 @@ def directional_matrix_of_boundary(dim: int, rank: int) -> np.ndarray:
     if not 1 <= rank <= dim - 1:
         raise DomainError(f"rank must be in 1..{dim - 1}, got {rank}")
     diag = np.empty(dim)
-    diag[:rank] = sqrt((dim - rank) / (rank * dim))
-    diag[rank:] = -sqrt(rank / (dim * (dim - rank)))
+    diag[:rank] = stratum_radius(dim, dim - rank)
+    diag[rank:] = -stratum_radius(dim, rank)
     return np.diag(diag).astype(complex)

@@ -9,16 +9,18 @@ Index i of a sampler draws from
 ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(tag, *shape, i))))``.
 Such a Philox is fully described by its 2 x 64-bit key, with its counter at
 0 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
-The block forms derive the keys of a whole block at once (:func:`_keys`,
-numpy's SeedSequence hash over arrays of indices) and reset one Philox to
-each key through its ``state`` dict, so a block draws the same bits as one
-generator per index without building one.  Two cases take the per-index
-:func:`_generator` path instead: an index >= 2**32, whose spawn key has one
-more word, and a degenerate first draw, which is redrawn from its own
-substream.  The scalar samplers are one-item calls of the block forms.
-``tests/test_sampling.py`` compares every block form with generators built
-the per-index way, so a change of numpy's ``Philox.state`` layout or of its
-SeedSequence hash fails there rather than changing a stream.
+No draw builds that generator: :func:`_keys` derives the keys of a whole
+block at once, and :func:`_substreams` resets one Philox per thread to each
+key in turn through its ``state`` dict, for the first draws and for the
+redraws of a degenerate draw alike.  The keys of indices below 2**32 come
+from numpy's SeedSequence pool of (seed, tag, *shape) and a copy of its
+last-word and output hash steps over an array of indices; a larger index,
+whose spawn key has more words, takes SeedSequence itself.  The scalar
+samplers are one-item calls of the block forms.  So the streams rely on
+``SeedSequence.pool``, the constants of its hash and the ``Philox.state``
+layout; ``tests/test_sampling.py`` compares the keys with SeedSequence and
+every block form with generators built the per-index way, so a change of
+any of them fails there rather than changing a stream.
 """
 
 from __future__ import annotations
@@ -57,54 +59,33 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _words(value: int) -> list[int]:
-    """The 32-bit words SeedSequence reads from an int, lowest first; 0 is one word."""
+def _word_count(value: int) -> int:
+    """How many 32-bit words SeedSequence reads from an int; 0 is one word."""
     value = operator.index(value)  # a numpy integer too, as SeedSequence takes it
-    return [(value >> s) & _MASK for s in range(0, max(value.bit_length(), 1), 32)]
+    return max(-(-value.bit_length() // 32), 1)
 
 
 @lru_cache(maxsize=64)
 def _folded(seed: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """SeedSequence(entropy=seed, spawn_key=(*prefix, i)) up to its last word, i.
 
-    The seed words, padded to the pool size because a spawn key follows, and
-    the prefix words are mixed into the pool first, and the hash constants
-    step the same way whatever the words are.  So the last word i enters
-    pool word k as mix(pool[k], hashmix(i)) with constants known here.  Per
-    k the result holds the two constants of that hashmix, _MIX_MULT_L *
-    pool[k], and the two constants generate_state hashes pool word k with.
+    A spawn key pads the seed to the pool size whether or not i follows, so
+    the pool before i is numpy's pool of (seed, prefix), and the hash
+    constant has stepped _POOL times for each of the L entropy words before
+    i.  So i enters pool word k as mix(pool[k], hashmix(i)) with constants
+    known here.  Per k the result holds the two constants of that hashmix,
+    _MIX_MULT_L * pool[k], and the two constants generate_state hashes pool
+    word k with.
     """
-    entropy = _words(seed)
-    entropy += [0] * (_POOL - len(entropy))
-    entropy += [w for value in prefix for w in _words(value)]
-    const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK
-        value = value * const & _MASK
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK
-        return result ^ result >> 16
-
-    pool = [hashmix(w) for w in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    steps = []
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=prefix).pool.tolist()
+    words = max(_word_count(seed), _POOL) + sum(_word_count(value) for value in prefix)
+    const = _INIT_A * pow(_MULT_A, _POOL * words, _WORD) & _MASK
     out_const = _INIT_B
-    for dst in range(_POOL):
-        before, out_before = const, out_const
-        hashmix(0)
-        out_const = out_const * _MULT_B & _MASK
-        steps.append((before, const, _MIX_MULT_L * pool[dst] & _MASK, out_before, out_const))
+    steps = []
+    for k in range(_POOL):
+        after, out_after = const * _MULT_A & _MASK, out_const * _MULT_B & _MASK
+        steps.append((const, after, _MIX_MULT_L * pool[k] & _MASK, out_const, out_after))
+        const, out_const = after, out_after
     return tuple(steps)
 
 
@@ -112,13 +93,19 @@ def _keys(seed: int, prefix, indices) -> np.ndarray:
     """(M, 2) uint64 Philox keys, row j that of spawn key (*prefix, indices[j]).
 
     Row j equals SeedSequence(entropy=seed, spawn_key=(*prefix, indices[j]))
-    .generate_state(2, np.uint64).  Every index must be below 2**32, so that
-    it is one word.  The same integer operations run on a Python int for a
-    single index, where numpy calls would cost more than they save, and on a
-    uint64 array for a block.
+    .generate_state(2, np.uint64).  An index below 2**32, one word, takes the
+    folded hash: on a Python int for a single index, where numpy calls would
+    cost more than they save, and on a uint64 array for a block.  A larger
+    index, whose spawn key has more words, takes SeedSequence itself.
     """
     single = len(indices) == 1
-    x = int(indices[0]) if single else np.asarray(indices, dtype=np.uint64)
+    if single:
+        x = int(indices[0])
+        large = [0] if x >= _WORD else []
+    else:
+        top = max(indices, default=0)
+        large = [j for j, i in enumerate(indices) if i >= _WORD] if top >= _WORD else []
+        x = np.array([i & _MASK for i in indices] if large else indices, dtype=np.uint64)
     words = []
     for before, after, left, out_before, out_after in _folded(seed, tuple(prefix)):
         h = (x ^ before) * after & _MASK
@@ -126,67 +113,62 @@ def _keys(seed: int, prefix, indices) -> np.ndarray:
         w = ((w ^ w >> 16) ^ out_before) * out_after & _MASK
         words.append(w ^ w >> 16)
     keys = [words[0] | words[1] << 32, words[2] | words[3] << 32]
-    return np.array([keys], dtype=np.uint64) if single else np.stack(keys, axis=1)
+    keys = np.array([keys], dtype=np.uint64) if single else np.stack(keys, axis=1)
+    for j in large:
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, indices[j]))
+        keys[j] = ss.generate_state(2, np.uint64)
+    return keys
 
 
 # One reusable Generator per thread: building a Philox costs more than a
-# whole block draw per index, and _draws resets its state before each draw,
-# so nothing carries over between calls.  Reset and draw are two steps, so
-# threads must not share it.
+# whole block draw per index, and _substreams resets its state before each
+# draw, so nothing carries over between calls.  Reset and draw are two
+# steps, so threads must not share it.
 _local = threading.local()
 
 
-def _generator(seed: int, *key: int) -> np.random.Generator:
-    """Independent substream for one (seed, sampler kind, shape, index) tuple."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+def _substreams(seed: int, prefix: tuple, indices):
+    """The thread's Generator at the start of each index's substream in turn.
+
+    Before each yield one Philox is reset to the index's key with counter 0
+    and an empty buffer, the state of a fresh
+    Philox(SeedSequence(entropy=seed, spawn_key=(*prefix, i))); each yield
+    is good until the next is taken.
+    """
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.Philox(0))
+    bitgen = rng.bit_generator
+    inner = {"counter": (0, 0, 0, 0), "key": None}
+    state = {
+        "bit_generator": "Philox",
+        "state": inner,
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key in _keys(seed, prefix, indices).tolist():
+        inner["key"] = key
+        bitgen.state = state
+        yield rng
 
 
 def _draws(seed: int, prefix: tuple, indices, shape, uniform: bool = False):
     """First draws of each index's substream: (z, u).
 
     Row j of z is standard_normal(shape) of index j's generator, and u[j]
-    the random() it draws next (uniform only).  For an index below 2**32 one
-    Philox per thread is reset to its key with counter 0 and an empty buffer,
-    the state of a fresh Philox(SeedSequence); a larger index, whose spawn
-    key has one more word, gets its own generator.
+    the random() it draws next (uniform only).
     """
     try:
         z = np.empty((len(indices), *shape))
     except ValueError as exc:  # numpy refuses a size past the address space
         raise NumericError(f"draws of shape {shape}: {exc}") from exc
     u = np.empty(len(indices)) if uniform else None
-
-    def draw(rng, j):
+    for j, rng in enumerate(_substreams(seed, prefix, indices)):
         rng.standard_normal(out=z[j])
         if uniform:
             u[j] = rng.random()
-
-    keyed = []
-    for j, i in enumerate(indices):
-        if i < _WORD:
-            keyed.append(j)
-        else:
-            draw(_generator(seed, *prefix, i), j)
-    if keyed:
-        rng = getattr(_local, "rng", None)
-        if rng is None:
-            rng = _local.rng = np.random.Generator(np.random.Philox(0))
-        bitgen = rng.bit_generator
-        inner = {"counter": (0, 0, 0, 0), "key": None}
-        state = {
-            "bit_generator": "Philox",
-            "state": inner,
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        keys = _keys(seed, prefix, [indices[j] for j in keyed]).tolist()
-        for j, key in zip(keyed, keys):
-            inner["key"] = key
-            bitgen.state = state
-            draw(rng, j)
     return z, u
 
 
@@ -194,14 +176,15 @@ def _redraw(seed, prefix, indices, z, u, values, measure, floor, kind) -> bool:
     """Redraw each row of z whose values entry is not above floor; True if any was.
 
     values holds measure(z) row by row.  A degenerate first draw, of
-    probability zero, is drawn again from its index's own generator, from
+    probability zero, is drawn again from its index's own substream, from
     the first attempt on, until measure passes, or NumericError after
     _MAX_REDRAWS attempts; the uniform u, if any, is drawn after the draw
     that passes.  z, u and values are updated in place.
     """
     rows = [j for j, x in enumerate(values.tolist()) if not x > floor]
-    for j in rows:
-        rng = _generator(seed, *prefix, indices[j])
+    if not rows:
+        return False
+    for j, rng in zip(rows, _substreams(seed, prefix, [indices[j] for j in rows])):
         for _ in range(_MAX_REDRAWS):
             z[j] = rng.standard_normal(z.shape[1:])
             values[j] = measure(z[j : j + 1])[0]
@@ -214,7 +197,7 @@ def _redraw(seed, prefix, indices, z, u, values, measure, floor, kind) -> bool:
             )
         if u is not None:
             u[j] = rng.random()
-    return bool(rows)
+    return True
 
 
 def _norms(z: np.ndarray) -> np.ndarray:

@@ -154,7 +154,7 @@ def spectrum(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectrum:
 
 def purity(matrix) -> float:
     """Tr{m^2} of a Hermitian matrix, computed as the squared Frobenius norm."""
-    m = np.asarray(matrix, dtype=complex)
+    m = check_hermitian(matrix)
     return float(np.vdot(m, m).real)
 
 

@@ -125,7 +125,7 @@ def test_basis_is_read_only():
         b.elements[0, 0, 0] = 1.0
 
 
-@pytest.mark.parametrize("dim", [1, 0, -3])
+@pytest.mark.parametrize("dim", [1, 0, -3, 2.5, "3"])
 def test_rejects_bad_dimension(dim):
     with pytest.raises(DomainError):
         build_basis(dim)

@@ -784,6 +784,16 @@ def test_an_allocation_failure_is_one_numeric_error_line(capsys, monkeypatch):
     assert err == "numeric error: Unable to allocate 58.2 TiB for an array\n"
 
 
+def test_a_strata_scan_of_count_0_draws_nothing(capsys, monkeypatch):
+    # the arguments are checked before the rank loop, which no rank could add a row to
+    calls = []
+    monkeypatch.setattr(cli, "_state_block", lambda *args: calls.append(args))
+    rc, out, err = run(["strata-scan", "--dim", "5", "--count", "0", "--seed", "1"], capsys)
+    assert (rc, err) == (0, "")
+    assert data_lines(out) == ["N,p,distance,radius_p,on_sphere,satisfied"]
+    assert calls == []
+
+
 def test_numeric_error_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericError("synthetic failure")

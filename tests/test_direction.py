@@ -7,6 +7,7 @@ import pytest
 
 from blochstrata import (
     DomainError,
+    antipodal_state,
     StateKind,
     build_basis,
     classify,
@@ -62,6 +63,10 @@ def test_nan_inputs_are_rejected(basis3):
         directional_matrix(basis3, np.full(8, np.nan))
     with pytest.raises(DomainError):
         state_along(basis3, np.eye(8)[0], float("nan"))
+    with pytest.raises(DomainError, match="length must be finite, got inf"):
+        state_along(basis3, np.eye(8)[0], float("inf"))
+    with pytest.raises(DomainError, match="length must be finite, got inf"):
+        antipodal_state(basis3, np.eye(8)[0], float("inf"))
 
 
 def test_qubit_report():

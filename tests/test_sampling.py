@@ -173,9 +173,11 @@ class _ZeroRng:
     def __init__(self):
         self.draws = 0
 
-    def standard_normal(self, shape):
+    def standard_normal(self, shape=None, out=None):
         self.draws += 1
-        return np.zeros(shape)
+        if out is None:
+            return np.zeros(shape)
+        out[...] = 0.0
 
     def random(self):
         return 0.5
@@ -193,7 +195,7 @@ class _ZeroRng:
 def test_degenerate_draws_give_up_after_max_redraws(draw, monkeypatch):
     rng = _ZeroRng()
     monkeypatch.setattr(sampling, "_draws", _zero_first_draws)
-    monkeypatch.setattr(sampling, "_generator", lambda *key: rng)
+    monkeypatch.setattr(sampling, "_substreams", lambda seed, prefix, indices: (rng for _ in indices))
     with pytest.raises(NumericError, match="degenerate"):
         draw()
     assert rng.draws == sampling._MAX_REDRAWS
@@ -218,7 +220,7 @@ class _TinyThenOnesRng(_ZeroRng):
 def test_a_too_short_gaussian_draw_is_redrawn(draw, expected, monkeypatch):
     rng = _TinyThenOnesRng()
     monkeypatch.setattr(sampling, "_draws", _zero_first_draws)
-    monkeypatch.setattr(sampling, "_generator", lambda *key: rng)
+    monkeypatch.setattr(sampling, "_substreams", lambda seed, prefix, indices: (rng for _ in indices))
     np.testing.assert_allclose(draw(), expected, rtol=1e-15)
     assert rng.draws == 2
 
@@ -306,14 +308,15 @@ SAMPLERS = {
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("prefix", [(0, 4, 2), (1, 15), (2, 8), (3, 7), (1, 2**32 + 5)])
 def test_block_keys_equal_seed_sequence_state(seed, prefix):
-    indices = [*range(0, 3000, 7), 2**32 - 1]
+    # an index from 2**32 on has more words; it takes SeedSequence itself
+    indices = [*range(0, 3000, 7), 2**32 - 1, 2**32, 2**40 + 3, 2**64, 2**70]
     expected = np.array([
         np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, i)).generate_state(2, np.uint64)
         for i in indices
     ])
     assert np.array_equal(sampling._keys(seed, prefix, indices), expected)
     # one index takes the Python-int path
-    for i in (0, 7, 2**32 - 1):
+    for i in (0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64, 2**70):
         assert np.array_equal(sampling._keys(seed, prefix, [i]), expected[indices.index(i)][None])
 
 
@@ -323,8 +326,8 @@ def test_block_draws_equal_generators_built_per_index(seed, name):
     # pins the reliance on numpy's Philox state layout and SeedSequence hash:
     # if either changes, this fails instead of the stream drifting
     block, reference = SAMPLERS[name]
-    # a plain block, and one across 2**32, where the spawn key gains a word
-    for indices in (range(40), range(2**32 - 3, 2**32 + 3)):
+    # a plain block, and ones across 2**32 and 2**64, where the spawn key gains a word
+    for indices in (range(40), range(2**32 - 3, 2**32 + 3), range(2**64 - 3, 2**64 + 3)):
         expected = np.stack([reference(seed, i) for i in indices])
         assert block(seed, indices).tobytes() == expected.tobytes()
 
@@ -338,14 +341,17 @@ def test_a_degenerate_draw_mid_block_is_redrawn_from_its_own_generator(name, mon
     def zero_row_5(seed, prefix, indices, shape, uniform=False):
         z, u = draws(seed, prefix, indices, shape, uniform)
         z[5] = 0.0
+        # the redraws that follow take their substreams through here
+        monkeypatch.setattr(sampling, "_substreams", redraw_substreams)
         return z, u
 
-    def generator(seed, *key):
-        redrawn.append(key[-1])
-        return _reference(seed, *key)
+    substreams = sampling._substreams
+
+    def redraw_substreams(seed, prefix, indices):
+        redrawn.extend(indices)
+        return substreams(seed, prefix, indices)
 
     monkeypatch.setattr(sampling, "_draws", zero_row_5)
-    monkeypatch.setattr(sampling, "_generator", generator)
     indices = range(100, 112)
     expected = np.stack([reference(7, i) for i in indices])
     assert block(7, indices).tobytes() == expected.tobytes()
@@ -371,15 +377,13 @@ def test_state_stream_yields_the_states_before_a_failing_draw(monkeypatch):
     config = SamplerConfig(seed=3, dim=3, rank=2, count=2 * sampling.SCAN_BLOCK)
     expected = list(sample_states(config))
     fail_at = sampling.SCAN_BLOCK + 40
-    draws = sampling._draws
+    substreams = sampling._substreams
 
-    def zero_failing_row(seed, prefix, indices, shape, uniform=False):
-        z, u = draws(seed, prefix, indices, shape, uniform)
-        z[[j for j, i in enumerate(indices) if i == fail_at]] = 0.0
-        return z, u
+    def zero_at_fail_at(seed, prefix, indices):
+        for i, rng in zip(indices, substreams(seed, prefix, indices)):
+            yield _ZeroRng() if i == fail_at else rng
 
-    monkeypatch.setattr(sampling, "_draws", zero_failing_row)
-    monkeypatch.setattr(sampling, "_generator", lambda *key: _ZeroRng())
+    monkeypatch.setattr(sampling, "_substreams", zero_at_fail_at)
     got = []
     with pytest.raises(NumericError, match=f"index={fail_at}"):
         for rho in sample_states(config):

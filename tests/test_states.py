@@ -196,8 +196,8 @@ def test_classify_rejects_non_hermitian():
 @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
 @pytest.mark.parametrize(
     "check",
-    [check_hermitian, check_density, classify, lambda m: to_bloch(build_basis(2), m)],
-    ids=["check_hermitian", "check_density", "classify", "to_bloch"],
+    [check_hermitian, check_density, classify, purity, lambda m: to_bloch(build_basis(2), m)],
+    ids=["check_hermitian", "check_density", "classify", "purity", "to_bloch"],
 )
 def test_non_finite_entries_are_rejected(check, where, bad):
     m = np.diag([0.5, 0.5]).astype(complex)
