@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet
-from .direction import _check_length, directional_matrix_of_boundary, state_along
-from .errors import DomainError, NumericError
+from .direction import directional_matrix_of_boundary, state_along
+from .errors import NumericError, _integer, _real
 from .states import (
     DEFAULT_ZERO_TOL,
     UNIT_TRACE_TOL,
@@ -46,9 +46,7 @@ def antipodal_state(basis: BasisSet, direction, length: float) -> np.ndarray:
 
 def max_antipodal_length(dim: int, rank: int) -> float:
     """Largest Bloch length sqrt(q/(N(N-q))) admissible opposite R(q)."""
-    if not 1 <= rank <= dim - 1:
-        raise DomainError(f"rank must be in 1..{dim - 1}, got {rank}")
-    return stratum_radius(dim, rank)
+    return stratum_radius(dim, _integer(rank, "rank", 1, _integer(dim, "dim", 2) - 1))
 
 
 def antipode_of_boundary(dim: int, rank: int) -> AntipodeReport:
@@ -86,10 +84,8 @@ def antipodal_family(dim: int, rank: int, length: float) -> tuple[np.ndarray, St
     rounding, and a state whose trace is then not 1 within the unit-trace
     tolerance is a NumericError.
     """
-    if not 1 <= rank <= dim - 1:
-        raise DomainError(f"rank must be in 1..{dim - 1}, got {rank}")
-    _check_length(length)
     cap = max_antipodal_length(dim, rank)
+    _real(length, "length")
     shrink = stratum_radius(dim, dim - rank)
     diag = np.empty(dim)
     diag[:rank] = 1.0 / dim - length * shrink

@@ -8,14 +8,13 @@ sqrt(2); for N = 3 the standard Gell-Mann matrices over sqrt(2).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _integer
 
 ELEMENT_HERMITICITY_TOL = 1e-14
 ELEMENT_TRACE_TOL = 1e-14
@@ -38,12 +37,7 @@ class BasisSet:
     dim: int
 
     def __post_init__(self):
-        try:
-            operator.index(self.dim)
-        except TypeError:
-            raise DomainError(f"basis dimension must be an integer, got {self.dim!r}") from None
-        if self.dim < 2:
-            raise DomainError(f"basis dimension must be >= 2, got {self.dim}")
+        _integer(self.dim, "dim", 2)
 
     @cached_property
     def elements(self) -> np.ndarray:

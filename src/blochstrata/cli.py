@@ -18,7 +18,7 @@ from . import __version__
 from .antipode import antipodal_family, antipode_of_boundary
 from .basis import build_basis
 from .direction import direction_report, direction_reports
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _integer, _real
 from .sampling import (
     SamplerConfig,
     _blocks,
@@ -37,7 +37,7 @@ from .serialize import (
     matrix_from_dict,
     matrix_to_dict,
 )
-from .states import DEFAULT_ZERO_TOL, _check_zero_tol, from_bloch, to_bloch
+from .states import DEFAULT_ZERO_TOL, from_bloch, to_bloch
 from .stratification import (
     StratumReport,
     harriman_check,
@@ -131,8 +131,7 @@ def _scan(count: int, draw_block, report_block, row_template: str, count_name="c
     after the empty draw that checks the sampler's other arguments.
     """
     rows = [row_template % v for stack in _blocks(count, draw_block) for v in report_block(stack)]
-    if count < 0:
-        raise DomainError(f"{count_name} must be >= 0, got {count}")
+    _integer(count, count_name, 0)
     return rows
 
 
@@ -263,8 +262,7 @@ def cmd_antipode(args: argparse.Namespace) -> None:
         if args.max_dim is None:
             raise DomainError("--table requires --max-dim M")
         _reject_ignored(args, "--table", ("dim", "q", "length"))
-        if args.max_dim < 2:
-            raise DomainError(f"--max-dim must be >= 2, got {args.max_dim}")
+        _integer(args.max_dim, "--max-dim", 2)
         rows = []
         for n in range(2, args.max_dim + 1):
             for q in range(1, n):
@@ -449,7 +447,7 @@ def main(argv=None) -> int:
     try:
         # checked before the handler runs, so no count, format or early exit skips it
         if hasattr(args, "zero_tol"):
-            _check_zero_tol(args.zero_tol)
+            _real(args.zero_tol, "zero_tol", positive=True)
         args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

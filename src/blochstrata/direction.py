@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from .basis import BasisSet
-from .errors import DomainError
+from .errors import DomainError, _integer, _real
 from .states import (
     DEFAULT_ZERO_TOL,
     StateClass,
@@ -73,17 +73,9 @@ def _directional_matrices(basis: BasisSet, directions):
     return v, t.reshape(j, n, n), error
 
 
-def _check_length(length: float) -> None:
-    """DomainError unless the Bloch length is finite and >= 0."""
-    if not length >= 0:
-        raise DomainError(f"length must be >= 0, got {length}")
-    if length == np.inf:
-        raise DomainError(f"length must be finite, got {length}")
-
-
 def state_along(basis: BasisSet, direction, length: float) -> np.ndarray:
     """The matrix (1/N) I + r T_n; Hermitian and unit trace, positivity not guaranteed."""
-    _check_length(length)
+    _real(length, "length")
     return maximally_mixed(basis.dim) + length * directional_matrix(basis, direction)
 
 
@@ -97,7 +89,7 @@ def direction_report(
     equals the multiplicity of the most negative eigenvalue of T_n (clustered
     within 1e-8).
     """
-    return direction_reports(basis, np.asarray(direction, dtype=float)[None], zero_tol)[0]
+    return _direction_reports(basis, np.asarray(direction, dtype=float)[None], zero_tol)[0]
 
 
 def direction_reports(
@@ -111,6 +103,14 @@ def direction_reports(
     its row bit for bit.  A failing row raises the error direction_report
     raises for it, after the rows before it have been checked.
     """
+    v = np.asarray(directions, dtype=float)
+    if v.ndim != 2:
+        raise DomainError(f"expected an (M, {len(basis)}) stack of directions, got shape {v.shape}")
+    return _direction_reports(basis, v, zero_tol)
+
+
+def _direction_reports(basis: BasisSet, directions, zero_tol) -> list[DirectionReport]:
+    """direction_reports without the stack check, which would misname direction_report's input."""
     v, t, error = _directional_matrices(basis, directions)
     n = basis.dim
     mu = hermitian_eigenvalues(t)[:, ::-1]
@@ -144,8 +144,7 @@ def extremal_spectra(dim: int) -> tuple[np.ndarray, np.ndarray]:
     shrinks to the small-sphere radius and the cap has N - 1 equal nonzero
     eigenvalues.  Both profiles sum to 0 with squares summing to 1.
     """
-    if dim < 2:
-        raise DomainError(f"dimension must be >= 2, got {dim}")
+    dim = _integer(dim, "dim", 2)
     big = sqrt((dim - 1) / dim)
     small = 1.0 / sqrt(dim * (dim - 1))
     top_heavy = np.array([big] + [-small] * (dim - 1))
@@ -160,8 +159,7 @@ def directional_matrix_of_boundary(dim: int, rank: int) -> np.ndarray:
     Hilbert-Schmidt norm, and (1/N) I + sqrt((N-q)/(qN)) * T reconstructs
     diag(1/q, ..., 1/q, 0, ..., 0).
     """
-    if not 1 <= rank <= dim - 1:
-        raise DomainError(f"rank must be in 1..{dim - 1}, got {rank}")
+    rank = _integer(rank, "rank", 1, _integer(dim, "dim", 2) - 1)
     diag = np.empty(dim)
     diag[:rank] = stratum_radius(dim, dim - rank)
     diag[rank:] = -stratum_radius(dim, rank)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of scalar arguments."""
+
+import operator
+from math import inf
+from numbers import Real
 
 
 class BlochGeometryError(Exception):
@@ -11,3 +15,28 @@ class DomainError(BlochGeometryError, ValueError):
 
 class NumericError(BlochGeometryError, ArithmeticError):
     """Numerical failure, e.g. eigensolver non-convergence (CLI exit code 3)."""
+
+
+def _integer(value, name: str, low=None, high=None) -> int:
+    """operator.index(value); DomainError unless it is an integer in low..high (None: unbounded)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if high is not None and not low <= value <= high:
+        raise DomainError(f"{name} must be in {low}..{high}, got {value}")
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _real(value, name: str, positive: bool = False) -> None:
+    """DomainError unless value is a finite numbers.Real, > 0 if positive, else >= 0."""
+    if not isinstance(value, Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if positive and not 0 < value < inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    if not value >= 0:
+        raise DomainError(f"{name} must be >= 0, got {value}")
+    if value == inf:
+        raise DomainError(f"{name} must be finite, got {value}")

@@ -30,12 +30,11 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
-from numbers import Real
 from typing import Iterator
 
 import numpy as np
 
-from .errors import BlochGeometryError, DomainError, NumericError
+from .errors import BlochGeometryError, DomainError, NumericError, _integer, _real
 
 _STATE_TAG = 0
 _DIRECTION_TAG = 1
@@ -215,23 +214,13 @@ def _trace(h: np.ndarray) -> np.ndarray:
     return h.trace(axis1=1, axis2=2).real
 
 
-def _index_list(seed: int, indices=(), **shape: int) -> list[int]:
-    """The indices as a list of ints.
-
-    DomainError unless the seed, the indices and the shape values are all
-    integers, the seed is 64-bit unsigned and every index is >= 0.
-    """
-    indices = list(indices)
-    index = min(indices, default=0)
-    for name, value in {"seed": seed, "index": index, **shape}.items():
-        try:
-            operator.index(value)
-        except TypeError:
-            raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if not 0 <= seed <= _MAX_SEED:
+def _index_list(seed: int, indices=()) -> list[int]:
+    """The indices as a list of ints; DomainError unless the seed is a 64-bit
+    unsigned integer and every index an integer >= 0."""
+    if not 0 <= _integer(seed, "seed") <= _MAX_SEED:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if index < 0:
-        raise DomainError(f"index must be >= 0, got {index}")
+    indices = list(indices)
+    _integer(min(indices, default=0), "index", 0)
     return [operator.index(i) for i in indices]
 
 
@@ -272,13 +261,9 @@ class SamplerConfig:
     count: int
 
     def __post_init__(self):
-        _index_list(self.seed, dim=self.dim, rank=self.rank, count=self.count)
-        if self.dim < 2:
-            raise DomainError(f"dimension must be >= 2, got {self.dim}")
-        if not 1 <= self.rank <= self.dim:
-            raise DomainError(f"rank must be in 1..{self.dim}, got {self.rank}")
-        if self.count < 0:
-            raise DomainError(f"count must be >= 0, got {self.count}")
+        _index_list(self.seed)
+        _integer(self.rank, "rank", 1, _integer(self.dim, "dim", 2))
+        _integer(self.count, "count", 0)
 
 
 def _state_block(config: SamplerConfig, indices) -> np.ndarray:
@@ -315,9 +300,8 @@ def sample_states(config: SamplerConfig) -> Iterator[np.ndarray]:
 
 def _direction_block(seed: int, num_coords: int, indices) -> np.ndarray:
     """(M, num_coords) stack of sample_direction(seed, num_coords, i), bit for bit."""
-    indices = _index_list(seed, indices, num_coords=num_coords)
-    if num_coords < 3:
-        raise DomainError(f"direction space must have >= 3 coordinates, got {num_coords}")
+    indices = _index_list(seed, indices)
+    _integer(num_coords, "num_coords", 3)
     prefix = (_DIRECTION_TAG, num_coords)
     z, _ = _draws(seed, prefix, indices, (num_coords,))
     norm = _norms(z)
@@ -332,13 +316,9 @@ def sample_direction(seed: int, num_coords: int, index: int) -> np.ndarray:
 
 def _ball_block(seed: int, num_coords: int, radius: float, indices) -> np.ndarray:
     """(M, num_coords) stack of sample_bloch_in_ball(seed, num_coords, radius, i)."""
-    if not isinstance(radius, Real):
-        raise DomainError(f"radius must be a real number, got {radius!r}")
-    if not 0 < radius < np.inf:
-        raise DomainError(f"radius must be positive and finite, got {radius}")
-    indices = _index_list(seed, indices, num_coords=num_coords)
-    if num_coords < 1:
-        raise DomainError(f"vector must have >= 1 coordinate, got {num_coords}")
+    _real(radius, "radius", positive=True)
+    indices = _index_list(seed, indices)
+    _integer(num_coords, "num_coords", 1)
     prefix = (_BALL_TAG, num_coords)
     z, u = _draws(seed, prefix, indices, (num_coords,), uniform=True)
     norm = _norms(z)
@@ -359,9 +339,8 @@ def sample_bloch_in_ball(seed: int, num_coords: int, radius: float, index: int) 
 
 def _tuple_block(seed: int, size: int, indices) -> np.ndarray:
     """(M, size) stack of sample_unit_sum_tuple(seed, size, i), bit for bit."""
-    indices = _index_list(seed, indices, size=size)
-    if size < 1:
-        raise DomainError(f"tuple size must be >= 1, got {size}")
+    indices = _index_list(seed, indices)
+    _integer(size, "size", 1)
     x, _ = _draws(seed, (_TUPLE_TAG, size), indices, (size,))
     return x - x.mean(axis=1, keepdims=True) + 1.0 / size
 

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import BasisSet, _traceless_part, expand
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _integer, _real
 
 DEFAULT_ZERO_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -52,9 +52,7 @@ class Spectrum:
 
 def maximally_mixed(dim: int) -> np.ndarray:
     """The state (1/N) I, center of the state space."""
-    if dim < 2:
-        raise DomainError(f"dimension must be >= 2, got {dim}")
-    return np.eye(dim, dtype=complex) / dim
+    return np.eye(_integer(dim, "dim", 2), dtype=complex) / dim
 
 
 def check_hermitian(matrix) -> np.ndarray:
@@ -83,30 +81,29 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         raise NumericError(f"eigensolver failed on shape {h.shape}: {exc}") from exc
 
 
-def _check_zero_tol(zero_tol: float) -> None:
-    """The gate's check of a zero-eigenvalue tolerance: positive and finite."""
-    if not 0.0 < zero_tol < np.inf:
-        raise DomainError(f"zero_tol must be positive and finite, got {zero_tol}")
+# _spectra's zero_tol when no zeros are counted; a caller's None is a bad tolerance
+_UNCOUNTED = object()
 
 
-def _spectra(stack, *, zero_tol: float | None = None, psd: bool = False, unit_trace: bool = True):
+def _spectra(stack, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trace: bool = True):
     """The one validation gate, over an (M, N, N) stack: returns (m, w, zeros).
 
     Every matrix of m is square with N >= 1, finite, Hermitian and, with
     unit_trace, of trace 1.  One eigensolve covers the stack, and runs only
-    for psd (each smallest eigenvalue >= -PSD_TOL) or for zero_tol: w is then
-    (M, N) ascending and zeros the (M,) counts of |w| <= zero_tol; otherwise
-    w and zeros are None.  A failing stack raises the DomainError of its first
-    failing matrix, the one a loop of one-matrix calls would raise, so an
-    empty stack checks nothing, not even zero_tol.
+    for psd (each smallest eigenvalue >= -PSD_TOL) or for a zero_tol passed:
+    w is then (M, N) ascending and zeros the (M,) counts of |w| <= zero_tol;
+    otherwise w and zeros are None.  A failing stack raises the DomainError
+    of its first failing matrix, the one a loop of one-matrix calls would
+    raise, so an empty stack checks nothing, not even zero_tol.
     """
     m = np.asarray(stack, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise DomainError(f"expected a square matrix, got shape {m.shape[1:]}")
     if not m.shape[1]:
         raise DomainError("expected a matrix of at least 1 x 1, got shape (0, 0)")
-    if len(m) and zero_tol is not None:
-        _check_zero_tol(zero_tol)
+    counted = zero_tol is not _UNCOUNTED
+    if len(m) and counted:
+        _real(zero_tol, "zero_tol", positive=True)
     # inf - inf is NaN, finite entries may overflow to inf; both fail the checks
     with np.errstate(invalid="ignore", over="ignore"):
         dev = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
@@ -117,7 +114,7 @@ def _spectra(stack, *, zero_tol: float | None = None, psd: bool = False, unit_tr
     failed = np.flatnonzero(~ok)
     j = failed[0] if failed.size else len(m)  # every matrix before j passed
     w = zeros = None
-    if psd or zero_tol is not None:
+    if psd or counted:
         w = hermitian_eigenvalues(m[:j])
         if psd:
             negative = np.flatnonzero(~(w[:, 0] >= -PSD_TOL))
@@ -126,7 +123,7 @@ def _spectra(stack, *, zero_tol: float | None = None, psd: bool = False, unit_tr
                     "matrix is not positive semidefinite: smallest eigenvalue "
                     f"{w[negative[0], 0]:.3e}"
                 )
-        if zero_tol is not None:
+        if counted:
             zeros = np.count_nonzero(np.abs(w) <= zero_tol, axis=1)
     if j < len(m):
         if not np.isfinite(m[j]).all():

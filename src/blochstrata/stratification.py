@@ -13,7 +13,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _integer
 from .serialize import _floats, require_numbers
 from .states import DEFAULT_ZERO_TOL, _spectra, maximally_mixed
 
@@ -53,10 +53,7 @@ def distance_to_max(rho) -> float:
 
 def stratum_radius(dim: int, zero_count: int) -> float:
     """Radius sqrt(p/(N(N-p))) of the sphere for states with p zero eigenvalues."""
-    if not 1 <= zero_count <= dim - 1:
-        raise DomainError(
-            f"zero eigenvalue count must be in 1..{dim - 1}, got {zero_count}"
-        )
+    _integer(zero_count, "zero_count", 1, _integer(dim, "dim", 2) - 1)
     return sqrt(zero_count / (dim * (dim - zero_count)))
 
 
@@ -65,8 +62,7 @@ def boundary_state(dim: int, rank: int) -> np.ndarray:
 
     rank = N gives the maximally mixed state; rank = 1 a pure state.
     """
-    if not 1 <= rank <= dim:
-        raise DomainError(f"rank must be in 1..{dim}, got {rank}")
+    rank = _integer(rank, "rank", 1, _integer(dim, "dim", 2))
     diag = np.zeros(dim, dtype=complex)
     diag[:rank] = 1.0 / rank
     return np.diag(diag)
@@ -140,7 +136,7 @@ def stratum_report(rho, zero_tol: float = DEFAULT_ZERO_TOL) -> StratumReport:
     Full-rank states (p = 0) report radius 0 and satisfied = True, so one
     report pipeline covers interior and boundary samples alike.
     """
-    return stratum_reports(np.asarray(rho, dtype=complex)[None], zero_tol)[0]
+    return _stratum_reports(np.asarray(rho, dtype=complex)[None], zero_tol)[0]
 
 
 def stratum_reports(stack, zero_tol: float = DEFAULT_ZERO_TOL) -> list[StratumReport]:
@@ -152,6 +148,14 @@ def stratum_reports(stack, zero_tol: float = DEFAULT_ZERO_TOL) -> list[StratumRe
     The first matrix that fails validation raises its error; a zero count of
     N, which needs zero_tol >= 1/N, raises after validation of the stack.
     """
+    m = np.asarray(stack, dtype=complex)
+    if m.ndim != 3:
+        raise DomainError(f"expected an (M, N, N) stack of matrices, got shape {m.shape}")
+    return _stratum_reports(m, zero_tol)
+
+
+def _stratum_reports(stack, zero_tol) -> list[StratumReport]:
+    """stratum_reports without the stack check, which would misname stratum_report's input."""
     m, _, zeros = _spectra(stack, zero_tol=zero_tol, psd=True)
     n = m.shape[-1]
     x = (m - maximally_mixed(n)).reshape(len(m), 1, n * n)

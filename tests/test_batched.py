@@ -263,6 +263,18 @@ def test_a_stack_of_non_square_matrices_is_rejected():
         stratum_reports(np.zeros((4, 2, 3)))
     with pytest.raises(DomainError, match=r"length 3 .* got shape \(4,\)"):
         direction_reports(build_basis(2), np.zeros((2, 4)))
+    # one matrix or direction where a stack is expected names the stack form
+    with pytest.raises(DomainError, match=r"^expected an \(M, N, N\) stack .* shape \(2, 2\)$"):
+        stratum_reports(np.eye(2) / 2)
+    with pytest.raises(DomainError, match=r"^expected an \(M, 3\) stack .* shape \(3,\)$"):
+        direction_reports(build_basis(2), np.eye(3)[0])
+    with pytest.raises(DomainError, match=r"^expected an \(M, 3\) stack .* shape \(1, 1, 3\)$"):
+        direction_reports(build_basis(2), np.eye(3)[None, :1])
+    # a one-item call names the shape of its own input
+    with pytest.raises(DomainError, match=r"square matrix, got shape \(4,\)$"):
+        stratum_report(np.zeros(4))
+    with pytest.raises(DomainError, match=r"length 3 .* got shape \(1, 3\)$"):
+        direction_report(build_basis(2), np.eye(3)[:1])
     with pytest.raises(DomainError, match=r"at least 1 x 1, got shape \(0, 0\)"):
         stratum_reports(np.zeros((4, 0, 0)))
     for check in (

@@ -425,7 +425,7 @@ def _inf_tuples(tmp_path):
         ),
         pytest.param(
             lambda tmp: ["lemma", "--count", "0", "--size", "0", "--seed", "1"],
-            "tuple size must be >= 1, got 0", id="lemma-count-0-size-0",
+            "size must be >= 1, got 0", id="lemma-count-0-size-0",
         ),
         pytest.param(
             lambda tmp: ["lemma", "--count", "0", "--size", "3", "--seed", "-1"],

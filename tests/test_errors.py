@@ -1,0 +1,77 @@
+"""Tests for the one scalar-argument contract: integers and lengths.
+
+Every closed form takes its integers as operator.index does (numpy integers
+yes, 2.5, "3" and None no) and its lengths as finite numbers.Real >= 0; a
+bad argument is a one-line DomainError that names it.
+"""
+
+import numpy as np
+import pytest
+
+from blochstrata import (
+    DomainError,
+    antipodal_family,
+    antipodal_state,
+    antipode_of_boundary,
+    boundary_state,
+    build_basis,
+    directional_matrix_of_boundary,
+    extremal_spectra,
+    max_antipodal_length,
+    maximally_mixed,
+    state_along,
+    stratum_radius,
+)
+
+
+def _raises_naming(call, name):
+    with pytest.raises(DomainError) as exc:
+        call()
+    message = str(exc.value)
+    assert message.startswith(f"{name} must be ") and "\n" not in message
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", None])
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda x: stratum_radius(4, x), "zero_count"),
+        (lambda x: stratum_radius(x, 1), "dim"),
+        (lambda x: boundary_state(4, x), "rank"),
+        (lambda x: directional_matrix_of_boundary(4, x), "rank"),
+        (lambda x: max_antipodal_length(4, x), "rank"),
+        (lambda x: antipode_of_boundary(4, x), "rank"),
+        (lambda x: antipodal_family(4, x, 0.1), "rank"),
+        (lambda x: antipodal_family(x, 1, 0.1), "dim"),
+        (lambda x: extremal_spectra(x), "dim"),
+        (lambda x: maximally_mixed(x), "dim"),
+    ],
+    ids=[
+        "stratum_radius", "stratum_radius-dim", "boundary_state",
+        "directional_matrix_of_boundary", "max_antipodal_length", "antipode_of_boundary",
+        "antipodal_family", "antipodal_family-dim", "extremal_spectra", "maximally_mixed",
+    ],
+)
+def test_non_integer_arguments_are_domain_errors(call, name, bad):
+    _raises_naming(lambda: call(bad), name)
+
+
+@pytest.mark.parametrize("bad", ["1", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: state_along(build_basis(3), np.eye(8)[0], x),
+        lambda x: antipodal_state(build_basis(3), np.eye(8)[0], x),
+        lambda x: antipodal_family(3, 1, x),
+    ],
+    ids=["state_along", "antipodal_state", "antipodal_family"],
+)
+def test_non_real_lengths_are_domain_errors(call, bad):
+    _raises_naming(lambda: call(bad), "length")
+
+
+def test_numpy_integers_are_integers():
+    assert stratum_radius(np.int64(4), np.uint8(2)) == stratum_radius(4, 2)
+    assert np.array_equal(boundary_state(np.int32(3), np.int64(2)), boundary_state(3, 2))
+    with pytest.raises(DomainError, match="rank must be in 1..3, got 4"):
+        max_antipodal_length(np.int64(4), np.int64(4))

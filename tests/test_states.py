@@ -17,6 +17,7 @@ from blochstrata import (
     check_hermitian,
     classify,
     direction_report,
+    direction_reports,
     directional_matrix,
     expand,
     extremal_spectra,
@@ -25,6 +26,7 @@ from blochstrata import (
     purity,
     spectrum,
     stratum_report,
+    stratum_reports,
     to_bloch,
 )
 
@@ -206,20 +208,29 @@ def test_non_finite_entries_are_rejected(check, where, bad):
         check(m)
 
 
-@pytest.mark.parametrize("zero_tol", [np.nan, np.inf, 0.0, -1e-9])
+@pytest.mark.parametrize("zero_tol", [np.nan, np.inf, 0.0, -1e-9, None, "1e-9"])
 @pytest.mark.parametrize(
     "entry",
     [
         spectrum,
         classify,
         stratum_report,
+        lambda m, zero_tol: stratum_reports(m[None], zero_tol),
         lambda m, zero_tol: direction_report(build_basis(3), np.eye(8)[0], zero_tol),
+        lambda m, zero_tol: direction_reports(build_basis(3), np.eye(8)[:2], zero_tol),
     ],
-    ids=["spectrum", "classify", "stratum_report", "direction_report"],
+    ids=[
+        "spectrum", "classify", "stratum_report", "stratum_reports", "direction_report",
+        "direction_reports",
+    ],
 )
 def test_zero_tol_must_be_positive_and_finite(entry, zero_tol):
-    with pytest.raises(DomainError, match="zero_tol"):
+    with pytest.raises(DomainError, match="^zero_tol must be [^\n]*$"):
         entry(maximally_mixed(3), zero_tol=zero_tol)
+
+
+def test_an_empty_stack_checks_no_zero_tol():
+    assert stratum_reports(np.zeros((0, 3, 3)), zero_tol=None) == []
 
 
 def test_from_bloch_rejects_non_finite(basis3):
