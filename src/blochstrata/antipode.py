@@ -13,7 +13,7 @@ import numpy as np
 
 from .basis import BasisSet
 from .direction import directional_matrix_of_boundary, state_along
-from .errors import NumericError, _integer, _real
+from .errors import NumericError, _array, _integer, _real
 from .states import (
     DEFAULT_ZERO_TOL,
     UNIT_TRACE_TOL,
@@ -41,7 +41,7 @@ class AntipodeReport:
 
 def antipodal_state(basis: BasisSet, direction, length: float) -> np.ndarray:
     """The matrix (1/N) I - r T_n, i.e. the state at length r along -n."""
-    return state_along(basis, -np.asarray(direction, dtype=float), length)
+    return state_along(basis, -_array(direction, "direction entries"), length)
 
 
 def max_antipodal_length(dim: int, rank: int) -> float:

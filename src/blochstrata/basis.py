@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _integer
+from .errors import DomainError, NumericError, _array, _integer
 
 ELEMENT_HERMITICITY_TOL = 1e-14
 ELEMENT_TRACE_TOL = 1e-14
@@ -172,7 +172,7 @@ def expand(basis: BasisSet, matrix: np.ndarray) -> np.ndarray:
     The identity component of ``matrix`` does not contribute; for a traceless
     Hermitian input the expansion reconstructs it exactly.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = _array(matrix, "matrix entries", complex)
     if m.shape != (basis.dim, basis.dim):
         raise DomainError(
             f"matrix shape {m.shape} does not match basis dimension {basis.dim}"

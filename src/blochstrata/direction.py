@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from .basis import BasisSet
-from .errors import DomainError, _integer, _real
+from .errors import DomainError, _array, _integer, _real
 from .states import (
     DEFAULT_ZERO_TOL,
     StateClass,
@@ -46,16 +46,14 @@ def directional_matrix(basis: BasisSet, direction) -> np.ndarray:
 
     Rejects non-unit input rather than renormalizing silently.
     """
-    _, t, error = _directional_matrices(basis, np.asarray(direction, dtype=float)[None])
-    if error is not None:
-        raise error
+    _, t = _directional_matrices(basis, _array(direction, "direction entries")[None])
     return t[0]
 
 
 def _directional_matrices(basis: BasisSet, directions):
-    """(v, t, error): the rows as floats, T_n of the rows before the first non-unit
-    row, and that row's DomainError or None.  Norms and T_n are per-row BLAS
-    products, the v0.1.0 norm and basis contraction operation for operation."""
+    """(v, t): the rows as floats and their T_n; DomainError for the first
+    non-unit row.  Norms and T_n are per-row BLAS products, the v0.1.0 norm
+    and basis contraction operation for operation."""
     v = np.ascontiguousarray(directions, dtype=float)
     n = basis.dim
     d = n * n - 1
@@ -65,12 +63,10 @@ def _directional_matrices(basis: BasisSet, directions):
         )
     norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel()
     failed = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
-    j = failed[0] if failed.size else len(v)  # every row before j has unit norm
-    error = None if j == len(v) else DomainError(
-        f"direction must have unit norm, got |n| = {float(norms[j])!r}"
-    )
-    t = np.matmul(v[:j].astype(complex)[:, None, :], basis.elements.reshape(d, n * n))
-    return v, t.reshape(j, n, n), error
+    if failed.size:
+        raise DomainError(f"direction must have unit norm, got |n| = {float(norms[failed[0]])!r}")
+    t = np.matmul(v.astype(complex)[:, None, :], basis.elements.reshape(d, n * n))
+    return v, t.reshape(len(v), n, n)
 
 
 def state_along(basis: BasisSet, direction, length: float) -> np.ndarray:
@@ -89,7 +85,7 @@ def direction_report(
     equals the multiplicity of the most negative eigenvalue of T_n (clustered
     within 1e-8).
     """
-    return _direction_reports(basis, np.asarray(direction, dtype=float)[None], zero_tol)[0]
+    return _direction_reports(basis, _array(direction, "direction entries")[None], zero_tol)[0]
 
 
 def direction_reports(
@@ -100,10 +96,10 @@ def direction_reports(
     One product with the basis forms every T_n, as in directional_matrix, one
     eigensolve gives every mu-spectrum, and one gate call validates and
     classifies every cap state, so every report equals direction_report of
-    its row bit for bit.  A failing row raises the error direction_report
-    raises for it, after the rows before it have been checked.
+    its row bit for bit.  The norm check runs over every row before any cap
+    is checked, and each check raises for its first failing row.
     """
-    v = np.asarray(directions, dtype=float)
+    v = _array(directions, "direction entries")
     if v.ndim != 2:
         raise DomainError(f"expected an (M, {len(basis)}) stack of directions, got shape {v.shape}")
     return _direction_reports(basis, v, zero_tol)
@@ -111,13 +107,11 @@ def direction_reports(
 
 def _direction_reports(basis: BasisSet, directions, zero_tol) -> list[DirectionReport]:
     """direction_reports without the stack check, which would misname direction_report's input."""
-    v, t, error = _directional_matrices(basis, directions)
+    v, t = _directional_matrices(basis, directions)
     n = basis.dim
     mu = hermitian_eigenvalues(t)[:, ::-1]
     max_length = 1.0 / (n * np.abs(mu[:, -1]))
     _, w, zeros = _spectra(maximally_mixed(n) + max_length[:, None, None] * t, zero_tol=zero_tol)
-    if error is not None:
-        raise error
     cap_zero_counts = np.count_nonzero(mu <= mu[:, -1:] + MU_CLUSTER_TOL, axis=1)
     return [
         DirectionReport(

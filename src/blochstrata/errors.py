@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the one check of scalar arguments."""
+"""Exception types shared across the package, and the one check of scalar and array arguments."""
 
 import operator
 from math import inf
 from numbers import Real
+
+import numpy as np
 
 
 class BlochGeometryError(Exception):
@@ -40,3 +42,11 @@ def _real(value, name: str, positive: bool = False) -> None:
         raise DomainError(f"{name} must be >= 0, got {value}")
     if value == inf:
         raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _array(values, what: str, dtype=float) -> np.ndarray:
+    """values as an array of dtype; DomainError if numpy cannot read them as numbers."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, not numbers, or 10**400
+        raise DomainError(f"{what} are not numeric: {exc}") from exc

@@ -34,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BlochGeometryError, DomainError, NumericError, _integer, _real
+from .errors import DomainError, NumericError, _integer, _real
 
 _STATE_TAG = 0
 _DIRECTION_TAG = 1
@@ -227,28 +227,15 @@ def _index_list(seed: int, indices=()) -> list[int]:
 def _blocks(count: int, draw):
     """Stacks draw(indices) over consecutive blocks of up to SCAN_BLOCK indices.
 
-    When a block's draw raises, its indices are drawn one at a time, so the
-    stack of the draws before the failing one comes first, and the caller
-    reports those items and fails where a loop over single items would.
-    A count <= 0 makes one empty draw, so the draw's argument checks run.
+    A block is drawn only once the stacks before it are taken, and a draw
+    that raises yields nothing of its block, so a caller that reports each
+    stack as it comes fails there before any item of that block.  A count
+    <= 0 makes one empty draw, so the draw's argument checks run.
     """
     if count <= 0:
         draw(range(0))
     for start in range(0, count, SCAN_BLOCK):
-        indices = range(start, min(start + SCAN_BLOCK, count))
-        try:
-            stack = draw(indices)
-        except BlochGeometryError:
-            drawn = []
-            for i in indices:
-                try:
-                    drawn.append(draw([i])[0])
-                except BlochGeometryError:
-                    if drawn:
-                        yield np.stack(drawn)
-                    raise
-            stack = np.stack(drawn)
-        yield stack
+        yield draw(range(start, min(start + SCAN_BLOCK, count)))
 
 
 @dataclass(frozen=True)
@@ -269,7 +256,8 @@ class SamplerConfig:
 def _state_block(config: SamplerConfig, indices) -> np.ndarray:
     """(M, N, N) stack of sample_state(config, i) for i in indices, bit for bit."""
     indices = _index_list(config.seed, indices)
-    n, k = config.dim, config.rank
+    # the ints _integer checked: SeedSequence takes no bool in a spawn key
+    n, k = operator.index(config.dim), operator.index(config.rank)
     prefix = (_STATE_TAG, n, k)
     z, _ = _draws(config.seed, prefix, indices, (2, n, k))
     h = _gram(z)
@@ -293,7 +281,11 @@ def sample_state(config: SamplerConfig, index: int) -> np.ndarray:
 
 
 def sample_states(config: SamplerConfig) -> Iterator[np.ndarray]:
-    """The full stream of config.count states, in index order."""
+    """The full stream of config.count states, in index order.
+
+    The states are drawn in blocks of SCAN_BLOCK; a block whose draw fails
+    raises after the states of the blocks before it, and yields none of its own.
+    """
     for stack in _blocks(config.count, lambda indices: _state_block(config, indices)):
         yield from stack
 
@@ -301,7 +293,7 @@ def sample_states(config: SamplerConfig) -> Iterator[np.ndarray]:
 def _direction_block(seed: int, num_coords: int, indices) -> np.ndarray:
     """(M, num_coords) stack of sample_direction(seed, num_coords, i), bit for bit."""
     indices = _index_list(seed, indices)
-    _integer(num_coords, "num_coords", 3)
+    num_coords = _integer(num_coords, "num_coords", 3)
     prefix = (_DIRECTION_TAG, num_coords)
     z, _ = _draws(seed, prefix, indices, (num_coords,))
     norm = _norms(z)
@@ -318,7 +310,7 @@ def _ball_block(seed: int, num_coords: int, radius: float, indices) -> np.ndarra
     """(M, num_coords) stack of sample_bloch_in_ball(seed, num_coords, radius, i)."""
     _real(radius, "radius", positive=True)
     indices = _index_list(seed, indices)
-    _integer(num_coords, "num_coords", 1)
+    num_coords = _integer(num_coords, "num_coords", 1)
     prefix = (_BALL_TAG, num_coords)
     z, u = _draws(seed, prefix, indices, (num_coords,), uniform=True)
     norm = _norms(z)
@@ -340,7 +332,7 @@ def sample_bloch_in_ball(seed: int, num_coords: int, radius: float, index: int) 
 def _tuple_block(seed: int, size: int, indices) -> np.ndarray:
     """(M, size) stack of sample_unit_sum_tuple(seed, size, i), bit for bit."""
     indices = _index_list(seed, indices)
-    _integer(size, "size", 1)
+    size = _integer(size, "size", 1)
     x, _ = _draws(seed, (_TUPLE_TAG, size), indices, (size,))
     return x - x.mean(axis=1, keepdims=True) + 1.0 / size
 

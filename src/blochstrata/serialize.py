@@ -11,7 +11,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _array
 
 
 def format_float(x: float) -> str:
@@ -36,14 +36,6 @@ def require_numbers(values, what: str) -> None:
             raise DomainError(f"{what} must be numbers, got a JSON {name}")
 
 
-def _floats(values, what: str) -> np.ndarray:
-    """values as a float array; DomainError if numpy cannot read them as numbers."""
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # 10**400 overflows
-        raise DomainError(f"{what} are not numeric: {exc}") from exc
-
-
 def matrix_to_dict(matrix: np.ndarray) -> dict:
     m = np.asarray(matrix, dtype=complex)
     return {
@@ -59,8 +51,8 @@ def matrix_from_dict(data) -> np.ndarray:
     n = data["dim"]
     if not _is_int(n) or n < 1:
         raise DomainError(f'matrix "dim" must be a positive integer, got {n!r}')
-    re = _floats(data["re"], "matrix entries")
-    im = _floats(data["im"], "matrix entries")
+    re = _array(data["re"], "matrix entries")
+    im = _array(data["im"], "matrix entries")
     if re.shape != (n, n) or im.shape != (n, n):
         raise DomainError(
             f'matrix "re"/"im" must be {n}x{n} arrays, got {re.shape} and {im.shape}'
@@ -81,7 +73,7 @@ def bloch_from_dict(data) -> tuple[int, np.ndarray]:
     n = data["dim"]
     if not _is_int(n) or n < 2:
         raise DomainError(f'Bloch "dim" must be an integer >= 2, got {n!r}')
-    coords = _floats(data["coords"], "Bloch coordinates")
+    coords = _array(data["coords"], "Bloch coordinates")
     if coords.shape != (n * n - 1,):
         raise DomainError(
             f"expected {n * n - 1} coordinates for dimension {n}, got shape {coords.shape}"

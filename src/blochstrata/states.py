@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import BasisSet, _traceless_part, expand
-from .errors import DomainError, NumericError, _integer, _real
+from .errors import DomainError, NumericError, _array, _integer, _real
 
 DEFAULT_ZERO_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -92,11 +92,12 @@ def _spectra(stack, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trace: bool 
     unit_trace, of trace 1.  One eigensolve covers the stack, and runs only
     for psd (each smallest eigenvalue >= -PSD_TOL) or for a zero_tol passed:
     w is then (M, N) ascending and zeros the (M,) counts of |w| <= zero_tol;
-    otherwise w and zeros are None.  A failing stack raises the DomainError
-    of its first failing matrix, the one a loop of one-matrix calls would
-    raise, so an empty stack checks nothing, not even zero_tol.
+    otherwise w and zeros are None.  Each check runs over the whole stack, in
+    this order: shape, zero_tol, the entries (finite, Hermitian, unit trace),
+    then PSD; the first failing check raises the DomainError of its first
+    failing matrix.  An empty stack checks nothing, not even zero_tol.
     """
-    m = np.asarray(stack, dtype=complex)
+    m = _array(stack, "matrix entries", complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise DomainError(f"expected a square matrix, got shape {m.shape[1:]}")
     if not m.shape[1]:
@@ -112,10 +113,16 @@ def _spectra(stack, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trace: bool 
             tr = m.trace(axis1=1, axis2=2).real
             ok &= np.abs(tr - 1.0) <= UNIT_TRACE_TOL
     failed = np.flatnonzero(~ok)
-    j = failed[0] if failed.size else len(m)  # every matrix before j passed
+    if failed.size:
+        j = failed[0]
+        if not np.isfinite(m[j]).all():
+            raise DomainError("matrix has non-finite entries")
+        if not dev[j] <= HERMITICITY_TOL:
+            raise DomainError(f"matrix is not Hermitian: max |m - m^H| = {float(dev[j]):.3e}")
+        raise DomainError(f"matrix must have unit trace, got {float(tr[j])!r}")
     w = zeros = None
     if psd or counted:
-        w = hermitian_eigenvalues(m[:j])
+        w = hermitian_eigenvalues(m)
         if psd:
             negative = np.flatnonzero(~(w[:, 0] >= -PSD_TOL))
             if negative.size:
@@ -125,18 +132,12 @@ def _spectra(stack, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trace: bool 
                 )
         if counted:
             zeros = np.count_nonzero(np.abs(w) <= zero_tol, axis=1)
-    if j < len(m):
-        if not np.isfinite(m[j]).all():
-            raise DomainError("matrix has non-finite entries")
-        if not dev[j] <= HERMITICITY_TOL:
-            raise DomainError(f"matrix is not Hermitian: max |m - m^H| = {float(dev[j]):.3e}")
-        raise DomainError(f"matrix must have unit trace, got {float(tr[j])!r}")
     return m, w, zeros
 
 
 def _validate(matrix, **gate):
     """_spectra of one matrix: returns (m, ascending eigenvalues, zero count)."""
-    m, w, zeros = _spectra(np.asarray(matrix, dtype=complex)[None], **gate)
+    m, w, zeros = _spectra(_array(matrix, "matrix entries", complex)[None], **gate)
     return m[0], None if w is None else w[0], None if zeros is None else int(zeros[0])
 
 
@@ -183,7 +184,7 @@ def from_bloch(basis: BasisSet, vector) -> np.ndarray:
     guaranteed (vectors outside the admissible region give nonpositive
     matrices).  Raises NumericError if an entry overflows.
     """
-    v = np.asarray(vector, dtype=float)
+    v = _array(vector, "Bloch coordinates")
     n = basis.dim
     if v.shape != (n * n - 1,):
         raise DomainError(

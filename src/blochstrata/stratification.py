@@ -9,13 +9,13 @@ q = N - p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _integer
-from .serialize import _floats, require_numbers
-from .states import DEFAULT_ZERO_TOL, _spectra, maximally_mixed
+from .errors import DomainError, NumericError, _array, _integer
+from .serialize import require_numbers
+from .states import DEFAULT_ZERO_TOL, _spectra
 
 ON_SPHERE_TOL = 1e-9
 EQUALITY_TOL = 1e-12
@@ -74,7 +74,7 @@ def harriman_check(values) -> HarrimanResult:
     Equality holds iff every a_j equals 1/n; the slack sum(a_j^2) - 1/n is the
     sum of squared deviations from the uniform tuple.
     """
-    a = _floats(values, "tuple entries")
+    a = _array(values, "tuple entries")
     if a.ndim != 1 or a.size < 1:
         raise DomainError(f"expected a nonempty 1-d tuple of reals, got shape {a.shape}")
     require_numbers(values, "tuple entries")
@@ -85,36 +85,34 @@ def harriman_checks(stack) -> list[HarrimanResult]:
     """harriman_check of each row of an (M, n) stack of tuples, in order.
 
     Each row's sum and sum of squares are the operations of a one-tuple
-    call, a pairwise row sum and a BLAS dot, stack or not.  The first row
-    that fails raises its error.
+    call, a pairwise row sum and a BLAS dot, stack or not.  The unit-sum
+    check, then the overflow check, runs over every row, and raises for its
+    first failing row.
     """
-    a = _floats(stack, "tuple entries")
+    a = _array(stack, "tuple entries")
     if a.ndim != 2 or not a.shape[1]:
         raise DomainError(f"expected an (M, n) stack of nonempty tuples, got shape {a.shape}")
     # a non-finite entry, or finite ones past the float range, make the sum
     # non-finite (inf - inf is NaN), which fails its test; a row that passes
     # it is finite, so only overflow makes its sum of squares non-finite
     with np.errstate(invalid="ignore", over="ignore"):
-        totals = a.sum(axis=1).tolist()
-        sums_sq = np.matmul(a[:, None, :], a[:, :, None]).ravel().tolist()
+        totals = a.sum(axis=1)
+        sums_sq = np.matmul(a[:, None, :], a[:, :, None]).ravel()
+    off = np.flatnonzero(~(np.abs(totals - 1.0) <= UNIT_SUM_TOL))
+    if off.size:
+        raise DomainError(f"tuple must sum to 1, got {float(totals[off[0]])!r}")
+    over = np.flatnonzero(~np.isfinite(sums_sq))
+    if over.size:
+        try:  # the one-tuple product again, for numpy's own overflow message
+            with np.errstate(over="raise"):
+                a[over[0]] @ a[over[0]]
+        except FloatingPointError as exc:
+            raise NumericError(f"sum of squares of this tuple is not finite: {exc}") from exc
     bound = 1.0 / a.shape[1]
-    results = []
-    for j, (total, sum_sq) in enumerate(zip(totals, sums_sq)):
-        if not abs(total - 1.0) <= UNIT_SUM_TOL:
-            raise DomainError(f"tuple must sum to 1, got {total!r}")
-        if not isfinite(sum_sq):
-            try:  # the one-tuple product again, for numpy's own overflow message
-                with np.errstate(over="raise"):
-                    a[j] @ a[j]
-            except FloatingPointError as exc:
-                raise NumericError(f"sum of squares of this tuple is not finite: {exc}") from exc
-        slack = sum_sq - bound
-        results.append(
-            HarrimanResult(
-                sum_of_squares=sum_sq, bound=bound, equality=slack <= EQUALITY_TOL, slack=slack
-            )
-        )
-    return results
+    return [
+        HarrimanResult(sum_of_squares=s, bound=bound, equality=slack <= EQUALITY_TOL, slack=slack)
+        for s, slack in zip(sums_sq.tolist(), (sums_sq - bound).tolist())
+    ]
 
 
 def _min_distance(dim: int, zero_count: int, zero_tol: float) -> float:
@@ -136,7 +134,7 @@ def stratum_report(rho, zero_tol: float = DEFAULT_ZERO_TOL) -> StratumReport:
     Full-rank states (p = 0) report radius 0 and satisfied = True, so one
     report pipeline covers interior and boundary samples alike.
     """
-    return _stratum_reports(np.asarray(rho, dtype=complex)[None], zero_tol)[0]
+    return _stratum_reports(_array(rho, "matrix entries", complex)[None], zero_tol)[0]
 
 
 def stratum_reports(stack, zero_tol: float = DEFAULT_ZERO_TOL) -> list[StratumReport]:
@@ -145,10 +143,11 @@ def stratum_reports(stack, zero_tol: float = DEFAULT_ZERO_TOL) -> list[StratumRe
     One gate call validates the stack and solves every spectrum.  Each
     distance is the root of per-row BLAS dot products of the real and the
     imaginary parts, the v0.1.0 norm operation for operation, stack or not.
-    The first matrix that fails validation raises its error; a zero count of
-    N, which needs zero_tol >= 1/N, raises after validation of the stack.
+    Each validation check runs over the whole stack and raises for its first
+    failing matrix (see states._spectra); a zero count of N, which needs
+    zero_tol >= 1/N, raises after validation of the stack.
     """
-    m = np.asarray(stack, dtype=complex)
+    m = _array(stack, "matrix entries", complex)
     if m.ndim != 3:
         raise DomainError(f"expected an (M, N, N) stack of matrices, got shape {m.shape}")
     return _stratum_reports(m, zero_tol)
@@ -158,7 +157,7 @@ def _stratum_reports(stack, zero_tol) -> list[StratumReport]:
     """stratum_reports without the stack check, which would misname stratum_report's input."""
     m, _, zeros = _spectra(stack, zero_tol=zero_tol, psd=True)
     n = m.shape[-1]
-    x = (m - maximally_mixed(n)).reshape(len(m), 1, n * n)
+    x = (m - np.eye(n) / n).reshape(len(m), 1, n * n)
     re, im = x.real, x.imag
     sq = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
     zeros = zeros.tolist()

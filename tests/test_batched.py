@@ -235,8 +235,10 @@ def bad_stack(failures):
     {6: "non-psd"},
 ])
 def test_a_failing_stack_raises_the_error_of_its_first_failing_item(failures):
+    # the entry check (finite, Hermitian, unit trace) runs over the stack before the PSD check
     stack = bad_stack(failures)
-    first = min(failures)
+    entries = [i for i, kind in failures.items() if kind != "non-psd"]
+    first = min(entries or failures)
     with pytest.raises(DomainError) as single:
         stratum_report(stack[first])
     with pytest.raises(DomainError) as batched:
@@ -246,16 +248,16 @@ def test_a_failing_stack_raises_the_error_of_its_first_failing_item(failures):
 
 @pytest.mark.parametrize("first", ["unit", "long"])
 def test_direction_errors_come_in_item_order(first):
-    # a bad zero_tol fails a unit direction's cap; a long direction fails its norm check
-    unit, long = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 2.0])
-    rows = [unit, long] if first == "unit" else [long, unit]
+    # a bad zero_tol fails a unit direction's cap; a long direction fails its norm check,
+    # which runs over every row first and names its first failing row
+    unit, long, longer = (np.array([0.0, 0.0, x]) for x in (1.0, 2.0, 3.0))
+    rows = [unit, long, longer] if first == "unit" else [long, unit, longer]
     basis = build_basis(2)
-    with pytest.raises(DomainError) as looped:
-        for row in rows:
-            direction_report(basis, row, zero_tol=-1.0)
+    with pytest.raises(DomainError) as one:
+        direction_report(basis, long, zero_tol=-1.0)
     with pytest.raises(DomainError) as batched:
         direction_reports(basis, np.stack(rows), zero_tol=-1.0)
-    assert str(batched.value) == str(looped.value)
+    assert str(batched.value) == str(one.value) == "direction must have unit norm, got |n| = 2.0"
 
 
 def test_a_stack_of_non_square_matrices_is_rejected():
@@ -303,8 +305,9 @@ def scripted_sampler(fail_at, bad_at=None):
 @pytest.mark.parametrize("command", ["strata-scan", "sample"])
 @pytest.mark.parametrize("fail_at,bad_at,code,message", [
     (BLOCK + 5, None, 3, "synthetic failure"),
-    (BLOCK + 5, BLOCK + 2, 2, "positive semidefinite"),  # the earlier item fails first
-    (BLOCK + 5, BLOCK + 9, 3, "synthetic failure"),  # never reached by a per-item loop
+    (BLOCK + 5, 2, 2, "positive semidefinite"),  # a bad item of an earlier block fails first
+    (BLOCK + 5, BLOCK + 2, 3, "synthetic failure"),  # the failing block reports none of its items
+    (BLOCK + 5, BLOCK + 9, 3, "synthetic failure"),
     (0, None, 3, "synthetic failure"),
 ])
 def test_a_sampler_error_comes_after_the_reports_before_it(
@@ -333,6 +336,6 @@ def test_direction_scan_stops_drawing_at_a_sampler_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_direction_block", sampler)
     rc = cli.main(["direction", "--dim", "3", "--scan", str(2 * BLOCK), "--seed", "1"])
     assert rc == 3 and "synthetic failure" in capsys.readouterr().err
-    # the failing block is drawn again one item at a time, up to the failing item
-    assert calls == [*range(BLOCK + 6), *range(BLOCK, BLOCK + 6)]
+    # each block is drawn once, and nothing after the failing block
+    assert calls == [*range(BLOCK + 6)]
 

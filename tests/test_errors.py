@@ -1,8 +1,10 @@
-"""Tests for the one scalar-argument contract: integers and lengths.
+"""Tests for the one argument contract: integers, lengths and arrays.
 
 Every closed form takes its integers as operator.index does (numpy integers
 yes, 2.5, "3" and None no) and its lengths as finite numbers.Real >= 0; a
-bad argument is a one-line DomainError that names it.
+bad argument is a one-line DomainError that names it.  Every array argument
+is read by errors._array, so input numpy cannot read as numbers is a
+one-line DomainError too.
 """
 
 import numpy as np
@@ -15,12 +17,23 @@ from blochstrata import (
     antipode_of_boundary,
     boundary_state,
     build_basis,
+    check_density,
+    classify,
+    direction_report,
+    direction_reports,
+    directional_matrix,
     directional_matrix_of_boundary,
+    expand,
     extremal_spectra,
+    from_bloch,
+    harriman_checks,
     max_antipodal_length,
     maximally_mixed,
     state_along,
     stratum_radius,
+    stratum_report,
+    stratum_reports,
+    to_bloch,
 )
 
 
@@ -75,3 +88,34 @@ def test_numpy_integers_are_integers():
     assert np.array_equal(boundary_state(np.int32(3), np.int64(2)), boundary_state(3, 2))
     with pytest.raises(DomainError, match="rank must be in 1..3, got 4"):
         max_antipodal_length(np.int64(4), np.int64(4))
+
+
+@pytest.mark.parametrize("bad", [[[1, 0], [0]], {"re": 1}, "x", 10**400],
+                         ids=["ragged", "dict", "string", "huge-int"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        check_density,
+        classify,
+        stratum_report,
+        stratum_reports,
+        lambda x: to_bloch(build_basis(2), x),
+        lambda x: expand(build_basis(2), x),
+        lambda x: from_bloch(build_basis(2), x),
+        lambda x: directional_matrix(build_basis(2), x),
+        lambda x: direction_report(build_basis(2), x),
+        lambda x: direction_reports(build_basis(2), x),
+        lambda x: state_along(build_basis(2), x, 0.5),
+        lambda x: antipodal_state(build_basis(2), x, 0.5),
+        harriman_checks,
+    ],
+    ids=[
+        "check_density", "classify", "stratum_report", "stratum_reports", "to_bloch", "expand",
+        "from_bloch", "directional_matrix", "direction_report", "direction_reports",
+        "state_along", "antipodal_state", "harriman_checks",
+    ],
+)
+def test_arrays_numpy_cannot_read_are_domain_errors(call, bad):
+    with pytest.raises(DomainError, match=" are not numeric: ") as exc:
+        call(bad)
+    assert "\n" not in str(exc.value)

@@ -13,8 +13,11 @@ from blochstrata import (
     DomainError,
     NumericError,
     SamplerConfig,
+    StateKind,
+    StratumReport,
     boundary_state,
     build_basis,
+    classify,
     distance_to_max,
     expand,
     extremal_spectra,
@@ -129,6 +132,15 @@ def test_stratum_report_interior():
     rep = stratum_report(maximally_mixed(3))
     assert rep.zero_count == 0 and rep.radius == 0.0
     assert rep.satisfied
+
+
+def test_a_one_by_one_state_reports_as_the_gate_accepts_it():
+    # the 1 x 1 state [[1]] is the maximally mixed state of N = 1
+    assert classify(np.eye(1)).kind is StateKind.POSITIVE_INTERIOR
+    assert stratum_report(np.eye(1)) == StratumReport(
+        dim=1, zero_count=0, distance=0.0, radius=0.0, on_sphere=True, satisfied=True
+    )
+    assert distance_to_max(np.eye(1)) == 0.0
 
 
 def test_stratum_report_rejects_nonpositive():
@@ -263,11 +275,13 @@ def test_batched_harriman_checks_raise_for_the_first_failing_row():
     ok = [0.5, 0.5, 0.0]
     off_sum = [0.4, 0.4, 0.0]
     overflow = [1e200, -1e200, 1.0]
-    for rows, error in [
-        ([ok, overflow, ok, off_sum], NumericError),
-        ([ok, off_sum, ok, overflow], DomainError),
+    # the unit-sum check runs over every row before the overflow check
+    for rows, bad, error in [
+        ([ok, overflow, ok, off_sum], off_sum, DomainError),
+        ([ok, off_sum, ok, overflow], off_sum, DomainError),
+        ([ok, off_sum, ok, [0.3, 0.3, 0.0]], off_sum, DomainError),
+        ([ok, overflow, ok, [2e200, -2e200, 1.0]], overflow, NumericError),
     ]:
-        bad = next(r for r in rows if r is not ok)
         with pytest.raises(error) as one:
             harriman_check(bad)
         with pytest.raises(error) as batched:
