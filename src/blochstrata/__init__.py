@@ -6,6 +6,8 @@ admissible Bloch lengths, antipodal boundary states, and seedable
 Monte-Carlo samplers for verifying all of the above.
 """
 
+from types import ModuleType as _ModuleType
+
 from .antipode import (
     AntipodeReport,
     antipodal_family,
@@ -60,53 +62,8 @@ from .stratification import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntipodeReport",
-    "BasisSet",
-    "BlochGeometryError",
-    "DEFAULT_ZERO_TOL",
-    "DirectionReport",
-    "DomainError",
-    "HarrimanResult",
-    "NumericError",
-    "SamplerConfig",
-    "Spectrum",
-    "StateClass",
-    "StateKind",
-    "StratumReport",
-    "ValidationReport",
-    "Violation",
-    "antipodal_family",
-    "antipodal_state",
-    "antipode_of_boundary",
-    "boundary_state",
-    "build_basis",
-    "check_density",
-    "check_hermitian",
-    "classify",
-    "direction_report",
-    "direction_reports",
-    "directional_matrix",
-    "directional_matrix_of_boundary",
-    "distance_to_max",
-    "expand",
-    "extremal_spectra",
-    "from_bloch",
-    "harriman_check",
-    "harriman_checks",
-    "max_antipodal_length",
-    "maximally_mixed",
-    "purity",
-    "sample_bloch_in_ball",
-    "sample_direction",
-    "sample_state",
-    "sample_states",
-    "sample_unit_sum_tuple",
-    "spectrum",
-    "state_along",
-    "stratum_radius",
-    "stratum_report",
-    "stratum_reports",
-    "to_bloch",
-    "verify_basis",
-]
+# the public names are the ones imported above, listed once
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

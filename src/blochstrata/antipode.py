@@ -13,7 +13,7 @@ import numpy as np
 
 from .basis import BasisSet
 from .direction import directional_matrix_of_boundary, state_along
-from .errors import NumericError, _array, _integer, _real
+from .errors import NumericError, _array, _integer, _real, _zeros
 from .states import (
     DEFAULT_ZERO_TOL,
     UNIT_TRACE_TOL,
@@ -87,7 +87,7 @@ def antipodal_family(dim: int, rank: int, length: float) -> tuple[np.ndarray, St
     cap = max_antipodal_length(dim, rank)
     _real(length, "length")
     shrink = stratum_radius(dim, dim - rank)
-    diag = np.empty(dim)
+    diag = _zeros(dim, "antipodal state")
     diag[:rank] = 1.0 / dim - length * shrink
     diag[rank:] = 1.0 / dim + length * cap
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trace fails below

@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _array, _integer
+from .errors import DomainError, _array, _integer, _zeros
 
 ELEMENT_HERMITICITY_TOL = 1e-14
 ELEMENT_TRACE_TOL = 1e-14
@@ -91,10 +91,7 @@ def _gell_mann_tensor(n: int) -> np.ndarray:
     Written entry by entry from the definition, independently of the closed
     forms in _coordinates and _traceless_part, which the tests check against it.
     """
-    try:
-        mats = np.zeros((n * n - 1, n, n), dtype=complex)
-    except ValueError as exc:  # numpy refuses a size past the address space
-        raise NumericError(f"basis tensor of dimension {n}: {exc}") from exc
+    mats = _zeros((n * n - 1, n, n), f"basis tensor of dimension {n}", complex)
     inv_sqrt2 = 1.0 / sqrt(2.0)
     idx = 0
     for j in range(n):

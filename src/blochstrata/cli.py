@@ -13,11 +13,15 @@ import datetime
 import json
 import os
 import sys
+from dataclasses import astuple
+from itertools import repeat
+
+import numpy as np
 
 from . import __version__
 from .antipode import antipodal_family, antipode_of_boundary
 from .basis import build_basis
-from .direction import direction_report, direction_reports
+from .direction import _direction_columns, direction_report
 from .errors import DomainError, NumericError, _integer, _real
 from .sampling import (
     SamplerConfig,
@@ -32,19 +36,12 @@ from .serialize import (
     _CSV_BOOL,
     bloch_from_dict,
     bloch_to_dict,
-    format_float,
     load_json,
     matrix_from_dict,
     matrix_to_dict,
 )
 from .states import DEFAULT_ZERO_TOL, from_bloch, to_bloch
-from .stratification import (
-    StratumReport,
-    harriman_check,
-    harriman_checks,
-    stratum_report,
-    stratum_reports,
-)
+from .stratification import _harriman_columns, _stratum_columns, _tuple, stratum_report
 
 STRATA_HEADER = "N,p,distance,radius_p,on_sphere,satisfied"
 DIRECTION_HEADER = "N,mu_min,mu_max,max_length,cap_zero_count"
@@ -56,6 +53,9 @@ _STRATA_ROW = "%d,%d,%.17g,%.17g,%s,%s"
 _DIRECTION_ROW = "%d,%.17g,%.17g,%.17g,%d"
 _ANTIPODE_ROW = "%d,%d,%.17g,%s"
 _LEMMA_ROW = "%d,%.17g,%.17g,%.17g,%s"
+_BOOL_CELLS = np.array(_CSV_BOOL, dtype=object)
+# the JSON keys of the fields of a StratumReport, in order
+_STRATUM_KEYS = ("dim", "p", "distance", "radius_p", "on_sphere", "satisfied")
 
 
 def _timestamp() -> str:
@@ -96,23 +96,27 @@ def _emit_json(payload: dict, args: argparse.Namespace) -> None:
     _write(json.dumps(payload, indent=2) + "\n", args.out)
 
 
-def _csv_text(manifest: dict, header: str, rows, trailing_comments=()) -> str:
-    lines = ["# manifest " + json.dumps(manifest, separators=(",", ":"))]
-    lines.append(header)
-    lines.extend(rows)
-    lines.extend(trailing_comments)
-    return "\n".join(lines) + "\n"
+def _csv_text(manifest: dict, header: str, blocks) -> str:
+    """The manifest comment and the header, then blocks, each the text of whole lines."""
+    head = "# manifest " + json.dumps(manifest, separators=(",", ":"))
+    return "\n".join((head, header, "".join(blocks)))
 
 
-def _stratum_dict(report: StratumReport) -> dict:
-    return {
-        "dim": report.dim,
-        "p": report.zero_count,
-        "distance": report.distance,
-        "radius_p": report.radius,
-        "on_sphere": report.on_sphere,
-        "satisfied": report.satisfied,
-    }
+def _rows(template: str, *columns) -> str:
+    """The CSV lines of a block, one per item: template filled from the columns.
+
+    A column is an array with one cell per line (a bool array gives its
+    _CSV_BOOL text), or one value that every line repeats.  Each line is
+    its own small %: one % over a template repeated for the whole block was
+    no faster end to end, and its large buffers fragmented the heap of a
+    long-running process.
+    """
+    cells = [
+        (_BOOL_CELLS.take(c) if c.dtype == bool else c).tolist()
+        if isinstance(c, np.ndarray) else repeat(c)
+        for c in columns
+    ]
+    return "".join(map((template + "\n").__mod__, zip(*cells)))
 
 
 def _reject_ignored(args: argparse.Namespace, form: str, names) -> None:
@@ -122,50 +126,41 @@ def _reject_ignored(args: argparse.Namespace, form: str, names) -> None:
         raise DomainError(f"{form} does not take {', '.join(ignored)}")
 
 
-def _scan(count: int, draw_block, report_block, row_template: str, count_name="count"):
-    """CSV rows of a scan of count items, the one block loop of the CLI.
+def _scan(count: int, draw_block, block_text, count_name="count") -> list[str]:
+    """CSV text of a scan of count items, one string per block: the one block loop of the CLI.
 
     draw_block(indices) stacks the items of a block of indices (see
-    sampling._blocks), and report_block(stack) gives one tuple of
-    row_template values per item.  A negative count is a DomainError, raised
-    after the empty draw that checks the sampler's other arguments.
+    sampling._blocks), and block_text(stack) gives their lines.  A negative
+    count is a DomainError, raised after the empty draw that checks the
+    sampler's other arguments.
     """
-    rows = [row_template % v for stack in _blocks(count, draw_block) for v in report_block(stack)]
+    blocks = [block_text(stack) for stack in _blocks(count, draw_block)]
     _integer(count, count_name, 0)
-    return rows
+    return blocks
 
 
-def _stratum_values(reports) -> list[tuple]:
-    return [
-        (r.dim, r.zero_count, r.distance, r.radius, _CSV_BOOL[r.on_sphere], _CSV_BOOL[r.satisfied])
-        for r in reports
-    ]
+def _strata_rows(stack, zero_tol) -> str:
+    return _rows(_STRATA_ROW, *_stratum_columns(stack, zero_tol))
 
 
-def _harriman_values(size: int, res) -> tuple:
-    return (size, res.sum_of_squares, res.bound, res.slack, _CSV_BOOL[res.equality])
+def _lemma_rows(stack) -> str:
+    return _rows(_LEMMA_ROW, stack.shape[1], *_harriman_columns(stack))
 
 
 def cmd_basis(args: argparse.Namespace) -> None:
     b = build_basis(args.dim)
     manifest = _manifest(args)
+    # one row per element: the real and the imaginary part of each entry, row-major
+    cells = np.stack((b.elements.real, b.elements.imag), axis=-1).reshape(len(b), -1)
     if args.format == "json":
-        elements = [
-            [[float(z.real), float(z.imag)] for z in e.ravel()] for e in b.elements
-        ]
+        elements = cells.reshape(len(b), -1, 2).tolist()
         _emit_json({"manifest": manifest, "dim": b.dim, "elements": elements}, args)
         return
     header = "element," + ",".join(
         f"re_{r}_{c},im_{r}_{c}" for r in range(b.dim) for c in range(b.dim)
     )
-    rows = []
-    for j, e in enumerate(b.elements):
-        cells = [str(j)]
-        for z in e.ravel():
-            cells.append(format_float(float(z.real)))
-            cells.append(format_float(float(z.imag)))
-        rows.append(",".join(cells))
-    _write(_csv_text(manifest, header, rows), args.out)
+    rows = _rows("%d" + ",%.17g" * cells.shape[1], np.arange(len(b)), *cells.T)
+    _write(_csv_text(manifest, header, [rows]), args.out)
 
 
 def cmd_convert(args: argparse.Namespace) -> None:
@@ -186,32 +181,32 @@ def cmd_convert(args: argparse.Namespace) -> None:
 
 def cmd_classify(args: argparse.Namespace) -> None:
     m = matrix_from_dict(load_json(args.infile))
-    report = stratum_report(m, zero_tol=args.zero_tol)
     if args.format == "csv":
-        row = _STRATA_ROW % _stratum_values([report])[0]
-        _write(_csv_text(_manifest(args), STRATA_HEADER, [row]), args.out)
+        rows = _strata_rows(m[None], args.zero_tol)
+        _write(_csv_text(_manifest(args), STRATA_HEADER, [rows]), args.out)
         return
-    _emit_json({"manifest": _manifest(args), **_stratum_dict(report)}, args)
+    report = astuple(stratum_report(m, zero_tol=args.zero_tol))
+    _emit_json({"manifest": _manifest(args), **dict(zip(_STRATUM_KEYS, report))}, args)
 
 
 def cmd_strata_scan(args: argparse.Namespace) -> None:
     # rank 1 fits every dimension: this checks seed, dimension and count before the rank loop,
     # which a count of 0 skips, as no rank could add a row
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=1, count=args.count)
-    rows, comments = [], []
+    blocks, comments = [], []
     for rank in range(1, config.dim + 1) if config.count else ():
         ranked = SamplerConfig(seed=args.seed, dim=args.dim, rank=rank, count=args.count)
         least = []  # the least slack distance - radius of each block
 
-        def report_block(stack):
-            values = _stratum_values(stratum_reports(stack, zero_tol=args.zero_tol))
-            least.append(min(v[2] - v[3] for v in values))
-            return values
+        def block_text(stack):
+            n, zeros, distance, radius, *flags = _stratum_columns(stack, args.zero_tol)
+            least.append((distance - radius).min())
+            return _rows(_STRATA_ROW, n, zeros, distance, radius, *flags)
 
-        rows += _scan(args.count, lambda idx: _state_block(ranked, idx), report_block, _STRATA_ROW)
+        blocks += _scan(args.count, lambda idx: _state_block(ranked, idx), block_text)
         if least:
-            comments.append("# min_slack rank=%d %.17g" % (rank, min(least)))
-    _write(_csv_text(_manifest(args), STRATA_HEADER, rows, comments), args.out)
+            comments.append("# min_slack rank=%d %.17g\n" % (rank, min(least)))
+    _write(_csv_text(_manifest(args), STRATA_HEADER, blocks + comments), args.out)
 
 
 def _direction_dict(dim: int, report) -> dict:
@@ -241,17 +236,15 @@ def cmd_direction(args: argparse.Namespace) -> None:
     elif args.scan is None:
         v = sample_direction(args.seed, n * n - 1, 0)
     else:
-        rows = _scan(
-            args.scan,
-            lambda idx: _direction_block(args.seed, n * n - 1, idx),
-            lambda stack: [
-                (n, r.mu[-1], r.mu[0], r.max_length, r.cap_zero_count)
-                for r in direction_reports(basis, stack, zero_tol=args.zero_tol)
-            ],
-            _DIRECTION_ROW,
-            "--scan",
+
+        def block_text(stack):
+            _, mu, max_length, _, _, counts = _direction_columns(basis, stack, args.zero_tol)
+            return _rows(_DIRECTION_ROW, n, mu[:, -1], mu[:, 0], max_length, counts)
+
+        blocks = _scan(
+            args.scan, lambda idx: _direction_block(args.seed, n * n - 1, idx), block_text, "--scan"
         )
-        _write(_csv_text(manifest, DIRECTION_HEADER, rows), args.out)
+        _write(_csv_text(manifest, DIRECTION_HEADER, blocks), args.out)
         return
     report = direction_report(basis, v, zero_tol=args.zero_tol)
     _emit_json({"manifest": manifest, **_direction_dict(n, report)}, args)
@@ -268,7 +261,7 @@ def cmd_antipode(args: argparse.Namespace) -> None:
             for q in range(1, n):
                 rep = antipode_of_boundary(n, q)
                 values = (n, q, rep.max_antipodal_length, _CSV_BOOL[rep.matches_complement])
-                rows.append(_ANTIPODE_ROW % values)
+                rows.append(_ANTIPODE_ROW % values + "\n")
         _write(_csv_text(_manifest(args), ANTIPODE_HEADER, rows), args.out)
         return
     if args.dim is None or args.q is None:
@@ -300,22 +293,12 @@ def cmd_lemma(args: argparse.Namespace) -> None:
         if not isinstance(data, list) or not all(isinstance(t, list) for t in data):
             raise DomainError("tuple file must contain a JSON list of lists of reals")
         # tuples from a file may differ in length, so each is one check
-        rows = _scan(
-            len(data),
-            lambda idx: [data[i] for i in idx],
-            lambda tuples: [_harriman_values(len(t), harriman_check(t)) for t in tuples],
-            _LEMMA_ROW,
-        )
+        blocks = [_lemma_rows(_tuple(t)[None]) for t in data]
     else:
         if args.seed is None or args.count is None or args.size is None:
             raise DomainError("lemma requires --tuples FILE or --count K --size n --seed S")
-        rows = _scan(
-            args.count,
-            lambda idx: _tuple_block(args.seed, args.size, idx),
-            lambda stack: [_harriman_values(args.size, r) for r in harriman_checks(stack)],
-            _LEMMA_ROW,
-        )
-    _write(_csv_text(_manifest(args), LEMMA_HEADER, rows), args.out)
+        blocks = _scan(args.count, lambda idx: _tuple_block(args.seed, args.size, idx), _lemma_rows)
+    _write(_csv_text(_manifest(args), LEMMA_HEADER, blocks), args.out)
 
 
 def cmd_sample(args: argparse.Namespace) -> None:
@@ -325,13 +308,12 @@ def cmd_sample(args: argparse.Namespace) -> None:
         states = [matrix_to_dict(rho) for rho in sample_states(config)]
         _emit_json({"manifest": manifest, "states": states}, args)
         return
-    rows = _scan(
+    blocks = _scan(
         config.count,
         lambda idx: _state_block(config, idx),
-        lambda stack: _stratum_values(stratum_reports(stack, zero_tol=args.zero_tol)),
-        _STRATA_ROW,
+        lambda stack: _strata_rows(stack, args.zero_tol),
     )
-    _write(_csv_text(manifest, STRATA_HEADER, rows), args.out)
+    _write(_csv_text(manifest, STRATA_HEADER, blocks), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

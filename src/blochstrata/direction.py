@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from .basis import BasisSet
-from .errors import DomainError, _array, _integer, _real
+from .errors import DomainError, _array, _integer, _real, _zeros
 from .states import (
     DEFAULT_ZERO_TOL,
     StateClass,
@@ -107,25 +107,36 @@ def direction_reports(
 
 def _direction_reports(basis: BasisSet, directions, zero_tol) -> list[DirectionReport]:
     """direction_reports without the stack check, which would misname direction_report's input."""
-    v, t = _directional_matrices(basis, directions)
-    n = basis.dim
-    mu = hermitian_eigenvalues(t)[:, ::-1]
-    max_length = 1.0 / (n * np.abs(mu[:, -1]))
-    _, w, zeros = _spectra(maximally_mixed(n) + max_length[:, None, None] * t, zero_tol=zero_tol)
-    cap_zero_counts = np.count_nonzero(mu <= mu[:, -1:] + MU_CLUSTER_TOL, axis=1)
+    v, mu, max_length, smallest, zeros, counts = _direction_columns(basis, directions, zero_tol)
     return [
         DirectionReport(
             direction=row,
             mu=row_mu,
             max_length=length,
-            cap_state_class=_state_class(smallest, cap_zeros, zero_tol),
+            cap_state_class=_state_class(least, cap_zeros, zero_tol),
             cap_zero_count=count,
         )
-        for row, row_mu, length, smallest, cap_zeros, count in zip(
-            v, mu, max_length.tolist(), w[:, 0].tolist(), zeros.tolist(),
-            cap_zero_counts.tolist(),
+        for row, row_mu, length, least, cap_zeros, count in zip(
+            v, mu, max_length.tolist(), smallest.tolist(), zeros.tolist(), counts.tolist()
         )
     ]
+
+
+def _direction_columns(basis: BasisSet, directions, zero_tol):
+    """(directions, mu descending, max_length, the cap state's smallest eigenvalue
+    and zero count, cap_zero_count) of an (M, N**2 - 1) stack, one row per direction.
+
+    The cap states (1/N) I + max_length T_n go through the validation gate and
+    their own eigensolve: the evidence, independent of mu, that each is a
+    boundary state.
+    """
+    v, t = _directional_matrices(basis, directions)
+    n = basis.dim
+    mu = hermitian_eigenvalues(t)[:, ::-1]
+    max_length = 1.0 / (n * np.abs(mu[:, -1]))
+    _, w, zeros = _spectra(maximally_mixed(n) + max_length[:, None, None] * t, zero_tol=zero_tol)
+    counts = np.count_nonzero(mu <= mu[:, -1:] + MU_CLUSTER_TOL, axis=1)
+    return v, mu, max_length, w[:, 0], zeros, counts
 
 
 def extremal_spectra(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +165,7 @@ def directional_matrix_of_boundary(dim: int, rank: int) -> np.ndarray:
     diag(1/q, ..., 1/q, 0, ..., 0).
     """
     rank = _integer(rank, "rank", 1, _integer(dim, "dim", 2) - 1)
-    diag = np.empty(dim)
+    diag = _zeros(dim, "directional matrix")
     diag[:rank] = stratum_radius(dim, dim - rank)
     diag[rank:] = -stratum_radius(dim, rank)
     return np.diag(diag).astype(complex)

@@ -33,15 +33,27 @@ def _integer(value, name: str, low=None, high=None) -> int:
 
 
 def _real(value, name: str, positive: bool = False) -> None:
-    """DomainError unless value is a finite numbers.Real, > 0 if positive, else >= 0."""
+    """DomainError unless value is a numbers.Real in the float range, > 0 if positive, else >= 0."""
     if not isinstance(value, Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)  # an int such as 10**400 would pass the comparisons below
+    except OverflowError:
+        raise DomainError(f"{name} must be finite, got a number past the float range") from None
     if positive and not 0 < value < inf:
         raise DomainError(f"{name} must be positive and finite, got {value}")
     if not value >= 0:
         raise DomainError(f"{name} must be >= 0, got {value}")
     if value == inf:
         raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _zeros(shape, what: str, dtype=float) -> np.ndarray:
+    """np.zeros(shape, dtype); NumericError naming what if numpy refuses the size."""
+    try:
+        return np.zeros(shape, dtype)
+    except ValueError as exc:
+        raise NumericError(f"{what}: {exc}") from exc
 
 
 def _array(values, what: str, dtype=float) -> np.ndarray:

@@ -34,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _integer, _real
+from .errors import DomainError, NumericError, _integer, _real, _zeros
 
 _STATE_TAG = 0
 _DIRECTION_TAG = 1
@@ -159,10 +159,7 @@ def _draws(seed: int, prefix: tuple, indices, shape, uniform: bool = False):
     Row j of z is standard_normal(shape) of index j's generator, and u[j]
     the random() it draws next (uniform only).
     """
-    try:
-        z = np.empty((len(indices), *shape))
-    except ValueError as exc:  # numpy refuses a size past the address space
-        raise NumericError(f"draws of shape {shape}: {exc}") from exc
+    z = _zeros((len(indices), *shape), f"draws of shape {shape}")
     u = np.empty(len(indices)) if uniform else None
     for j, rng in enumerate(_substreams(seed, prefix, indices)):
         rng.standard_normal(out=z[j])

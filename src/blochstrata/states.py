@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import BasisSet, _traceless_part, expand
-from .errors import DomainError, NumericError, _array, _integer, _real
+from .errors import DomainError, NumericError, _array, _integer, _real, _zeros
 
 DEFAULT_ZERO_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -52,7 +52,10 @@ class Spectrum:
 
 def maximally_mixed(dim: int) -> np.ndarray:
     """The state (1/N) I, center of the state space."""
-    return np.eye(_integer(dim, "dim", 2), dtype=complex) / dim
+    dim = _integer(dim, "dim", 2)
+    eye = _zeros((dim, dim), "maximally mixed state", complex)
+    eye.flat[:: dim + 1] = 1.0  # np.eye, which raises numpy's own errors for a huge dim
+    return eye / dim
 
 
 def check_hermitian(matrix) -> np.ndarray:

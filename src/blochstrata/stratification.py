@@ -13,7 +13,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _array, _integer
+from .errors import DomainError, NumericError, _array, _integer, _zeros
 from .serialize import require_numbers
 from .states import DEFAULT_ZERO_TOL, _spectra
 
@@ -63,7 +63,7 @@ def boundary_state(dim: int, rank: int) -> np.ndarray:
     rank = N gives the maximally mixed state; rank = 1 a pure state.
     """
     rank = _integer(rank, "rank", 1, _integer(dim, "dim", 2))
-    diag = np.zeros(dim, dtype=complex)
+    diag = _zeros(dim, "boundary state", complex)
     diag[:rank] = 1.0 / rank
     return np.diag(diag)
 
@@ -74,11 +74,16 @@ def harriman_check(values) -> HarrimanResult:
     Equality holds iff every a_j equals 1/n; the slack sum(a_j^2) - 1/n is the
     sum of squared deviations from the uniform tuple.
     """
+    return harriman_checks(_tuple(values)[None])[0]
+
+
+def _tuple(values) -> np.ndarray:
+    """values as the nonempty 1-d float array that harriman_check takes, or DomainError."""
     a = _array(values, "tuple entries")
     if a.ndim != 1 or a.size < 1:
         raise DomainError(f"expected a nonempty 1-d tuple of reals, got shape {a.shape}")
     require_numbers(values, "tuple entries")
-    return harriman_checks(a[None])[0]
+    return a
 
 
 def harriman_checks(stack) -> list[HarrimanResult]:
@@ -92,6 +97,16 @@ def harriman_checks(stack) -> list[HarrimanResult]:
     a = _array(stack, "tuple entries")
     if a.ndim != 2 or not a.shape[1]:
         raise DomainError(f"expected an (M, n) stack of nonempty tuples, got shape {a.shape}")
+    sums_sq, bound, slack, equality = _harriman_columns(a)
+    return [
+        HarrimanResult(sum_of_squares=s, bound=bound, equality=eq, slack=d)
+        for s, d, eq in zip(sums_sq.tolist(), slack.tolist(), equality.tolist())
+    ]
+
+
+def _harriman_columns(a: np.ndarray):
+    """(sums of squares, bound 1/n, slack, equality) of an (M, n) float stack,
+    one array entry per tuple; the unit-sum and overflow checks of harriman_checks."""
     # a non-finite entry, or finite ones past the float range, make the sum
     # non-finite (inf - inf is NaN), which fails its test; a row that passes
     # it is finite, so only overflow makes its sum of squares non-finite
@@ -109,10 +124,8 @@ def harriman_checks(stack) -> list[HarrimanResult]:
         except FloatingPointError as exc:
             raise NumericError(f"sum of squares of this tuple is not finite: {exc}") from exc
     bound = 1.0 / a.shape[1]
-    return [
-        HarrimanResult(sum_of_squares=s, bound=bound, equality=slack <= EQUALITY_TOL, slack=slack)
-        for s, slack in zip(sums_sq.tolist(), (sums_sq - bound).tolist())
-    ]
+    slack = sums_sq - bound
+    return sums_sq, bound, slack, slack <= EQUALITY_TOL
 
 
 def _min_distance(dim: int, zero_count: int, zero_tol: float) -> float:
@@ -155,23 +168,33 @@ def stratum_reports(stack, zero_tol: float = DEFAULT_ZERO_TOL) -> list[StratumRe
 
 def _stratum_reports(stack, zero_tol) -> list[StratumReport]:
     """stratum_reports without the stack check, which would misname stratum_report's input."""
+    n, *columns = _stratum_columns(stack, zero_tol)
+    return [StratumReport(n, *row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def _stratum_columns(stack, zero_tol):
+    """(N, zero counts, distances, radii, on_sphere, satisfied) of an (M, N, N)
+    stack, one array entry per matrix: the fields of its stratum reports.
+
+    A zero count of N, which needs zero_tol >= 1/N, is a DomainError raised
+    after validation of the stack, at every N.
+    """
     m, _, zeros = _spectra(stack, zero_tol=zero_tol, psd=True)
     n = m.shape[-1]
     x = (m - np.eye(n) / n).reshape(len(m), 1, n * n)
     re, im = x.real, x.imag
     sq = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
-    zeros = zeros.tolist()
-    # one radius and one least distance per zero count present, looked up in item order
-    radius = {p: stratum_radius(n, p) if p else 0.0 for p in dict.fromkeys(zeros)}
-    least = {p: _min_distance(n, p, zero_tol) for p in radius}
-    return [
-        StratumReport(
-            dim=n,
-            zero_count=p,
-            distance=dist,
-            radius=radius[p],
-            on_sphere=abs(dist - radius[p]) <= ON_SPHERE_TOL,
-            satisfied=dist >= least[p] - ON_SPHERE_TOL,
-        )
-        for dist, p in zip(np.sqrt(sq).ravel().tolist(), zeros)
-    ]
+    distance = np.sqrt(sq).ravel()
+    # one radius and one least distance per zero count present, indexed by the count;
+    # p = 0 keeps radius 0 and least distance 0
+    radius, least = np.zeros(n), np.zeros(n)
+    for p in dict.fromkeys(zeros.tolist()):
+        if p == n:
+            raise DomainError(
+                f"zero_tol = {zero_tol!r} counts all {n} eigenvalues as zero; it must be below 1/N"
+            )
+        if p:
+            radius[p], least[p] = stratum_radius(n, p), _min_distance(n, p, zero_tol)
+    radius, least = radius[zeros], least[zeros]
+    on_sphere = np.abs(distance - radius) <= ON_SPHERE_TOL
+    return n, zeros, distance, radius, on_sphere, distance >= least - ON_SPHERE_TOL

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import blochstrata.cli as cli
+import blochstrata.direction as direction
 import blochstrata.sampling as sampling
+import blochstrata.states as states
 from blochstrata import (
     DomainError,
     NumericError,
@@ -30,13 +32,16 @@ from blochstrata import (
     directional_matrix_of_boundary,
     distance_to_max,
     expand,
+    harriman_checks,
     sample_direction,
     sample_state,
+    sample_unit_sum_tuple,
     spectrum,
     stratum_report,
     stratum_reports,
     to_bloch,
 )
+from blochstrata.serialize import _CSV_BOOL
 
 ZERO_TOL = 1e-9
 BLOCK = sampling.SCAN_BLOCK
@@ -339,3 +344,85 @@ def test_direction_scan_stops_drawing_at_a_sampler_error(monkeypatch, capsys):
     # each block is drawn once, and nothing after the failing block
     assert calls == [*range(BLOCK + 6)]
 
+
+
+# The scans format a block from the columns of its reports; these tests check
+# each CSV row against the same template filled from the report dataclasses.
+
+
+def scan_lines(args, capsys):
+    """The lines after the header of a CLI scan's CSV output."""
+    assert cli.main(args) == 0
+    return capsys.readouterr().out.splitlines()[2:]
+
+
+def stratum_report_row(r):
+    flags = _CSV_BOOL[r.on_sphere], _CSV_BOOL[r.satisfied]
+    return cli._STRATA_ROW % (r.dim, r.zero_count, r.distance, r.radius, *flags)
+
+
+@pytest.mark.parametrize("zero_tol", [ZERO_TOL, 0.05])
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_strata_rows_are_the_stratum_reports(dim, zero_tol, monkeypatch, capsys):
+    stack = rank_deficient_stack(dim)  # full-rank and rank-k < N states
+    reports = stratum_reports(stack, zero_tol)
+    assert {r.zero_count for r in reports} == set(range(dim))
+    rows = [stratum_report_row(r) for r in reports]
+    slack = min(r.distance - r.radius for r in reports)
+    monkeypatch.setattr(cli, "_state_block", lambda config, idx: stack[list(idx)])
+    args = ["--dim", str(dim), "--count", str(len(stack)), "--seed", "1"]
+    args += ["--zero-tol", repr(zero_tol)]
+    # every rank draws the same stack here, and notes its least slack
+    comments = ["# min_slack rank=%d %.17g" % (rank, slack) for rank in range(1, dim + 1)]
+    assert scan_lines(["strata-scan", *args], capsys) == rows * dim + comments
+    assert scan_lines(["sample", *args, "--rank", "1", "--format", "csv"], capsys) == rows
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_direction_rows_are_the_direction_reports(dim, monkeypatch, capsys):
+    basis = build_basis(dim)
+    # sampled directions, and the degenerate directions of every R(q), both signs
+    rows = [sample_direction(dim, dim * dim - 1, i) for i in range(20)]
+    for q in range(1, dim):
+        v = expand(basis, directional_matrix_of_boundary(dim, q))
+        rows += [v, -v]
+    directions = np.stack(rows)
+    reports = direction_reports(basis, directions, ZERO_TOL)
+    assert {r.cap_zero_count for r in reports} == set(range(1, dim))
+    monkeypatch.setattr(cli, "_direction_block", lambda seed, d, idx: directions[list(idx)])
+    args = ["direction", "--dim", str(dim), "--scan", str(len(directions)), "--seed", "1"]
+    assert scan_lines(args, capsys) == [
+        cli._DIRECTION_ROW % (dim, r.mu[-1], r.mu[0], r.max_length, r.cap_zero_count)
+        for r in reports
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_lemma_rows_are_the_harriman_checks(size, monkeypatch, capsys):
+    tuples = [sample_unit_sum_tuple(size, size, i) for i in range(30)]
+    stack = np.stack(tuples + [np.full(size, 1.0 / size)])
+    results = harriman_checks(stack)
+    assert results[-1].equality  # the uniform tuple
+    monkeypatch.setattr(cli, "_tuple_block", lambda seed, n, idx: stack[list(idx)])
+    args = ["lemma", "--count", str(len(stack)), "--size", str(size), "--seed", "1"]
+    assert scan_lines(args, capsys) == [
+        cli._LEMMA_ROW % (size, r.sum_of_squares, r.bound, r.slack, _CSV_BOOL[r.equality])
+        for r in results
+    ]
+
+
+def test_a_direction_scan_solves_the_mu_and_the_cap_spectra_of_each_block(monkeypatch, capsys):
+    # the cap state's own eigensolve is the scan's evidence that it is a boundary state
+    sizes = []
+    solve = states.hermitian_eigenvalues
+
+    def counted(m):
+        sizes.append(len(m))
+        return solve(m)
+
+    monkeypatch.setattr(states, "hermitian_eigenvalues", counted)
+    monkeypatch.setattr(direction, "hermitian_eigenvalues", counted)
+    count = 2 * BLOCK + 3
+    args = ["direction", "--dim", "3", "--scan", str(count), "--seed", "1"]
+    assert len(scan_lines(args, capsys)) == count
+    assert sizes == [BLOCK, BLOCK, BLOCK, BLOCK, 3, 3]

@@ -103,6 +103,17 @@ def test_classify_csv_format(tmp_path, capsys):
     assert lines[2].startswith("3,1,") and lines[2].endswith(",true,true")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_classify_with_every_eigenvalue_zero_is_one_error_line(dim, fmt, tmp_path, capsys):
+    matrix_file = write_matrix(tmp_path / "center.json", np.eye(dim) / dim)
+    args = ["classify", "--in", matrix_file, "--format", fmt, "--zero-tol", repr(1.0 / dim)]
+    rc, out, err = run(args, capsys)
+    assert (rc, out) == (2, "")
+    message = f"zero_tol = {1.0 / dim!r} counts all {dim} eigenvalues as zero; it must be below 1/N"
+    assert err == f"error: {message}\n"
+
+
 def test_classify_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -12,6 +12,7 @@ import pytest
 
 from blochstrata import (
     DomainError,
+    NumericError,
     antipodal_family,
     antipodal_state,
     antipode_of_boundary,
@@ -29,6 +30,7 @@ from blochstrata import (
     harriman_checks,
     max_antipodal_length,
     maximally_mixed,
+    sample_bloch_in_ball,
     state_along,
     stratum_radius,
     stratum_report,
@@ -81,6 +83,47 @@ def test_non_integer_arguments_are_domain_errors(call, name, bad):
 )
 def test_non_real_lengths_are_domain_errors(call, bad):
     _raises_naming(lambda: call(bad), "length")
+
+
+_HUGE = 10**400  # an int past the float range
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: state_along(build_basis(3), np.eye(8)[0], _HUGE), "length"),
+        (lambda: antipodal_state(build_basis(3), np.eye(8)[0], _HUGE), "length"),
+        (lambda: antipodal_family(3, 1, _HUGE), "length"),
+        (lambda: sample_bloch_in_ball(1, 3, _HUGE, 0), "radius"),
+        (lambda: stratum_report(np.eye(2) / 2, zero_tol=_HUGE), "zero_tol"),
+        (lambda: classify(np.eye(2) / 2, zero_tol=_HUGE), "zero_tol"),
+    ],
+    ids=["state_along", "antipodal_state", "antipodal_family", "sample_bloch_in_ball",
+         "stratum_report", "classify"],
+)
+def test_reals_past_the_float_range_are_domain_errors(call, name):
+    message = f"^{name} must be finite, got a number past the float range$"
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: maximally_mixed(_HUGE),
+        lambda: antipode_of_boundary(_HUGE, 1),
+        lambda: boundary_state(_HUGE, 1),
+        lambda: directional_matrix_of_boundary(_HUGE, 1),
+        lambda: antipodal_family(_HUGE, 1, 0.1),
+    ],
+    ids=["maximally_mixed", "antipode_of_boundary", "boundary_state",
+         "directional_matrix_of_boundary", "antipodal_family"],
+)
+def test_dimensions_numpy_cannot_allocate_are_numeric_errors(call):
+    # numpy refuses the size before it allocates anything
+    with pytest.raises(NumericError, match="Maximum allowed dimension exceeded$") as exc:
+        call()
+    assert "\n" not in str(exc.value)
 
 
 def test_numpy_integers_are_integers():

@@ -29,6 +29,7 @@ from blochstrata import (
     spectrum,
     stratum_radius,
     stratum_report,
+    stratum_reports,
 )
 
 
@@ -141,6 +142,21 @@ def test_a_one_by_one_state_reports_as_the_gate_accepts_it():
         dim=1, zero_count=0, distance=0.0, radius=0.0, on_sphere=True, satisfied=True
     )
     assert distance_to_max(np.eye(1)) == 0.0
+
+
+def zero_count_n_message(dim):
+    return f"zero_tol = {1.0 / dim!r} counts all {dim} eigenvalues as zero; it must be below 1/N"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_a_zero_count_of_n_is_one_error_naming_zero_tol(dim):
+    # every eigenvalue of (1/N) I is 1/N, so zero_tol = 1/N counts all N of them
+    center = np.eye(dim) / dim
+    with pytest.raises(DomainError) as one:
+        stratum_report(center, zero_tol=1.0 / dim)
+    with pytest.raises(DomainError) as stack:
+        stratum_reports(np.stack([center, center]), zero_tol=1.0 / dim)
+    assert str(one.value) == str(stack.value) == zero_count_n_message(dim)
 
 
 def test_stratum_report_rejects_nonpositive():
