@@ -60,10 +60,16 @@ _STRATUM_KEYS = ("dim", "p", "distance", "radius_p", "on_sphere", "satisfied")
 
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc)
-    else:
+    if epoch is None:
         moment = datetime.datetime.now(datetime.timezone.utc)
+    else:
+        try:  # not an integer, or past the platform's time_t or datetime's years
+            moment = datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc)
+        except (ValueError, OverflowError, OSError):
+            raise DomainError(
+                f"SOURCE_DATE_EPOCH must be integer seconds since 1970 in the date range, "
+                f"got {epoch!r}"
+            ) from None
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 

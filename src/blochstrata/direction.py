@@ -150,11 +150,11 @@ def extremal_spectra(dim: int) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues.  Both profiles sum to 0 with squares summing to 1.
     """
     dim = _integer(dim, "dim", 2)
-    big = sqrt((dim - 1) / dim)
-    small = 1.0 / sqrt(dim * (dim - 1))
-    top_heavy = np.array([big] + [-small] * (dim - 1))
-    bottom_heavy = np.array([small] * (dim - 1) + [-big])
-    return top_heavy, bottom_heavy
+    # allocated first, so a dimension numpy refuses fails there, not in sqrt
+    top_heavy = _zeros(dim, "eigenvalue profile")
+    top_heavy[0] = sqrt((dim - 1) / dim)
+    top_heavy[1:] = -1.0 / sqrt(dim * (dim - 1))
+    return top_heavy, -top_heavy[::-1]
 
 
 def directional_matrix_of_boundary(dim: int, rank: int) -> np.ndarray:

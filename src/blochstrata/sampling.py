@@ -10,17 +10,18 @@ Index i of a sampler draws from
 Such a Philox is fully described by its 2 x 64-bit key, with its counter at
 0 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 No draw builds that generator: :func:`_keys` derives the keys of a whole
-block at once, and :func:`_substreams` resets one Philox per thread to each
-key in turn through its ``state`` dict, for the first draws and for the
-redraws of a degenerate draw alike.  The keys of indices below 2**32 come
-from numpy's SeedSequence pool of (seed, tag, *shape) and a copy of its
-last-word and output hash steps over an array of indices; a larger index,
-whose spawn key has more words, takes SeedSequence itself.  The scalar
-samplers are one-item calls of the block forms.  So the streams rely on
-``SeedSequence.pool``, the constants of its hash and the ``Philox.state``
-layout; ``tests/test_sampling.py`` compares the keys with SeedSequence and
-every block form with generators built the per-index way, so a change of
-any of them fails there rather than changing a stream.
+block at once, and :func:`_draws` resets one Philox per thread to each key
+in turn through its ``state`` dict.  Each index is drawn once: a degenerate
+draw, of probability zero, is a NumericError, not redrawn.  The keys of
+indices below 2**32 come from numpy's SeedSequence pool of (seed, tag,
+*shape) and a copy of its last-word and output hash steps over an array of
+indices; a larger index, whose spawn key has more words, takes
+SeedSequence itself.  The scalar samplers are one-item calls of the block
+forms.  So the streams rely on ``SeedSequence.pool``, the constants of its
+hash and the ``Philox.state`` layout; ``tests/test_sampling.py`` compares
+the keys with SeedSequence and every block form with generators built the
+per-index way, so a change of any of them fails there rather than changing
+a stream.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ _DIRECTION_TAG = 1
 _BALL_TAG = 2
 _TUPLE_TAG = 3
 
-_MAX_REDRAWS = 8
 _MIN_GAUSSIAN_NORM = 1e-150  # a Gaussian draw this short has no usable direction
 _MAX_SEED = 2**64 - 1
 
@@ -120,20 +120,22 @@ def _keys(seed: int, prefix, indices) -> np.ndarray:
 
 
 # One reusable Generator per thread: building a Philox costs more than a
-# whole block draw per index, and _substreams resets its state before each
-# draw, so nothing carries over between calls.  Reset and draw are two
-# steps, so threads must not share it.
+# whole block draw per index, and _draws resets its state before each
+# index's draw, so nothing carries over between calls.  Reset and draw are
+# two steps, so threads must not share it.
 _local = threading.local()
 
 
-def _substreams(seed: int, prefix: tuple, indices):
-    """The thread's Generator at the start of each index's substream in turn.
+def _draws(seed: int, prefix: tuple, indices, shape, uniform: bool = False):
+    """First draws of each index's substream: (z, u).
 
-    Before each yield one Philox is reset to the index's key with counter 0
-    and an empty buffer, the state of a fresh
-    Philox(SeedSequence(entropy=seed, spawn_key=(*prefix, i))); each yield
-    is good until the next is taken.
+    Row j of z is standard_normal(shape) of index j's generator, and u[j]
+    the random() it draws next (uniform only).  Before index i draws, the
+    thread's Philox is reset to i's key with counter 0 and an empty buffer:
+    the state of a fresh Philox(SeedSequence(entropy=seed, spawn_key=(*prefix, i))).
     """
+    z = _zeros((len(indices), *shape), f"draws of shape {shape}")
+    u = np.empty(len(indices)) if uniform else None
     rng = getattr(_local, "rng", None)
     if rng is None:
         rng = _local.rng = np.random.Generator(np.random.Philox(0))
@@ -147,53 +149,25 @@ def _substreams(seed: int, prefix: tuple, indices):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for key in _keys(seed, prefix, indices).tolist():
+    for j, key in enumerate(_keys(seed, prefix, indices).tolist()):
         inner["key"] = key
         bitgen.state = state
-        yield rng
-
-
-def _draws(seed: int, prefix: tuple, indices, shape, uniform: bool = False):
-    """First draws of each index's substream: (z, u).
-
-    Row j of z is standard_normal(shape) of index j's generator, and u[j]
-    the random() it draws next (uniform only).
-    """
-    z = _zeros((len(indices), *shape), f"draws of shape {shape}")
-    u = np.empty(len(indices)) if uniform else None
-    for j, rng in enumerate(_substreams(seed, prefix, indices)):
         rng.standard_normal(out=z[j])
         if uniform:
             u[j] = rng.random()
     return z, u
 
 
-def _redraw(seed, prefix, indices, z, u, values, measure, floor, kind) -> bool:
-    """Redraw each row of z whose values entry is not above floor; True if any was.
+def _degenerate(seed: int, indices, values: np.ndarray, floor: float, kind: str) -> None:
+    """NumericError naming the first index whose values entry is not above floor.
 
-    values holds measure(z) row by row.  A degenerate first draw, of
-    probability zero, is drawn again from its index's own substream, from
-    the first attempt on, until measure passes, or NumericError after
-    _MAX_REDRAWS attempts; the uniform u, if any, is drawn after the draw
-    that passes.  z, u and values are updated in place.
+    Called before values divides the draws, so no NaN passes.  Only a draw
+    whose Gaussian entries are all 0.0 falls this short, an event of
+    probability zero.
     """
-    rows = [j for j, x in enumerate(values.tolist()) if not x > floor]
-    if not rows:
-        return False
-    for j, rng in zip(rows, _substreams(seed, prefix, [indices[j] for j in rows])):
-        for _ in range(_MAX_REDRAWS):
-            z[j] = rng.standard_normal(z.shape[1:])
-            values[j] = measure(z[j : j + 1])[0]
-            if values[j] > floor:
-                break
-        else:
-            raise NumericError(
-                f"degenerate {kind} draw persisted for {_MAX_REDRAWS} attempts "
-                f"(seed={seed}, index={indices[j]})"
-            )
-        if u is not None:
-            u[j] = rng.random()
-    return True
+    rows = np.flatnonzero(~(values > floor))
+    if rows.size:
+        raise NumericError(f"degenerate {kind} draw (seed={seed}, index={indices[rows[0]]})")
 
 
 def _norms(z: np.ndarray) -> np.ndarray:
@@ -255,14 +229,10 @@ def _state_block(config: SamplerConfig, indices) -> np.ndarray:
     indices = _index_list(config.seed, indices)
     # the ints _integer checked: SeedSequence takes no bool in a spawn key
     n, k = operator.index(config.dim), operator.index(config.rank)
-    prefix = (_STATE_TAG, n, k)
-    z, _ = _draws(config.seed, prefix, indices, (2, n, k))
+    z, _ = _draws(config.seed, (_STATE_TAG, n, k), indices, (2, n, k))
     h = _gram(z)
     tr = _trace(h)
-    if _redraw(
-        config.seed, prefix, indices, z, None, tr, lambda z: _trace(_gram(z)), 1e-300, "Ginibre"
-    ):
-        h = _gram(z)
+    _degenerate(config.seed, indices, tr, 1e-300, "Ginibre")
     return h / tr[:, None, None]
 
 
@@ -271,8 +241,7 @@ def sample_state(config: SamplerConfig, index: int) -> np.ndarray:
 
     Draws an N x k matrix G of standard complex Gaussians, (x + iy)/sqrt(2),
     and returns G G^H / Tr{G G^H}.  The result has rank k almost surely;
-    the probability-zero degenerate draw G = 0 is redrawn a bounded number
-    of times.
+    the probability-zero degenerate draw G = 0 is a NumericError.
     """
     return _state_block(config, [index])[0]
 
@@ -291,10 +260,9 @@ def _direction_block(seed: int, num_coords: int, indices) -> np.ndarray:
     """(M, num_coords) stack of sample_direction(seed, num_coords, i), bit for bit."""
     indices = _index_list(seed, indices)
     num_coords = _integer(num_coords, "num_coords", 3)
-    prefix = (_DIRECTION_TAG, num_coords)
-    z, _ = _draws(seed, prefix, indices, (num_coords,))
+    z, _ = _draws(seed, (_DIRECTION_TAG, num_coords), indices, (num_coords,))
     norm = _norms(z)
-    _redraw(seed, prefix, indices, z, None, norm, _norms, _MIN_GAUSSIAN_NORM, "direction")
+    _degenerate(seed, indices, norm, _MIN_GAUSSIAN_NORM, "direction")
     return z / norm[:, None]
 
 
@@ -308,10 +276,9 @@ def _ball_block(seed: int, num_coords: int, radius: float, indices) -> np.ndarra
     _real(radius, "radius", positive=True)
     indices = _index_list(seed, indices)
     num_coords = _integer(num_coords, "num_coords", 1)
-    prefix = (_BALL_TAG, num_coords)
-    z, u = _draws(seed, prefix, indices, (num_coords,), uniform=True)
+    z, u = _draws(seed, (_BALL_TAG, num_coords), indices, (num_coords,), uniform=True)
     norm = _norms(z)
-    _redraw(seed, prefix, indices, z, u, norm, _norms, _MIN_GAUSSIAN_NORM, "ball")
+    _degenerate(seed, indices, norm, _MIN_GAUSSIAN_NORM, "ball")
     # the power in Python floats, as sample_bloch_in_ball of v0.1.0 takes it
     lengths = np.array([radius * x ** (1.0 / num_coords) for x in u.tolist()])
     return z * (lengths / norm)[:, None]

@@ -116,13 +116,8 @@ def _harriman_columns(a: np.ndarray):
     off = np.flatnonzero(~(np.abs(totals - 1.0) <= UNIT_SUM_TOL))
     if off.size:
         raise DomainError(f"tuple must sum to 1, got {float(totals[off[0]])!r}")
-    over = np.flatnonzero(~np.isfinite(sums_sq))
-    if over.size:
-        try:  # the one-tuple product again, for numpy's own overflow message
-            with np.errstate(over="raise"):
-                a[over[0]] @ a[over[0]]
-        except FloatingPointError as exc:
-            raise NumericError(f"sum of squares of this tuple is not finite: {exc}") from exc
+    if not np.isfinite(sums_sq).all():
+        raise NumericError("sum of squares of this tuple is not finite")
     bound = 1.0 / a.shape[1]
     slack = sums_sq - bound
     return sums_sq, bound, slack, slack <= EQUALITY_TOL

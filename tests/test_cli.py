@@ -723,6 +723,18 @@ def test_scan_reproducibility_bytes(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999999999"])
+def test_a_malformed_source_date_epoch_is_a_domain_error(epoch, capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    rc, out, err = run(["basis", "--dim", "2"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: SOURCE_DATE_EPOCH must be integer seconds since 1970 in the date range, "
+        f"got {epoch!r}\n"
+    )
+
+
 def test_scan_data_reproducible_without_pinned_timestamp(tmp_path, monkeypatch):
     monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
     a = tmp_path / "a.csv"

@@ -115,9 +115,10 @@ def test_reals_past_the_float_range_are_domain_errors(call, name):
         lambda: boundary_state(_HUGE, 1),
         lambda: directional_matrix_of_boundary(_HUGE, 1),
         lambda: antipodal_family(_HUGE, 1, 0.1),
+        lambda: extremal_spectra(_HUGE),
     ],
     ids=["maximally_mixed", "antipode_of_boundary", "boundary_state",
-         "directional_matrix_of_boundary", "antipodal_family"],
+         "directional_matrix_of_boundary", "antipodal_family", "extremal_spectra"],
 )
 def test_dimensions_numpy_cannot_allocate_are_numeric_errors(call):
     # numpy refuses the size before it allocates anything

@@ -169,51 +169,39 @@ def test_sampler_validation():
         sample_state(config, -1)
 
 
-def _zero_first_draws(seed, prefix, indices, shape, uniform=False):
-    """Stands in for the keyed block draw: every first draw is degenerate (zero)."""
-    return np.zeros((len(indices), *shape)), np.zeros(len(indices)) if uniform else None
+def _draws_filled_with(monkeypatch, value, u=None):
+    """Wraps the keyed block draw so every Gaussian entry is value (and u, if given)."""
+    draws = sampling._draws
+    calls = []
 
+    def filled(seed, prefix, indices, shape, uniform=False):
+        calls.append(list(indices))
+        z, drawn_u = draws(seed, prefix, indices, shape, uniform)
+        z[...] = value
+        if u is not None and drawn_u is not None:
+            drawn_u[...] = u
+        return z, drawn_u
 
-class _ZeroRng:
-    """Stands in for a generator whose every Gaussian draw is degenerate."""
-
-    def __init__(self):
-        self.draws = 0
-
-    def standard_normal(self, shape=None, out=None):
-        self.draws += 1
-        if out is None:
-            return np.zeros(shape)
-        out[...] = 0.0
-
-    def random(self):
-        return 0.5
+    monkeypatch.setattr(sampling, "_draws", filled)
+    return calls
 
 
 @pytest.mark.parametrize(
-    "draw",
+    "draw,kind",
     [
-        lambda: sample_state(SamplerConfig(seed=1, dim=3, rank=2, count=1), 0),
-        lambda: sample_direction(1, 8, 0),
-        lambda: sample_bloch_in_ball(1, 8, 0.5, 0),
+        (lambda: sample_state(SamplerConfig(seed=1, dim=3, rank=2, count=1), 0), "Ginibre"),
+        (lambda: sample_direction(1, 8, 0), "direction"),
+        (lambda: sample_bloch_in_ball(1, 8, 0.5, 0), "ball"),
     ],
     ids=["state", "direction", "ball"],
 )
-def test_degenerate_draws_give_up_after_max_redraws(draw, monkeypatch):
-    rng = _ZeroRng()
-    monkeypatch.setattr(sampling, "_draws", _zero_first_draws)
-    monkeypatch.setattr(sampling, "_substreams", lambda seed, prefix, indices: (rng for _ in indices))
-    with pytest.raises(NumericError, match="degenerate"):
+def test_degenerate_draws_give_up_after_max_redraws(draw, kind, monkeypatch):
+    # an all-zero draw is a NumericError at once: each index is drawn once
+    calls = _draws_filled_with(monkeypatch, 0.0)
+    with pytest.raises(NumericError) as exc:
         draw()
-    assert rng.draws == sampling._MAX_REDRAWS
-
-
-class _TinyThenOnesRng(_ZeroRng):
-    """A generator whose first Gaussian draw is too short to normalize."""
-
-    def standard_normal(self, shape):
-        self.draws += 1
-        return np.full(shape, 1e-151 if self.draws == 1 else 1.0)
+    assert str(exc.value) == f"degenerate {kind} draw (seed=1, index=0)"
+    assert calls == [[0]]
 
 
 @pytest.mark.parametrize(
@@ -225,11 +213,14 @@ class _TinyThenOnesRng(_ZeroRng):
     ids=["direction", "ball"],
 )
 def test_a_too_short_gaussian_draw_is_redrawn(draw, expected, monkeypatch):
-    rng = _TinyThenOnesRng()
-    monkeypatch.setattr(sampling, "_draws", _zero_first_draws)
-    monkeypatch.setattr(sampling, "_substreams", lambda seed, prefix, indices: (rng for _ in indices))
+    # entries of 1e-151 have norm 2e-151, below _MIN_GAUSSIAN_NORM: not redrawn, a NumericError
+    calls = _draws_filled_with(monkeypatch, 1e-151, u=0.5)
+    with pytest.raises(NumericError, match=r"degenerate \w+ draw \(seed=1, index=0\)"):
+        draw()
+    assert calls == [[0]]
+    # entries of 1e-149 have norm 2e-149, above it: normalized like any draw
+    _draws_filled_with(monkeypatch, 1e-149, u=0.5)
     np.testing.assert_allclose(draw(), expected, rtol=1e-15)
-    assert rng.draws == 2
 
 
 def test_every_sampler_words_seed_and_index_errors_alike():
@@ -339,30 +330,30 @@ def test_block_draws_equal_generators_built_per_index(seed, name):
         assert block(seed, indices).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("name", ["state", "state-pure", "direction", "ball"])
-def test_a_degenerate_draw_mid_block_is_redrawn_from_its_own_generator(name, monkeypatch):
-    block, reference = SAMPLERS[name]
+def _zero_row_of(monkeypatch, index):
+    """Wraps the keyed block draw so the Gaussian draw of index is all zero."""
     draws = sampling._draws
-    redrawn = []
+    calls = []
 
-    def zero_row_5(seed, prefix, indices, shape, uniform=False):
+    def zero_row(seed, prefix, indices, shape, uniform=False):
+        calls.append(list(indices))
         z, u = draws(seed, prefix, indices, shape, uniform)
-        z[5] = 0.0
-        # the redraws that follow take their substreams through here
-        monkeypatch.setattr(sampling, "_substreams", redraw_substreams)
+        if index in indices:
+            z[list(indices).index(index)] = 0.0
         return z, u
 
-    substreams = sampling._substreams
+    monkeypatch.setattr(sampling, "_draws", zero_row)
+    return calls
 
-    def redraw_substreams(seed, prefix, indices):
-        redrawn.extend(indices)
-        return substreams(seed, prefix, indices)
 
-    monkeypatch.setattr(sampling, "_draws", zero_row_5)
-    indices = range(100, 112)
-    expected = np.stack([reference(7, i) for i in indices])
-    assert block(7, indices).tobytes() == expected.tobytes()
-    assert redrawn == [105]
+@pytest.mark.parametrize("name", ["state", "state-pure", "direction", "ball"])
+def test_a_degenerate_draw_mid_block_is_redrawn_from_its_own_generator(name, monkeypatch):
+    # a zero draw mid-block fails the block, naming its index, and is not drawn again
+    block, _ = SAMPLERS[name]
+    calls = _zero_row_of(monkeypatch, 105)
+    with pytest.raises(NumericError, match=r"degenerate \w+ draw \(seed=7, index=105\)$"):
+        block(7, range(100, 112))
+    assert calls == [list(range(100, 112))]
 
 
 def test_blocks_report_the_draws_before_a_failing_one_first():
@@ -384,13 +375,7 @@ def test_state_stream_yields_the_states_before_a_failing_draw(monkeypatch):
     config = SamplerConfig(seed=3, dim=3, rank=2, count=2 * sampling.SCAN_BLOCK)
     expected = list(sample_states(config))
     fail_at = sampling.SCAN_BLOCK + 40
-    substreams = sampling._substreams
-
-    def zero_at_fail_at(seed, prefix, indices):
-        for i, rng in zip(indices, substreams(seed, prefix, indices)):
-            yield _ZeroRng() if i == fail_at else rng
-
-    monkeypatch.setattr(sampling, "_substreams", zero_at_fail_at)
+    _zero_row_of(monkeypatch, fail_at)
     got = []
     with pytest.raises(NumericError, match=f"index={fail_at}"):
         for rho in sample_states(config):
