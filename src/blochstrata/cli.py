@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import astuple
@@ -93,13 +95,39 @@ def _manifest(args: argparse.Namespace) -> dict:
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    try:  # a missing directory, a directory, no permission: nothing is written
+        fh = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc}") from exc
+    with fh:
+        fh.write(text)
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte; pad is the newline and indent of value's line.
+
+    With indent set, json.dumps takes its pure-Python encoder (CPython < 3.14).
+    Here a dict of str keys and a non-empty list or tuple are written item by
+    item, a list of finite floats with one join of float.__repr__ (what json
+    writes for a float), and every other value by json.dumps itself.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        items = (json.dumps(key) + ": " + _json_text(item, inner) for key, item in value.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        else:
+            items = (_json_text(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    # a scalar, an empty container or non-str keys; a non-finite float is NaN or Infinity
+    return json.dumps(value, indent=2).replace("\n", pad)
 
 
 def _emit_json(payload: dict, args: argparse.Namespace) -> None:
-    _write(json.dumps(payload, indent=2) + "\n", args.out)
+    _write(_json_text(payload) + "\n", args.out)
 
 
 def _csv_text(manifest: dict, header: str, blocks) -> str:
@@ -322,7 +350,14 @@ def cmd_sample(args: argparse.Namespace) -> None:
     _write(_csv_text(manifest, STRATA_HEADER, blocks), args.out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    parse_args leaves the parser as it was, and no argument has a mutable
+    default.  Each subcommand's handler is bound when the parser is built, so
+    patching a cmd_* function after the first main call has no effect.
+    """
     parser = argparse.ArgumentParser(
         prog="blochstrata",
         description=(

@@ -49,10 +49,10 @@ def _real(value, name: str, positive: bool = False) -> None:
 
 
 def _zeros(shape, what: str, dtype=float) -> np.ndarray:
-    """np.zeros(shape, dtype); NumericError naming what if numpy refuses the size."""
+    """np.zeros(shape, dtype); NumericError naming what if numpy refuses the size or cannot get it."""
     try:
         return np.zeros(shape, dtype)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise NumericError(f"{what}: {exc}") from exc
 
 

@@ -88,5 +88,9 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise DomainError(f"JSON in {path} is nested too deeply to read") from None

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
-from math import sqrt
+import subprocess
+import sys
+from math import inf, nan, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -591,6 +594,31 @@ def test_convert_and_classify_reject_bad_input_with_one_line(command, case, tmp_
     assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        pytest.param(b"\xff\xfe{}", "is not UTF-8 text", id="not-utf8"),
+        pytest.param(b"[" * 100_000, "is nested too deeply", id="too-deep"),
+    ],
+)
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda path: ["convert", "--in", path],
+        lambda path: ["classify", "--in", path],
+        lambda path: ["direction", "--dim", "2", "--vector", path],
+        lambda path: ["lemma", "--tuples", path],
+    ],
+    ids=["convert", "classify", "direction", "lemma"],
+)
+def test_a_file_json_cannot_read_is_one_error_line(make_args, data, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    rc, out, err = run(make_args(str(path)), capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and message in err
+
 
 _NOT_INTS = ["true", "x", "2.5", "", "1e3", "nan", "--1"]
 _ZERO_TOLS = ["1e-9", "1e-300", "0.3", "1", "0", "-1e-9", "nan", "inf", "-inf", "true", "x"]
@@ -721,6 +749,84 @@ def test_scan_reproducibility_bytes(tmp_path, monkeypatch):
     assert cli.main(args + ["--out", str(a)]) == 0
     assert cli.main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["basis", "--dim", "2"], ["strata-scan", "--dim", "2", "--count", "3", "--seed", "1"]],
+    ids=["json", "scan"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_out_path_that_cannot_be_opened_is_one_error_line(argv, where, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.out" if where == "missing-directory" else tmp_path
+    rc, stdout, err = run([*argv, "--out", str(out)], capsys)
+    assert (rc, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.text(),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.recursive(
+        _JSON_LEAVES,
+        lambda children: st.one_of(
+            st.lists(children),
+            st.lists(children).map(tuple),
+            st.lists(st.floats()),
+            st.dictionaries(st.text(), children),
+            st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none()), children),
+        ),
+        max_leaves=40,
+    )
+)
+@example(nan)
+@example([nan, inf, -inf, -0.0, 5e-324, 1e308])
+@example([-0.0, 5e-324, 1e308, 0.1])
+@example({"a": [np.float64(0.5), 1.0], "é\n\"\\": [[], {}, ()], "b": [True, None, 3]})
+@example({"x": {1: [1.0]}, "y": ((0.5, 2.0), [inf])})
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # usage text wraps at the terminal width, so both sides read the same one
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).parents[1]))
+    calls = [
+        ["sample", "--dim", "3", "--rank", "2", "--count", "2", "--seed", "1"],
+        ["sample", "--dim", "3", "--rank", "9"],  # a failing parse: --count and --seed missing
+        ["direction", "--dim", "3", "--seed", "4", "--scan", "3"],
+    ]
+
+    def in_process(argv):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def fresh(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "blochstrata.cli", *argv], capture_output=True, text=True
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    results = [in_process(argv) for argv in calls]
+    assert [rc for rc, _, _ in results] == [0, 2, 0]
+    assert results == [fresh(argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("epoch", ["abc", "1e3", "99999999999999999999"])

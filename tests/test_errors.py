@@ -127,6 +127,26 @@ def test_dimensions_numpy_cannot_allocate_are_numeric_errors(call):
     assert "\n" not in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "call,what",
+    [
+        (lambda: maximally_mixed(3), "maximally mixed state"),
+        (lambda: extremal_spectra(4), "eigenvalue profile"),
+        (lambda: build_basis(3).elements, "basis tensor of dimension 3"),
+    ],
+    ids=["maximally_mixed", "extremal_spectra", "basis_elements"],
+)
+def test_an_allocation_that_fails_is_a_numeric_error(call, what, monkeypatch):
+    # a MemoryError stands in for a size numpy accepts but cannot get; nothing large is allocated
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    with pytest.raises(NumericError) as exc:
+        call()
+    assert str(exc.value) == f"{what}: Unable to allocate 7.28 TiB for an array"
+
+
 def test_numpy_integers_are_integers():
     assert stratum_radius(np.int64(4), np.uint8(2)) == stratum_radius(4, 2)
     assert np.array_equal(boundary_state(np.int32(3), np.int64(2)), boundary_state(3, 2))

@@ -195,7 +195,7 @@ def _draws_filled_with(monkeypatch, value, u=None):
     ],
     ids=["state", "direction", "ball"],
 )
-def test_degenerate_draws_give_up_after_max_redraws(draw, kind, monkeypatch):
+def test_a_degenerate_draw_is_a_numeric_error(draw, kind, monkeypatch):
     # an all-zero draw is a NumericError at once: each index is drawn once
     calls = _draws_filled_with(monkeypatch, 0.0)
     with pytest.raises(NumericError) as exc:
@@ -212,7 +212,7 @@ def test_degenerate_draws_give_up_after_max_redraws(draw, kind, monkeypatch):
     ],
     ids=["direction", "ball"],
 )
-def test_a_too_short_gaussian_draw_is_redrawn(draw, expected, monkeypatch):
+def test_a_too_short_gaussian_draw_is_a_numeric_error(draw, expected, monkeypatch):
     # entries of 1e-151 have norm 2e-151, below _MIN_GAUSSIAN_NORM: not redrawn, a NumericError
     calls = _draws_filled_with(monkeypatch, 1e-151, u=0.5)
     with pytest.raises(NumericError, match=r"degenerate \w+ draw \(seed=1, index=0\)"):
@@ -347,7 +347,7 @@ def _zero_row_of(monkeypatch, index):
 
 
 @pytest.mark.parametrize("name", ["state", "state-pure", "direction", "ball"])
-def test_a_degenerate_draw_mid_block_is_redrawn_from_its_own_generator(name, monkeypatch):
+def test_a_degenerate_draw_mid_block_fails_naming_its_index(name, monkeypatch):
     # a zero draw mid-block fails the block, naming its index, and is not drawn again
     block, _ = SAMPLERS[name]
     calls = _zero_row_of(monkeypatch, 105)
