@@ -24,7 +24,7 @@ from . import __version__
 from .antipode import antipodal_family, antipode_of_boundary
 from .basis import build_basis
 from .direction import _direction_columns, direction_report
-from .errors import DomainError, NumericError, _integer, _real
+from .errors import DomainError, NumericError, _integer, _real, _shown_path
 from .sampling import (
     SamplerConfig,
     _blocks,
@@ -99,7 +99,7 @@ def _write(text: str, out: str | None) -> None:
     try:  # a missing directory, a directory, no permission: nothing is written
         fh = open(out, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise DomainError(f"cannot write {out}: {exc}") from exc
+        raise DomainError(f"cannot write {_shown_path(out)}: {exc}") from exc
     with fh:
         fh.write(text)
 

@@ -48,6 +48,11 @@ def _real(value, name: str, positive: bool = False) -> None:
         raise DomainError(f"{name} must be finite, got {value}")
 
 
+def _shown_path(path: str) -> str:
+    """path as an error message shows it: as it is, or by its repr if not printable on one line."""
+    return path if path.isprintable() else repr(path)
+
+
 def _zeros(shape, what: str, dtype=float) -> np.ndarray:
     """np.zeros(shape, dtype); NumericError naming what if numpy refuses the size or cannot get it."""
     try:

@@ -11,7 +11,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError, _array
+from .errors import DomainError, _array, _shown_path
 
 
 def format_float(x: float) -> str:
@@ -87,10 +87,10 @@ def load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from exc
+        raise DomainError(f"cannot read {_shown_path(path)}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
+        raise DomainError(f"{_shown_path(path)} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed JSON in {path}: {exc}") from exc
+        raise DomainError(f"malformed JSON in {_shown_path(path)}: {exc}") from exc
     except RecursionError:
-        raise DomainError(f"JSON in {path} is nested too deeply to read") from None
+        raise DomainError(f"JSON in {_shown_path(path)} is nested too deeply to read") from None

@@ -1,9 +1,15 @@
 """Density matrices, Bloch vectors, spectra, and positivity classification.
 
 States are plain complex numpy arrays.  A density matrix is Hermitian with
-unit trace and eigenvalues >= -1e-10; its Bloch vector is the real coordinate
+unit trace and no negative eigenvalue; its Bloch vector is the real coordinate
 vector V_j = Tr{rho T_j} in a :class:`~blochstrata.basis.BasisSet`, so that
 rho = (1/N) I + sum_j V_j T_j.
+
+One rule, _negative_floor, says an eigenvalue is negative, for the validation
+gate and classify alike: below -min(PSD_TOL, zero_tol), or below -PSD_TOL
+where no zero_tol is passed.  So the gate rejects a state exactly when
+classify calls it NONPOSITIVE, and every eigenvalue neither negative nor
+above zero_tol counts as zero.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ def check_hermitian(matrix) -> np.ndarray:
 
 
 def check_density(matrix) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, eigenvalues >= -1e-10."""
+    """Validate a density matrix: Hermitian, unit trace, eigenvalues >= -PSD_TOL."""
     return _validate(matrix, psd=True)[0]
 
 
@@ -88,13 +94,19 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 _UNCOUNTED = object()
 
 
+def _negative_floor(zero_tol: float) -> float:
+    """The one rule for a negative eigenvalue: it is below -min(PSD_TOL, zero_tol)."""
+    return -min(PSD_TOL, zero_tol)
+
+
 def _spectra(stack, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trace: bool = True):
     """The one validation gate, over an (M, N, N) stack: returns (m, w, zeros).
 
     Every matrix of m is square with N >= 1, finite, Hermitian and, with
     unit_trace, of trace 1.  One eigensolve covers the stack, and runs only
-    for psd (each smallest eigenvalue >= -PSD_TOL) or for a zero_tol passed:
-    w is then (M, N) ascending and zeros the (M,) counts of |w| <= zero_tol;
+    for psd (no eigenvalue negative by _negative_floor of zero_tol, or of
+    PSD_TOL where no zero_tol is passed) or for a zero_tol passed: w is then
+    (M, N) ascending and zeros the (M,) counts of |w| <= zero_tol;
     otherwise w and zeros are None.  Each check runs over the whole stack, in
     this order: shape, zero_tol, the entries (finite, Hermitian, unit trace),
     then PSD; the first failing check raises the DomainError of its first
@@ -126,8 +138,9 @@ def _spectra(stack, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trace: bool 
     w = zeros = None
     if psd or counted:
         w = hermitian_eigenvalues(m)
-        if psd:
-            negative = np.flatnonzero(~(w[:, 0] >= -PSD_TOL))
+        if psd and len(m):  # an empty stack has nothing to check, and an unchecked zero_tol
+            floor = _negative_floor(zero_tol if counted else PSD_TOL)
+            negative = np.flatnonzero(~(w[:, 0] >= floor))
             if negative.size:
                 raise DomainError(
                     "matrix is not positive semidefinite: smallest eigenvalue "
@@ -162,8 +175,10 @@ def purity(matrix) -> float:
 def classify(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> StateClass:
     """Classify a unit-trace Hermitian matrix by its eigenvalue signs.
 
-    NONPOSITIVE if some eigenvalue < -zero_tol; BOUNDARY(p) if p >= 1
-    eigenvalues lie in [-zero_tol, zero_tol] and the rest are positive;
+    NONPOSITIVE if some eigenvalue < -min(PSD_TOL, zero_tol), the one rule
+    by which check_density and stratum_report(matrix, zero_tol) reject a
+    matrix as not positive semidefinite; BOUNDARY(p) if p >= 1 eigenvalues
+    lie in [-zero_tol, zero_tol] and the rest are above zero_tol;
     POSITIVE_INTERIOR otherwise.  Inputs with trace away from 1 are a
     precondition violation, not silently renormalized.
     """
@@ -173,7 +188,7 @@ def classify(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> StateClass:
 
 def _state_class(smallest: float, zeros: int, zero_tol: float) -> StateClass:
     """classify from the smallest eigenvalue and the zero count."""
-    if smallest < -zero_tol:
+    if smallest < _negative_floor(zero_tol):
         return StateClass(StateKind.NONPOSITIVE)
     if zeros >= 1:
         return StateClass(StateKind.BOUNDARY, zero_count=zeros)

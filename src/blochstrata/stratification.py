@@ -90,13 +90,17 @@ def harriman_checks(stack) -> list[HarrimanResult]:
     """harriman_check of each row of an (M, n) stack of tuples, in order.
 
     Each row's sum and sum of squares are the operations of a one-tuple
-    call, a pairwise row sum and a BLAS dot, stack or not.  The unit-sum
-    check, then the overflow check, runs over every row, and raises for its
-    first failing row.
+    call, a pairwise row sum and a BLAS dot, stack or not.  Every row is
+    read as harriman_check reads its tuple, booleans and strings rejected;
+    then the unit-sum check, then the overflow check, runs over every row,
+    and raises for its first failing row.
     """
     a = _array(stack, "tuple entries")
     if a.ndim != 2 or not a.shape[1]:
         raise DomainError(f"expected an (M, n) stack of nonempty tuples, got shape {a.shape}")
+    if a is not stack:  # a float array, which _array returns as it is, holds no bool or string
+        for row in stack:
+            require_numbers(row, "tuple entries")
     sums_sq, bound, slack, equality = _harriman_columns(a)
     return [
         HarrimanResult(sum_of_squares=s, bound=bound, equality=eq, slack=d)

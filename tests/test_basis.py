@@ -119,6 +119,18 @@ def test_verify_flags_identity_substitution():
     assert trace_violations[0].magnitude == pytest.approx(dim, abs=1e-12)
 
 
+def test_verify_flags_non_hermitian_element():
+    b = build_basis(3)
+    elems = b.elements.copy()
+    elems[2, 0, 1] += 0.25j  # m - m^H is 0.25j at (0, 1) and at (1, 0)
+    corrupted = build_basis(3)
+    vars(corrupted)["elements"] = elems
+    report = verify_basis(corrupted)
+    herm_violations = [v for v in report.violations if v.invariant == "hermiticity"]
+    assert len(herm_violations) == 1 and herm_violations[0].location == (2,)
+    assert herm_violations[0].magnitude == pytest.approx(0.25, abs=1e-12)
+
+
 def test_basis_is_read_only():
     b = build_basis(2)
     with pytest.raises(ValueError):

@@ -434,6 +434,19 @@ def _inf_tuples(tmp_path):
             "--max-dim requires --table", id="antipode-max-dim-without-table",
         ),
         pytest.param(
+            lambda tmp: ["antipode", "--table"],
+            "--table requires --max-dim M", id="antipode-table-without-max-dim",
+        ),
+        # a path is shown by its repr when it would not print on one line
+        pytest.param(
+            lambda tmp: ["convert", "--in", "no\nfile.json"],
+            "cannot read 'no\\nfile.json': ", id="convert-in-path-with-line-break",
+        ),
+        pytest.param(
+            lambda tmp: ["basis", "--dim", "2", "--out", "/missing\ndir/x"],
+            "cannot write '/missing\\ndir/x': ", id="basis-out-path-with-line-break",
+        ),
+        pytest.param(
             lambda tmp: ["antipode", "--dim", "3", "--q", "2", "--length", "inf"],
             "length must be finite, got inf", id="antipode-infinite-length",
         ),
@@ -931,6 +944,18 @@ def test_numeric_error_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     matrix_file = write_matrix(tmp_path / "max.json", maximally_mixed(2))
     rc, _, err = run(["classify", "--in", str(matrix_file)], capsys)
     assert rc == 3 and "numeric error" in err
+
+
+def test_an_eigensolver_failure_maps_to_exit_3(tmp_path, capsys, monkeypatch):
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    matrix_file = write_matrix(tmp_path / "max.json", maximally_mixed(2))
+    rc, out, err = run(["classify", "--in", matrix_file], capsys)
+    assert (rc, out) == (3, "")
+    assert err.startswith("numeric error: eigensolver failed on shape (1, 2, 2): ")
+    assert err.count("\n") == 1
 
 
 def test_csv_floats_have_full_precision(capsys):

@@ -4,7 +4,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,6 +29,7 @@ from blochstrata import (
     stratum_reports,
     to_bloch,
 )
+from blochstrata.states import PSD_TOL
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +262,60 @@ def test_density_matrices_stay_inside_large_sphere(dim):
         rho /= np.trace(rho).real
         v = to_bloch(b, rho)
         assert np.linalg.norm(v) <= bound + 1e-10
+
+
+def test_an_eigensolver_failure_is_a_numeric_error(monkeypatch):
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    for call in (spectrum, classify, check_density, stratum_report):
+        with pytest.raises(NumericError, match=r"^eigensolver failed on shape \(1, 3, 3\): "):
+            call(maximally_mixed(3))
+
+
+@st.composite
+def spectra_near_the_negative_floor(draw):
+    """(rho, zero_tol): a unit-trace state whose small eigenvalues sit around
+    +-PSD_TOL and +-zero_tol, diagonal or unitarily rotated."""
+    zero_tol = draw(st.sampled_from([1e-12, 1e-10, 1e-9, 0.05]))
+    dim = draw(st.integers(2, 5))
+    small = [
+        draw(st.sampled_from([-1.0, 1.0]))
+        * draw(st.sampled_from([PSD_TOL, zero_tol]))
+        * draw(st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0]) | st.floats(0.0, 2.0))
+        for _ in range(draw(st.integers(1, dim - 1)))
+    ]
+    large = (1.0 - sum(small)) / (dim - len(small))
+    rho = np.diag(small + [large] * (dim - len(small))).astype(complex)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        rho = q @ rho @ q.conj().T
+    return rho, zero_tol
+
+
+@settings(deadline=None, max_examples=300)
+@given(spectra_near_the_negative_floor())
+# default zero_tol: -5e-10 lies in [-zero_tol, -PSD_TOL), nonpositive to both entry points
+@example((np.diag([0.5 + 5e-10, 0.5, -5e-10]).astype(complex), 1e-9))
+# zero_tol 1e-12: -5e-11 lies in [-PSD_TOL, -zero_tol), nonpositive to both entry points
+@example((np.diag([0.5 + 5e-11, 0.5, -5e-11]).astype(complex), 1e-12))
+def test_one_rule_for_a_negative_eigenvalue(case):
+    rho, zero_tol = case
+    cls = classify(rho, zero_tol=zero_tol)
+    try:
+        report = stratum_report(rho, zero_tol=zero_tol)
+    except DomainError as exc:
+        assert "not positive semidefinite" in str(exc)
+        assert cls.kind is StateKind.NONPOSITIVE
+    else:
+        assert cls.kind is not StateKind.NONPOSITIVE
+        assert report.zero_count == cls.zero_count
+    try:
+        check_density(rho)
+    except DomainError as exc:
+        assert "not positive semidefinite" in str(exc)
+        assert classify(rho).kind is StateKind.NONPOSITIVE
+    else:
+        assert classify(rho).kind is not StateKind.NONPOSITIVE

@@ -193,6 +193,8 @@ def test_one_trace_tolerance_for_every_density_entry_point():
 def test_harriman_rejects_non_finite_and_non_numeric(bad):
     with pytest.raises(DomainError):
         harriman_check(bad)
+    with pytest.raises(DomainError):
+        harriman_checks([bad])
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
