@@ -9,7 +9,7 @@ sqrt(2); for N = 3 the standard Gell-Mann matrices over sqrt(2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import sqrt
 
 import numpy as np
@@ -114,11 +114,26 @@ def _gell_mann_tensor(n: int) -> np.ndarray:
     return mats
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# Both tables depend on N alone and every call of a conversion reads them; they
+# are cached read-only, so a caller cannot change what the next one reads.
+@lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column indices j < k of the upper triangle, as np.triu_indices(n, 1)."""
+    return _read_only(*np.triu_indices(n, 1))
+
+
+@lru_cache(maxsize=64)
 def _diagonal_scales(n: int) -> tuple[np.ndarray, np.ndarray]:
     """For l = 1..N-1: the diagonal element's entries 1/sqrt(l(l+1)) and l/sqrt(l(l+1))."""
     l = np.arange(1, n)
     scale = 1.0 / np.sqrt(l * (l + 1))
-    return scale, l * scale
+    return _read_only(scale, l * scale)
 
 
 def _coordinates(m: np.ndarray) -> np.ndarray:
@@ -130,7 +145,7 @@ def _coordinates(m: np.ndarray) -> np.ndarray:
     the diagonal and may differ from it in the last bit.
     """
     n = m.shape[0]
-    j, k = np.triu_indices(n, 1)
+    j, k = _pairs(n)
     upper, lower = m[j, k], m[k, j]
     c = 1.0 / sqrt(2.0)
     d = m.diagonal().real
@@ -154,7 +169,7 @@ def _traceless_part(v: np.ndarray, n: int) -> np.ndarray:
     diagonal[:-1] = np.cumsum((scale * d)[::-1])[::-1]
     diagonal[1:] -= top * d
     out = np.diag(diagonal).astype(complex)
-    j, k = np.triu_indices(n, 1)
+    j, k = _pairs(n)
     c = 1.0 / sqrt(2.0)
     sym, anti = c * v[:pairs], c * v[pairs : 2 * pairs]
     out.real[j, k] = out.real[k, j] = sym

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import astuple
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import __version__
 from .antipode import antipodal_family, antipode_of_boundary
 from .basis import build_basis
 from .direction import _direction_columns, direction_report
-from .errors import DomainError, NumericError, _integer, _real, _shown_path
+from .errors import DomainError, NumericError, _integer, _real, _shown
 from .sampling import (
     SamplerConfig,
     _blocks,
@@ -99,9 +99,44 @@ def _write(text: str, out: str | None) -> None:
     try:  # a missing directory, a directory, no permission: nothing is written
         fh = open(out, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise DomainError(f"cannot write {_shown_path(out)}: {exc}") from exc
+        raise DomainError(f"cannot write {_shown(out, path=True)}: {exc}") from exc
     with fh:
         fh.write(text)
+
+
+# The table costs about as much as 30 to 40 float reprs, whatever the size, so a
+# smaller matrix is written row by row: the two ways break even at about 8 x 8
+# for one part of a Hermitian matrix.
+_TABLE_ENTRIES = 64
+
+
+def _finite_floats(items) -> bool:
+    """Whether every item is a finite float of exact type float (np.float64 is not)."""
+    return set(map(type, items)) == {float} and all(map(math.isfinite, items))
+
+
+def _float_rows(rows, pad: str) -> list[str] | None:
+    """The JSON text of each row of a matrix, float.__repr__ called once per magnitude.
+
+    A matrix is a list of non-empty lists of finite floats, with at least
+    _TABLE_ENTRIES entries; for any other rows this returns None.  A density
+    matrix is Hermitian, so its real part is symmetric and its imaginary part
+    antisymmetric: about half its entries repeat a magnitude.  repr(-x) is
+    "-" + repr(x) for x >= 0, -0.0 included, so each entry is looked up in a
+    table of the distinct magnitudes' texts and their negations.
+    """
+    if not (set(map(type, rows)) <= {list, tuple} and all(rows)):
+        return None
+    entries = list(chain.from_iterable(rows))
+    if len(entries) < _TABLE_ENTRIES or not _finite_floats(entries):
+        return None
+    flat = np.array(entries)
+    magnitudes, where = np.unique(np.abs(flat), return_inverse=True)
+    texts = list(map(float.__repr__, magnitudes.tolist()))
+    table = texts + ["-" + text for text in texts]
+    cells = map(table.__getitem__, (where + len(texts) * np.signbit(flat)).tolist())
+    inner = pad + "  "
+    return ["[" + inner + ("," + inner).join(islice(cells, len(row))) + pad + "]" for row in rows]
 
 
 def _json_text(value, pad: str = "\n") -> str:
@@ -110,17 +145,18 @@ def _json_text(value, pad: str = "\n") -> str:
     With indent set, json.dumps takes its pure-Python encoder (CPython < 3.14).
     Here a dict of str keys and a non-empty list or tuple are written item by
     item, a list of finite floats with one join of float.__repr__ (what json
-    writes for a float), and every other value by json.dumps itself.
+    writes for a float), a large enough matrix of such floats from one table
+    of texts (_float_rows), and every other value by json.dumps itself.
     """
     inner = pad + "  "
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         items = (json.dumps(key) + ": " + _json_text(item, inner) for key, item in value.items())
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+        if _finite_floats(value):
             items = map(float.__repr__, value)
         else:
-            items = (_json_text(item, inner) for item in value)
+            items = _float_rows(value, inner) or (_json_text(item, inner) for item in value)
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     # a scalar, an empty container or non-str keys; a non-finite float is NaN or Infinity
     return json.dumps(value, indent=2).replace("\n", pad)

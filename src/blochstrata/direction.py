@@ -80,10 +80,13 @@ def direction_report(
 ) -> DirectionReport:
     """Analyze one direction: mu-spectrum, maximal length, and the cap state.
 
-    The cap state (1/N) I + max_length * T_n has smallest eigenvalue exactly
-    zero, so it always classifies as a boundary state; its zero multiplicity
-    equals the multiplicity of the most negative eigenvalue of T_n (clustered
-    within 1e-8).
+    The cap state (1/N) I + max_length * T_n has smallest eigenvalue zero in
+    exact arithmetic; computed, that eigenvalue is eigensolver noise (about
+    1e-16).  So the cap classifies as a boundary state when zero_tol is above
+    that noise, as the default is, and its zero multiplicity equals the
+    multiplicity of the most negative eigenvalue of T_n (clustered within
+    1e-8).  At a zero_tol below the noise, such as 1e-16 or 1e-17 at N = 4, the
+    cap may classify as positive_interior or nonpositive, and nothing fails.
     """
     return _direction_reports(basis, _array(direction, "direction entries")[None], zero_tol)[0]
 

@@ -24,7 +24,7 @@ def _integer(value, name: str, low=None, high=None) -> int:
     try:
         value = operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
     if high is not None and not low <= value <= high:
         raise DomainError(f"{name} must be in {low}..{high}, got {value}")
     if low is not None and value < low:
@@ -35,7 +35,7 @@ def _integer(value, name: str, low=None, high=None) -> int:
 def _real(value, name: str, positive: bool = False) -> None:
     """DomainError unless value is a numbers.Real in the float range, > 0 if positive, else >= 0."""
     if not isinstance(value, Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
+        raise DomainError(f"{name} must be a real number, got {_shown(value)}")
     try:
         float(value)  # an int such as 10**400 would pass the comparisons below
     except OverflowError:
@@ -48,9 +48,21 @@ def _real(value, name: str, positive: bool = False) -> None:
         raise DomainError(f"{name} must be finite, got {value}")
 
 
-def _shown_path(path: str) -> str:
-    """path as an error message shows it: as it is, or by its repr if not printable on one line."""
-    return path if path.isprintable() else repr(path)
+# the most characters of a value's repr that a message shows
+_SHOWN_CHARS = 80
+
+
+def _shown(value, path: bool = False) -> str:
+    """value as a one-line error message shows it.
+
+    A path is shown in full: as it is, or by its repr if it is not printable on
+    one line.  Any other value is shown by its repr, its lines joined by one
+    space (a 2-D array's repr spans lines), cut to _SHOWN_CHARS characters.
+    """
+    if path:
+        return value if value.isprintable() else repr(value)
+    text = " ".join(map(str.strip, repr(value).splitlines()))
+    return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
 
 
 def _zeros(shape, what: str, dtype=float) -> np.ndarray:

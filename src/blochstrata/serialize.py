@@ -11,7 +11,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError, _array, _shown_path
+from .errors import DomainError, _array, _shown
 
 
 def format_float(x: float) -> str:
@@ -87,10 +87,11 @@ def load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise DomainError(f"cannot read {_shown_path(path)}: {exc}") from exc
+        raise DomainError(f"cannot read {_shown(path, path=True)}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise DomainError(f"{_shown_path(path)} is not UTF-8 text: {exc}") from exc
+        raise DomainError(f"{_shown(path, path=True)} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed JSON in {_shown_path(path)}: {exc}") from exc
+        raise DomainError(f"malformed JSON in {_shown(path, path=True)}: {exc}") from exc
     except RecursionError:
-        raise DomainError(f"JSON in {_shown_path(path)} is nested too deeply to read") from None
+        shown = _shown(path, path=True)
+        raise DomainError(f"JSON in {shown} is nested too deeply to read") from None

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from blochstrata import DomainError, build_basis, expand, to_bloch, verify_basis
+from blochstrata.basis import _diagonal_scales, _pairs
 
 SQ2 = sqrt(2.0)
 
@@ -135,6 +136,18 @@ def test_basis_is_read_only():
     b = build_basis(2)
     with pytest.raises(ValueError):
         b.elements[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("table", [_pairs, _diagonal_scales])
+def test_cached_index_tables_are_read_only(table):
+    arrays = table(5)
+    assert table(5) is arrays
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    if table is _pairs:
+        np.testing.assert_array_equal(arrays, np.triu_indices(5, 1))
 
 
 @pytest.mark.parametrize("dim", [1, 0, -3, 2.5, "3"])

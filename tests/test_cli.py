@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -14,7 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blochstrata.cli as cli
-from blochstrata import NumericError, boundary_state, maximally_mixed
+from blochstrata import (
+    NumericError,
+    SamplerConfig,
+    boundary_state,
+    maximally_mixed,
+    sample_state,
+)
 from blochstrata.serialize import matrix_to_dict
 
 
@@ -788,6 +795,30 @@ _JSON_LEAVES = st.one_of(
 )
 
 
+def _hermitian_parts(n, upper):
+    """re and im of the Hermitian matrix whose upper triangle and diagonal are upper, row-major."""
+    re = [[0.0] * n for _ in range(n)]
+    im = [[0.0] * n for _ in range(n)]
+    values = iter(upper)
+    for j in range(n):
+        for k in range(j, n):
+            x = next(values)
+            re[j][k] = re[k][j] = x
+            if k > j:  # -x of 0.0 is -0.0
+                im[j][k], im[k][j] = x, -x
+    return {"re": re, "im": im}
+
+
+# both parts of a Hermitian matrix: each magnitude off the diagonal is in two rows
+_HERMITIAN = st.integers(1, 10).flatmap(
+    lambda n: st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=n * (n + 1) // 2,
+        max_size=n * (n + 1) // 2,
+    ).map(lambda upper: _hermitian_parts(n, upper))
+)
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     st.recursive(
@@ -798,6 +829,7 @@ _JSON_LEAVES = st.one_of(
             st.lists(st.floats()),
             st.dictionaries(st.text(), children),
             st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none()), children),
+            _HERMITIAN,
         ),
         max_leaves=40,
     )
@@ -807,8 +839,47 @@ _JSON_LEAVES = st.one_of(
 @example([-0.0, 5e-324, 1e308, 0.1])
 @example({"a": [np.float64(0.5), 1.0], "é\n\"\\": [[], {}, ()], "b": [True, None, 3]})
 @example({"x": {1: [1.0]}, "y": ((0.5, 2.0), [inf])})
+@example([[0.0, -0.0] * 16, [-0.0, 0.0] * 16])
+@example([[5e-324, -5e-324] * 32])
+@example([[1.0] * 30, (2.0, -1.0, 0.5) * 10, [-2.0, 1e308] * 2])
+@example([[1.0] * 63, [1]])
+@example([[nan] * 64])
+@example([[]])
+@example([[0.5] * 64, []])
+@example([[np.float64(0.5)] + [0.5] * 63])
+@example(_hermitian_parts(8, [0.5, -0.25, 0.0, 0.25, -0.0, 1e-300] * 6))
 def test_json_text_is_json_dumps_with_indent_2(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_matrices_of_at_least_64_entries_take_the_table():
+    assert cli._float_rows([[0.5] * 8] * 8, "\n") is not None
+    assert cli._float_rows([[0.5] * 9] * 7, "\n") is None  # 63 entries: row by row
+
+
+# SHA-256 of JSON matrix outputs at SOURCE_DATE_EPOCH=0, recorded when every entry
+# was formatted on its own; the 12 x 12 matrix of the second convert is large
+# enough for cli._float_rows' table of magnitudes, the other matrices are not
+PINNED_JSON_MATRICES = [
+    (["convert", "--in", "matrix.json", "--out", "bloch.json"],
+     "3db2adfb52ab19738c10d9a89c1440ec32a0ebb33a1b955a62d31d16f162891c"),
+    (["convert", "--in", "bloch.json", "--out", "back.json"],
+     "583d092a00a081b7cb2d57892581dca23e245e018c8e6617b62604efa0e128fa"),
+    (["basis", "--dim", "3", "--format", "json", "--out", "basis.json"],
+     "20a11896879ad9bea7a5be824d4b2850c399ed8d5ad270b7b10c6dcbf80e5f70"),
+    (["antipode", "--dim", "4", "--q", "2", "--length", "0.1", "--out", "antipode.json"],
+     "475cdbee0f20e603adbe95c88e32a2280d7389f153f86f118d7e6ba4b8319c03"),
+]
+
+
+def test_json_matrix_outputs_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    monkeypatch.chdir(tmp_path)  # the manifest records the relative --in path
+    rho = sample_state(SamplerConfig(seed=7, dim=12, rank=5, count=1), 0)
+    write_matrix(tmp_path / "matrix.json", rho)
+    for argv, digest in PINNED_JSON_MATRICES:
+        assert cli.main(argv) == 0
+        assert hashlib.sha256((tmp_path / argv[-1]).read_bytes()).hexdigest() == digest, argv
 
 
 def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):

@@ -37,6 +37,7 @@ from blochstrata import (
     stratum_reports,
     to_bloch,
 )
+from blochstrata.errors import _shown
 
 
 def _raises_naming(call, name):
@@ -46,10 +47,11 @@ def _raises_naming(call, name):
     assert message.startswith(f"{name} must be ") and "\n" not in message
 
 
-@pytest.mark.parametrize("bad", [2.5, "3", None])
+@pytest.mark.parametrize("bad", [2.5, "3", None, np.eye(2)], ids=["2.5", "3", "None", "eye"])
 @pytest.mark.parametrize(
     "call,name",
     [
+        (build_basis, "dim"),
         (lambda x: stratum_radius(4, x), "zero_count"),
         (lambda x: stratum_radius(x, 1), "dim"),
         (lambda x: boundary_state(4, x), "rank"),
@@ -62,13 +64,28 @@ def _raises_naming(call, name):
         (lambda x: maximally_mixed(x), "dim"),
     ],
     ids=[
-        "stratum_radius", "stratum_radius-dim", "boundary_state",
+        "build_basis", "stratum_radius", "stratum_radius-dim", "boundary_state",
         "directional_matrix_of_boundary", "max_antipodal_length", "antipode_of_boundary",
         "antipodal_family", "antipodal_family-dim", "extremal_spectra", "maximally_mixed",
     ],
 )
 def test_non_integer_arguments_are_domain_errors(call, name, bad):
     _raises_naming(lambda: call(bad), name)
+
+
+@pytest.mark.parametrize(
+    "value,shown",
+    [
+        ("3", "'3'"),
+        (np.eye(2), "array([[1., 0.], [0., 1.]])"),
+        (
+            np.zeros((40, 40)),
+            "array([[0., 0., 0., ..., 0., 0., 0.], [0., 0., 0., ..., 0., 0., 0.], [0., 0.,...",
+        ),
+    ],
+)
+def test_a_value_is_shown_on_one_line_of_at_most_80_characters(value, shown):
+    assert _shown(value) == shown and len(shown) <= 80
 
 
 @pytest.mark.parametrize("bad", ["1", None])
