@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .antipode import antipodal_family, antipode_of_boundary
-from .basis import build_basis
+from .basis import _read_only, build_basis
 from .direction import _direction_columns, direction_report
 from .errors import DomainError, NumericError, _integer, _real, _shown
 from .sampling import (
@@ -43,14 +43,21 @@ from .serialize import (
     matrix_to_dict,
 )
 from .states import DEFAULT_ZERO_TOL, from_bloch, to_bloch
-from .stratification import _harriman_columns, _stratum_columns, _tuple, stratum_report
+from .stratification import (
+    _harriman_columns,
+    _stratum_columns,
+    _tuple,
+    stratum_radius,
+    stratum_report,
+)
 
 STRATA_HEADER = "N,p,distance,radius_p,on_sphere,satisfied"
 DIRECTION_HEADER = "N,mu_min,mu_max,max_length,cap_zero_count"
 ANTIPODE_HEADER = "N,q,max_len,match"
 LEMMA_HEADER = "size,sum_of_squares,bound,slack,equality"
 
-# %.17g writes a float as format_float does; a bool cell is a _CSV_BOOL entry
+# %.17g writes a float as format_float does; a bool cell is a _CSV_BOOL entry.
+# A strata row is written from _strata_cells, which split this one around its distance.
 _STRATA_ROW = "%d,%d,%.17g,%.17g,%s,%s"
 _DIRECTION_ROW = "%d,%.17g,%.17g,%.17g,%d"
 _ANTIPODE_ROW = "%d,%d,%.17g,%s"
@@ -209,8 +216,33 @@ def _scan(count: int, draw_block, block_text, count_name="count") -> list[str]:
     return blocks
 
 
-def _strata_rows(stack, zero_tol) -> str:
-    return _rows(_STRATA_ROW, *_stratum_columns(stack, zero_tol))
+@functools.lru_cache(maxsize=64)
+def _strata_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The texts of a strata row at dimension n around its distance, read-only.
+
+    heads[p] is "N,p," and tails[4p + 2 on_sphere + satisfied] is
+    ",r_p,on_sphere,satisfied" and the newline, as _STRATA_ROW writes them,
+    for p = 0..n-1 (r_p = 0 at p = 0); only the distance varies by row.
+    """
+    radii = [stratum_radius(n, p) if p else 0.0 for p in range(n)]
+    heads = np.array(["%d,%d," % (n, p) for p in range(n)], dtype=object)
+    tails = np.array(
+        [",%.17g,%s,%s\n" % (r, on, ok) for r in radii for on in _CSV_BOOL for ok in _CSV_BOOL],
+        dtype=object,
+    )
+    return _read_only(heads, tails)
+
+
+def _strata_rows(n, zeros, distance, radius, on_sphere, satisfied) -> str:
+    """The CSV lines of _stratum_columns' columns: each formats its distance alone.
+
+    The radius of a row is a function of (N, p), so its text comes from
+    _strata_cells with N and p, not from the radius column.
+    """
+    heads, tails = _strata_cells(n)
+    cells = heads.take(zeros).tolist(), distance.tolist()
+    tail = tails.take(4 * zeros + 2 * on_sphere + satisfied).tolist()
+    return "".join(map("%s%.17g%s".__mod__, zip(*cells, tail)))
 
 
 def _lemma_rows(stack) -> str:
@@ -252,7 +284,7 @@ def cmd_convert(args: argparse.Namespace) -> None:
 def cmd_classify(args: argparse.Namespace) -> None:
     m = matrix_from_dict(load_json(args.infile))
     if args.format == "csv":
-        rows = _strata_rows(m[None], args.zero_tol)
+        rows = _strata_rows(*_stratum_columns(m[None], args.zero_tol))
         _write(_csv_text(_manifest(args), STRATA_HEADER, [rows]), args.out)
         return
     report = astuple(stratum_report(m, zero_tol=args.zero_tol))
@@ -269,9 +301,9 @@ def cmd_strata_scan(args: argparse.Namespace) -> None:
         least = []  # the least slack distance - radius of each block
 
         def block_text(stack):
-            n, zeros, distance, radius, *flags = _stratum_columns(stack, args.zero_tol)
-            least.append((distance - radius).min())
-            return _rows(_STRATA_ROW, n, zeros, distance, radius, *flags)
+            columns = _stratum_columns(stack, args.zero_tol)
+            least.append((columns[2] - columns[3]).min())  # distance - radius
+            return _strata_rows(*columns)
 
         blocks += _scan(args.count, lambda idx: _state_block(ranked, idx), block_text)
         if least:
@@ -381,7 +413,7 @@ def cmd_sample(args: argparse.Namespace) -> None:
     blocks = _scan(
         config.count,
         lambda idx: _state_block(config, idx),
-        lambda stack: _strata_rows(stack, args.zero_tol),
+        lambda stack: _strata_rows(*_stratum_columns(stack, args.zero_tol)),
     )
     _write(_csv_text(manifest, STRATA_HEADER, blocks), args.out)
 

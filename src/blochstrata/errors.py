@@ -26,9 +26,9 @@ def _integer(value, name: str, low=None, high=None) -> int:
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
     if high is not None and not low <= value <= high:
-        raise DomainError(f"{name} must be in {low}..{high}, got {value}")
+        raise DomainError(f"{name} must be in {low}..{high}, got {_shown(value)}")
     if low is not None and value < low:
-        raise DomainError(f"{name} must be >= {low}, got {value}")
+        raise DomainError(f"{name} must be >= {low}, got {_shown(value)}")
     return value
 
 
@@ -56,11 +56,16 @@ def _shown(value, path: bool = False) -> str:
     """value as a one-line error message shows it.
 
     A path is shown in full: as it is, or by its repr if it is not printable on
-    one line.  Any other value is shown by its repr, its lines joined by one
-    space (a 2-D array's repr spans lines), cut to _SHOWN_CHARS characters.
+    one line.  An int too long for _SHOWN_CHARS characters is shown by its
+    sign and bit length: str() refuses one of more than 4300 digits.  Any
+    other value is shown by its repr, its lines joined by one space (a 2-D
+    array's repr spans lines), cut to _SHOWN_CHARS characters.
     """
     if path:
         return value if value.isprintable() else repr(value)
+    if isinstance(value, int) and not -(10 ** (_SHOWN_CHARS - 1)) < value < 10**_SHOWN_CHARS:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"
     text = " ".join(map(str.strip, repr(value).splitlines()))
     return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
 

@@ -15,13 +15,13 @@ in turn through its ``state`` dict.  Each index is drawn once: a degenerate
 draw, of probability zero, is a NumericError, not redrawn.  The keys of
 indices below 2**32 come from numpy's SeedSequence pool of (seed, tag,
 *shape) and a copy of its last-word and output hash steps over an array of
-indices; a larger index, whose spawn key has more words, takes
-SeedSequence itself.  The scalar samplers are one-item calls of the block
-forms.  So the streams rely on ``SeedSequence.pool``, the constants of its
-hash and the ``Philox.state`` layout; ``tests/test_sampling.py`` compares
-the keys with SeedSequence and every block form with generators built the
-per-index way, so a change of any of them fails there rather than changing
-a stream.
+indices, a block's four pool words hashed in one pass; a larger index,
+whose spawn key has more words, takes SeedSequence itself.  The scalar
+samplers are one-item calls of the block forms.  So the streams rely on
+``SeedSequence.pool``, the constants of its hash and the ``Philox.state``
+layout; ``tests/test_sampling.py`` compares the keys with SeedSequence and
+every block form with generators built the per-index way, so a change of
+any of them fails there rather than changing a stream.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _integer, _real, _zeros
+from .errors import DomainError, NumericError, _integer, _real, _shown, _zeros
 
 _STATE_TAG = 0
 _DIRECTION_TAG = 1
@@ -88,29 +88,37 @@ def _folded(seed: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(steps)
 
 
+def _hashed(x, before, after, left, out_before, out_after):
+    """The output word of index word x for one pool word (one step of _folded),
+    or, given (4, 1) columns of the four steps, of every pool word at once."""
+    h = (x ^ before) * after & _MASK
+    w = (left - _MIX_MULT_R * (h ^ h >> 16)) & _MASK
+    w = ((w ^ w >> 16) ^ out_before) * out_after & _MASK
+    return w ^ w >> 16
+
+
 def _keys(seed: int, prefix, indices) -> np.ndarray:
     """(M, 2) uint64 Philox keys, row j that of spawn key (*prefix, indices[j]).
 
     Row j equals SeedSequence(entropy=seed, spawn_key=(*prefix, indices[j]))
     .generate_state(2, np.uint64).  An index below 2**32, one word, takes the
-    folded hash: on a Python int for a single index, where numpy calls would
-    cost more than they save, and on a uint64 array for a block.  A larger
-    index, whose spawn key has more words, takes SeedSequence itself.
+    folded hash: on a Python int for a single index, one pool word at a
+    time, where numpy calls would cost more than they save; for a block, on
+    a (4, M) uint64 array, all four pool words in one pass, with _folded's
+    constants as (4, 1) columns.  A larger index, whose spawn key has more
+    words, takes SeedSequence itself.
     """
+    steps = _folded(seed, tuple(prefix))
     single = len(indices) == 1
     if single:
         x = int(indices[0])
         large = [0] if x >= _WORD else []
+        words = [_hashed(x, *step) for step in steps]
     else:
         top = max(indices, default=0)
         large = [j for j, i in enumerate(indices) if i >= _WORD] if top >= _WORD else []
         x = np.array([i & _MASK for i in indices] if large else indices, dtype=np.uint64)
-    words = []
-    for before, after, left, out_before, out_after in _folded(seed, tuple(prefix)):
-        h = (x ^ before) * after & _MASK
-        w = (left - _MIX_MULT_R * (h ^ h >> 16)) & _MASK
-        w = ((w ^ w >> 16) ^ out_before) * out_after & _MASK
-        words.append(w ^ w >> 16)
+        words = _hashed(x, *np.array(steps, dtype=np.uint64).T[:, :, None])
     keys = [words[0] | words[1] << 32, words[2] | words[3] << 32]
     keys = np.array([keys], dtype=np.uint64) if single else np.stack(keys, axis=1)
     for j in large:
@@ -188,11 +196,12 @@ def _trace(h: np.ndarray) -> np.ndarray:
 def _index_list(seed: int, indices=()) -> list[int]:
     """The indices as a list of ints; DomainError unless the seed is a 64-bit
     unsigned integer and every index an integer >= 0."""
-    if not 0 <= _integer(seed, "seed") <= _MAX_SEED:
-        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    seed = _integer(seed, "seed")
+    if not 0 <= seed <= _MAX_SEED:
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {_shown(seed)}")
     indices = list(indices)
     _integer(min(indices, default=0), "index", 0)
-    return [operator.index(i) for i in indices]
+    return list(map(operator.index, indices))
 
 
 def _blocks(count: int, draw):

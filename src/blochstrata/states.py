@@ -127,9 +127,8 @@ def _spectra(stack, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trace: bool 
         if unit_trace:
             tr = m.trace(axis1=1, axis2=2).real
             ok &= np.abs(tr - 1.0) <= UNIT_TRACE_TOL
-    failed = np.flatnonzero(~ok)
-    if failed.size:
-        j = failed[0]
+    if not ok.all():  # the all-pass path of a scan block looks for no failure
+        j = np.flatnonzero(~ok)[0]
         if not np.isfinite(m[j]).all():
             raise DomainError("matrix has non-finite entries")
         if not dev[j] <= HERMITICITY_TOL:
@@ -140,11 +139,11 @@ def _spectra(stack, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trace: bool 
         w = hermitian_eigenvalues(m)
         if psd and len(m):  # an empty stack has nothing to check, and an unchecked zero_tol
             floor = _negative_floor(zero_tol if counted else PSD_TOL)
-            negative = np.flatnonzero(~(w[:, 0] >= floor))
-            if negative.size:
+            above = w[:, 0] >= floor
+            if not above.all():
+                j = np.flatnonzero(~above)[0]
                 raise DomainError(
-                    "matrix is not positive semidefinite: smallest eigenvalue "
-                    f"{w[negative[0], 0]:.3e}"
+                    f"matrix is not positive semidefinite: smallest eigenvalue {w[j, 0]:.3e}"
                 )
         if counted:
             zeros = np.count_nonzero(np.abs(w) <= zero_tol, axis=1)

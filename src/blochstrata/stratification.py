@@ -9,10 +9,12 @@ q = N - p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
+from .basis import _read_only
 from .errors import DomainError, NumericError, _array, _integer, _zeros
 from .serialize import require_numbers
 from .states import DEFAULT_ZERO_TOL, _spectra
@@ -171,6 +173,12 @@ def _stratum_reports(stack, zero_tol) -> list[StratumReport]:
     return [StratumReport(n, *row) for row in zip(*(c.tolist() for c in columns))]
 
 
+@lru_cache(maxsize=64)
+def _center(n: int) -> np.ndarray:
+    """(1/N) I as np.eye(n) / n, read-only: the center every distance is taken from."""
+    return _read_only(np.eye(n) / n)[0]
+
+
 def _stratum_columns(stack, zero_tol):
     """(N, zero counts, distances, radii, on_sphere, satisfied) of an (M, N, N)
     stack, one array entry per matrix: the fields of its stratum reports.
@@ -180,7 +188,7 @@ def _stratum_columns(stack, zero_tol):
     """
     m, _, zeros = _spectra(stack, zero_tol=zero_tol, psd=True)
     n = m.shape[-1]
-    x = (m - np.eye(n) / n).reshape(len(m), 1, n * n)
+    x = (m - _center(n)).reshape(len(m), 1, n * n)
     re, im = x.real, x.imag
     sq = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
     distance = np.sqrt(sq).ravel()

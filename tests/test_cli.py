@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from itertools import product
 from math import inf, nan, sqrt
 from pathlib import Path
 
@@ -21,8 +22,9 @@ from blochstrata import (
     boundary_state,
     maximally_mixed,
     sample_state,
+    stratum_radius,
 )
-from blochstrata.serialize import matrix_to_dict
+from blochstrata.serialize import _CSV_BOOL, matrix_to_dict
 
 
 def run(args, capsys):
@@ -156,6 +158,28 @@ def test_strata_scan_zero_count(capsys):
     lines = out.splitlines()
     assert len(lines) == 2  # manifest + header only
     assert lines[1] == "N,p,distance,radius_p,on_sphere,satisfied"
+
+
+@pytest.mark.parametrize("dim", range(2, 10))
+def test_strata_rows_equal_the_strata_row_template(dim):
+    # every zero count and (on_sphere, satisfied) pair, those the theorem never gives too
+    cases = list(product(range(dim), (False, True), (False, True), (0.0, 5e-324, 0.1, 1 / 3, 1e17)))
+    radii = [stratum_radius(dim, p) if p else 0.0 for p, *_ in cases]
+    expected = "".join(
+        cli._STRATA_ROW % (dim, p, d, r, _CSV_BOOL[on], _CSV_BOOL[ok]) + "\n"
+        for (p, on, ok, d), r in zip(cases, radii)
+    )
+    zeros, on_sphere, satisfied, distance = map(np.array, zip(*cases))
+    assert cli._strata_rows(dim, zeros, distance, np.array(radii), on_sphere, satisfied) == expected
+
+
+def test_strata_row_cells_are_cached_read_only():
+    cells = cli._strata_cells(4)
+    assert cli._strata_cells(4) is cells
+    for a in cells:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = "x"
 
 
 def test_direction_report_from_vector_file(tmp_path, capsys):

@@ -31,6 +31,7 @@ from blochstrata import (
     max_antipodal_length,
     maximally_mixed,
     sample_bloch_in_ball,
+    sample_direction,
     state_along,
     stratum_radius,
     stratum_report,
@@ -82,10 +83,37 @@ def test_non_integer_arguments_are_domain_errors(call, name, bad):
             np.zeros((40, 40)),
             "array([[0., 0., 0., ..., 0., 0., 0.], [0., 0., 0., ..., 0., 0., 0.], [0., 0.,...",
         ),
+        # an int too long to show is shown by its bit length: str() refuses more than 4300 digits
+        pytest.param(10**79, "1" + "0" * 79, id="80-digits"),
+        pytest.param(-(10**78), "-1" + "0" * 78, id="79-digits-negative"),
+        pytest.param(10**80, "an integer of 266 bits", id="81-digits"),
+        pytest.param(-(10**79), "a negative integer of 263 bits", id="80-digits-negative"),
+        pytest.param(10**5000, "an integer of 16610 bits", id="5001-digits"),
     ],
 )
 def test_a_value_is_shown_on_one_line_of_at_most_80_characters(value, shown):
     assert _shown(value) == shown and len(shown) <= 80
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: boundary_state(4, 10**5000), "rank must be in 1..4, got an integer of 16610 bits"),
+        (
+            lambda: stratum_radius(4, -(10**5000)),
+            "zero_count must be in 1..3, got a negative integer of 16610 bits",
+        ),
+        (
+            lambda: sample_direction(10**5000, 3, 0),
+            "seed must be a 64-bit unsigned integer, got an integer of 16610 bits",
+        ),
+    ],
+    ids=["boundary_state", "stratum_radius", "sample_direction"],
+)
+def test_integers_past_the_string_digit_limit_are_one_line_domain_errors(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("bad", ["1", None])

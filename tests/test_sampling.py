@@ -303,19 +303,32 @@ SAMPLERS = {
 }
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+def _seed_sequence_keys(seed, prefix, indices):
+    return np.array([
+        np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, i)).generate_state(2, np.uint64)
+        for i in indices
+    ])
+
+
+# 2**32 + 1 too: the least two-word seed but one, its high word 1
+@pytest.mark.parametrize("seed", [*SEEDS, 2**32 + 1])
 @pytest.mark.parametrize("prefix", [(0, 4, 2), (1, 15), (2, 8), (3, 7), (1, 2**32 + 5)])
 def test_block_keys_equal_seed_sequence_state(seed, prefix):
     # an index from 2**32 on has more words; it takes SeedSequence itself
     indices = [*range(0, 3000, 7), 2**32 - 1, 2**32, 2**40 + 3, 2**64, 2**70]
-    expected = np.array([
-        np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, i)).generate_state(2, np.uint64)
-        for i in indices
-    ])
+    expected = _seed_sequence_keys(seed, prefix, indices)
     assert np.array_equal(sampling._keys(seed, prefix, indices), expected)
     # one index takes the Python-int path
     for i in (0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64, 2**70):
         assert np.array_equal(sampling._keys(seed, prefix, [i]), expected[indices.index(i)][None])
+    # the one-pass hash of a block, at block sizes around SCAN_BLOCK and in a block
+    # that mixes indices below and above 2**32, against SeedSequence and single indices
+    for indices in (*(range(300, 300 + size) for size in (2, 255, 256, 257)),
+                    range(2**32 - 128, 2**32 + 128)):
+        expected = _seed_sequence_keys(seed, prefix, indices)
+        assert np.array_equal(sampling._keys(seed, prefix, indices), expected)
+        singles = [sampling._keys(seed, prefix, [i])[0] for i in indices]
+        assert np.array_equal(np.array(singles), expected)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
