@@ -163,14 +163,16 @@ def test_strata_scan_zero_count(capsys):
 @pytest.mark.parametrize("dim", range(2, 10))
 def test_strata_rows_equal_the_strata_row_template(dim):
     # every zero count and (on_sphere, satisfied) pair, those the theorem never gives too
-    cases = list(product(range(dim), (False, True), (False, True), (0.0, 5e-324, 0.1, 1 / 3, 1e17)))
+    flags, distances = (False, True), (0.0, 5e-324, 0.1, 1 / 3, 1e17)
+    cases = list(product(range(dim), flags, flags, distances))
     radii = [stratum_radius(dim, p) if p else 0.0 for p, *_ in cases]
     expected = "".join(
         cli._STRATA_ROW % (dim, p, d, r, _CSV_BOOL[on], _CSV_BOOL[ok]) + "\n"
         for (p, on, ok, d), r in zip(cases, radii)
     )
     zeros, on_sphere, satisfied, distance = map(np.array, zip(*cases))
-    assert cli._strata_rows(dim, zeros, distance, np.array(radii), on_sphere, satisfied) == expected
+    rows = cli._strata_rows(dim, zeros, distance, np.array(radii), on_sphere, satisfied)
+    assert rows == expected
 
 
 def test_strata_row_cells_are_cached_read_only():

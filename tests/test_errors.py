@@ -98,7 +98,10 @@ def test_a_value_is_shown_on_one_line_of_at_most_80_characters(value, shown):
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: boundary_state(4, 10**5000), "rank must be in 1..4, got an integer of 16610 bits"),
+        (
+            lambda: boundary_state(4, 10**5000),
+            "rank must be in 1..4, got an integer of 16610 bits",
+        ),
         (
             lambda: stratum_radius(4, -(10**5000)),
             "zero_count must be in 1..3, got a negative integer of 16610 bits",
