@@ -35,7 +35,6 @@ from .sampling import (
     sample_states,
 )
 from .serialize import (
-    _CSV_BOOL,
     bloch_from_dict,
     bloch_to_dict,
     load_json,
@@ -56,12 +55,13 @@ DIRECTION_HEADER = "N,mu_min,mu_max,max_length,cap_zero_count"
 ANTIPODE_HEADER = "N,q,max_len,match"
 LEMMA_HEADER = "size,sum_of_squares,bound,slack,equality"
 
-# %.17g writes a float as format_float does; a bool cell is a _CSV_BOOL entry.
+# %.17g writes a float with full round-trip precision; a bool cell is a _CSV_BOOL entry.
 # A strata row is written from _strata_cells, which split this one around its distance.
 _STRATA_ROW = "%d,%d,%.17g,%.17g,%s,%s"
 _DIRECTION_ROW = "%d,%.17g,%.17g,%.17g,%d"
 _ANTIPODE_ROW = "%d,%d,%.17g,%s"
 _LEMMA_ROW = "%d,%.17g,%.17g,%.17g,%s"
+_CSV_BOOL = ("false", "true")
 _BOOL_CELLS = np.array(_CSV_BOOL, dtype=object)
 # the JSON keys of the fields of a StratumReport, in order
 _STRATUM_KEYS = ("dim", "p", "distance", "radius_p", "on_sphere", "satisfied")
@@ -306,8 +306,7 @@ def cmd_strata_scan(args: argparse.Namespace) -> None:
             return _strata_rows(*columns)
 
         blocks += _scan(args.count, lambda idx: _state_block(ranked, idx), block_text)
-        if least:
-            comments.append("# min_slack rank=%d %.17g\n" % (rank, min(least)))
+        comments.append("# min_slack rank=%d %.17g\n" % (rank, min(least)))
     _write(_csv_text(_manifest(args), STRATA_HEADER, blocks + comments), args.out)
 
 

@@ -84,3 +84,11 @@ def _array(values, what: str, dtype=float) -> np.ndarray:
         return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged, not numbers, or 10**400
         raise DomainError(f"{what} are not numeric: {exc}") from exc
+
+
+def require_numbers(values, what: str) -> None:
+    """Reject booleans and strings, which numpy reads as numbers (True as 1.0, "0.5" as 0.5)."""
+    kinds = set(map(type, values))
+    for kind, name in ((bool, "boolean"), (str, "string")):
+        if kind in kinds:
+            raise DomainError(f"{what} must be numbers, got a {name}")

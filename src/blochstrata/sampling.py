@@ -189,10 +189,6 @@ def _gram(z: np.ndarray) -> np.ndarray:
     return g @ g.conj().swapaxes(1, 2)
 
 
-def _trace(h: np.ndarray) -> np.ndarray:
-    return h.trace(axis1=1, axis2=2).real
-
-
 def _index_list(seed: int, indices=()) -> list[int]:
     """The indices as a list of ints; DomainError unless the seed is a 64-bit
     unsigned integer and every index an integer >= 0."""
@@ -240,7 +236,7 @@ def _state_block(config: SamplerConfig, indices) -> np.ndarray:
     n, k = operator.index(config.dim), operator.index(config.rank)
     z, _ = _draws(config.seed, (_STATE_TAG, n, k), indices, (2, n, k))
     h = _gram(z)
-    tr = _trace(h)
+    tr = h.trace(axis1=1, axis2=2).real
     _degenerate(config.seed, indices, tr, 1e-300, "Ginibre")
     return h / tr[:, None, None]
 

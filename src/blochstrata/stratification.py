@@ -15,8 +15,7 @@ from math import sqrt
 import numpy as np
 
 from .basis import _read_only
-from .errors import DomainError, NumericError, _array, _integer, _zeros
-from .serialize import require_numbers
+from .errors import DomainError, NumericError, _array, _integer, _zeros, require_numbers
 from .states import DEFAULT_ZERO_TOL, _spectra
 
 ON_SPHERE_TOL = 1e-9

@@ -41,7 +41,7 @@ from blochstrata import (
     stratum_reports,
     to_bloch,
 )
-from blochstrata.serialize import _CSV_BOOL
+from blochstrata.cli import _CSV_BOOL
 
 ZERO_TOL = 1e-9
 BLOCK = sampling.SCAN_BLOCK

@@ -24,7 +24,8 @@ from blochstrata import (
     sample_state,
     stratum_radius,
 )
-from blochstrata.serialize import _CSV_BOOL, matrix_to_dict
+from blochstrata.cli import _CSV_BOOL
+from blochstrata.serialize import matrix_to_dict
 
 
 def run(args, capsys):
@@ -624,8 +625,19 @@ def invalid_inputs(draw):
     return json.dumps(doc), kind
 
 
+# a "dim" json cannot read, or one whose full text would fill a message
+_LONG_INT = "1" * 5000
+_BIG_DIM = int("1" * 4000)
+_LIST_DIM = [0] * 30_000
+
+
 @settings(deadline=None, max_examples=150)
 @given(command=st.sampled_from(["convert", "classify"]), case=invalid_inputs())
+@example(command="convert", case=('{"dim": %s, "coords": []}' % _LONG_INT, "long-integer"))
+@example(command="convert", case=(json.dumps({"dim": _BIG_DIM, "coords": []}), "big-dim"))
+@example(command="classify", case=(json.dumps({"dim": _BIG_DIM, "re": [], "im": []}), "big-dim"))
+@example(command="convert", case=(json.dumps({"dim": _LIST_DIM, "coords": []}), "list-dim"))
+@example(command="classify", case=(json.dumps({"dim": _LIST_DIM, "re": [], "im": []}), "list-dim"))
 def test_convert_and_classify_reject_bad_input_with_one_line(command, case, tmp_path_factory):
     text, kind = case
     path = tmp_path_factory.mktemp("contract") / "input.json"
@@ -638,6 +650,7 @@ def test_convert_and_classify_reject_bad_input_with_one_line(command, case, tmp_
     prefix = "error: " if rc == 2 else "numeric error: "
     assert out.getvalue() == ""
     assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1
+    assert len(err.getvalue()) < 200, kind
 
 
 @pytest.mark.parametrize(

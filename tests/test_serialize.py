@@ -6,8 +6,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blochstrata import DomainError
+from blochstrata.cli import _CSV_BOOL
 from blochstrata.serialize import (
-    _CSV_BOOL,
     bloch_from_dict,
     bloch_to_dict,
     format_float,
