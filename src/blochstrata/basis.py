@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DomainError, _array, _integer, _zeros
+from .errors import DomainError, _array, _integer, _shown, _zeros
 
 ELEMENT_HERMITICITY_TOL = 1e-14
 ELEMENT_TRACE_TOL = 1e-14
@@ -51,6 +51,12 @@ class BasisSet:
 
     def __getitem__(self, index) -> np.ndarray:
         return self.elements[index]
+
+
+def _check_basis(basis) -> None:
+    """DomainError unless basis is a BasisSet."""
+    if not isinstance(basis, BasisSet):
+        raise DomainError(f"basis must be a BasisSet, got {_shown(basis)}")
 
 
 @dataclass(frozen=True)
@@ -184,6 +190,7 @@ def expand(basis: BasisSet, matrix: np.ndarray) -> np.ndarray:
     The identity component of ``matrix`` does not contribute; for a traceless
     Hermitian input the expansion reconstructs it exactly.
     """
+    _check_basis(basis)
     m = _array(matrix, "matrix entries", complex)
     if m.shape != (basis.dim, basis.dim):
         raise DomainError(
@@ -199,6 +206,7 @@ def verify_basis(basis: BasisSet) -> ValidationReport:
     traceless within 1e-14, and the Gram matrix Tr{T_j T_k} equals the
     identity within 1e-12 entrywise.
     """
+    _check_basis(basis)
     violations = []
     elems = basis.elements
     for j, e in enumerate(elems):

@@ -77,7 +77,7 @@ def _timestamp() -> str:
         except (ValueError, OverflowError, OSError):
             raise DomainError(
                 f"SOURCE_DATE_EPOCH must be integer seconds since 1970 in the date range, "
-                f"got {epoch!r}"
+                f"got {_shown(epoch)}"
             ) from None
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 

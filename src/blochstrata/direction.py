@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .basis import BasisSet
+from .basis import BasisSet, _check_basis
 from .errors import DomainError, _array, _integer, _real, _zeros
 from .states import (
     DEFAULT_ZERO_TOL,
@@ -46,6 +46,7 @@ def directional_matrix(basis: BasisSet, direction) -> np.ndarray:
 
     Rejects non-unit input rather than renormalizing silently.
     """
+    _check_basis(basis)
     _, t = _directional_matrices(basis, _array(direction, "direction entries")[None])
     return t[0]
 
@@ -71,6 +72,7 @@ def _directional_matrices(basis: BasisSet, directions):
 
 def state_along(basis: BasisSet, direction, length: float) -> np.ndarray:
     """The matrix (1/N) I + r T_n; Hermitian and unit trace, positivity not guaranteed."""
+    _check_basis(basis)
     _real(length, "length")
     return maximally_mixed(basis.dim) + length * directional_matrix(basis, direction)
 
@@ -88,6 +90,7 @@ def direction_report(
     1e-8).  At a zero_tol below the noise, such as 1e-16 or 1e-17 at N = 4, the
     cap may classify as positive_interior or nonpositive, and nothing fails.
     """
+    _check_basis(basis)
     return _direction_reports(basis, _array(direction, "direction entries")[None], zero_tol)[0]
 
 
@@ -102,6 +105,7 @@ def direction_reports(
     its row bit for bit.  The norm check runs over every row before any cap
     is checked, and each check raises for its first failing row.
     """
+    _check_basis(basis)
     v = _array(directions, "direction entries")
     if v.ndim != 2:
         raise DomainError(f"expected an (M, {len(basis)}) stack of directions, got shape {v.shape}")

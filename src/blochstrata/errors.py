@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one check of scalar and array arguments."""
 
 import operator
+from itertools import chain
 from math import inf
 from numbers import Real
 
@@ -79,16 +80,19 @@ def _zeros(shape, what: str, dtype=float) -> np.ndarray:
 
 
 def _array(values, what: str, dtype=float) -> np.ndarray:
-    """values as an array of dtype; DomainError if numpy cannot read them as numbers."""
+    """values as an array of dtype; DomainError if numpy cannot read them as numbers, or if
+    it would read a boolean or string entry as one (True as 1.0, "0.5" as 0.5)."""
     try:
-        return np.asarray(values, dtype=dtype)
+        a = np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged, not numbers, or 10**400
         raise DomainError(f"{what} are not numeric: {exc}") from exc
-
-
-def require_numbers(values, what: str) -> None:
-    """Reject booleans and strings, which numpy reads as numbers (True as 1.0, "0.5" as 0.5)."""
-    kinds = set(map(type, values))
-    for kind, name in ((bool, "boolean"), (str, "string")):
-        if kind in kinds:
-            raise DomainError(f"{what} must be numbers, got a {name}")
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
+    if kind == "O":  # not an ndarray of one type: judged by the types of its entries
+        entries = (values,)
+        for _ in range(a.ndim):
+            entries = chain.from_iterable(entries)
+        types = set(map(type, entries))
+        kind = "b" if types & {bool, np.bool_} else "U" if types & {str, np.str_, bytes} else "O"
+    if kind in "bUS":
+        raise DomainError(f"{what} must be numbers, got a {'boolean' if kind == 'b' else 'string'}")
+    return a

@@ -229,6 +229,12 @@ class SamplerConfig:
         _integer(self.count, "count", 0)
 
 
+def _check_config(config) -> None:
+    """DomainError unless config is a SamplerConfig."""
+    if not isinstance(config, SamplerConfig):
+        raise DomainError(f"config must be a SamplerConfig, got {_shown(config)}")
+
+
 def _state_block(config: SamplerConfig, indices) -> np.ndarray:
     """(M, N, N) stack of sample_state(config, i) for i in indices, bit for bit."""
     indices = _index_list(config.seed, indices)
@@ -248,6 +254,7 @@ def sample_state(config: SamplerConfig, index: int) -> np.ndarray:
     and returns G G^H / Tr{G G^H}.  The result has rank k almost surely;
     the probability-zero degenerate draw G = 0 is a NumericError.
     """
+    _check_config(config)
     return _state_block(config, [index])[0]
 
 
@@ -257,6 +264,7 @@ def sample_states(config: SamplerConfig) -> Iterator[np.ndarray]:
     The states are drawn in blocks of SCAN_BLOCK; a block whose draw fails
     raises after the states of the blocks before it, and yields none of its own.
     """
+    _check_config(config)
     for stack in _blocks(config.count, lambda indices: _state_block(config, indices)):
         yield from stack
 

@@ -10,11 +10,10 @@ it stays while the benchmark's tracer counts its calls by name.
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError, _array, _shown, require_numbers
+from .errors import DomainError, _array, _shown
 
 
 def format_float(x: float) -> str:
@@ -49,7 +48,6 @@ def matrix_from_dict(data) -> np.ndarray:
             f'matrix "re"/"im" must be {_shown(n)}x{_shown(n)} arrays, '
             f"got {re.shape} and {im.shape}"
         )
-    require_numbers(chain.from_iterable((*data["re"], *data["im"])), "matrix entries")
     # 1j * inf has a NaN real part; the validation gate rejects it as non-finite
     with np.errstate(invalid="ignore"):
         return re + 1j * im
@@ -71,7 +69,6 @@ def bloch_from_dict(data) -> tuple[int, np.ndarray]:
             f"expected {_shown(n * n - 1)} coordinates for dimension {_shown(n)}, "
             f"got shape {coords.shape}"
         )
-    require_numbers(data["coords"], "Bloch coordinates")
     return n, coords
 
 

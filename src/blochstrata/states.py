@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import BasisSet, _traceless_part, expand
+from .basis import BasisSet, _check_basis, _traceless_part, expand
 from .errors import DomainError, NumericError, _array, _integer, _real, _zeros
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -201,6 +201,7 @@ def from_bloch(basis: BasisSet, vector) -> np.ndarray:
     guaranteed (vectors outside the admissible region give nonpositive
     matrices).  Raises NumericError if an entry overflows.
     """
+    _check_basis(basis)
     v = _array(vector, "Bloch coordinates")
     n = basis.dim
     if v.shape != (n * n - 1,):
@@ -222,6 +223,7 @@ def to_bloch(basis: BasisSet, matrix) -> np.ndarray:
 
     Raises NumericError if a coordinate overflows.
     """
+    _check_basis(basis)
     m = _validate(matrix)[0]
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from .basis import _read_only
-from .errors import DomainError, NumericError, _array, _integer, _zeros, require_numbers
+from .errors import DomainError, NumericError, _array, _integer, _zeros
 from .states import DEFAULT_ZERO_TOL, _spectra
 
 ON_SPHERE_TOL = 1e-9
@@ -83,7 +83,6 @@ def _tuple(values) -> np.ndarray:
     a = _array(values, "tuple entries")
     if a.ndim != 1 or a.size < 1:
         raise DomainError(f"expected a nonempty 1-d tuple of reals, got shape {a.shape}")
-    require_numbers(values, "tuple entries")
     return a
 
 
@@ -99,9 +98,6 @@ def harriman_checks(stack) -> list[HarrimanResult]:
     a = _array(stack, "tuple entries")
     if a.ndim != 2 or not a.shape[1]:
         raise DomainError(f"expected an (M, n) stack of nonempty tuples, got shape {a.shape}")
-    if a is not stack:  # a float array, which _array returns as it is, holds no bool or string
-        for row in stack:
-            require_numbers(row, "tuple entries")
     sums_sq, bound, slack, equality = _harriman_columns(a)
     return [
         HarrimanResult(sum_of_squares=s, bound=bound, equality=eq, slack=d)

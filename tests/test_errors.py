@@ -32,11 +32,14 @@ from blochstrata import (
     maximally_mixed,
     sample_bloch_in_ball,
     sample_direction,
+    sample_state,
+    sample_states,
     state_along,
     stratum_radius,
     stratum_report,
     stratum_reports,
     to_bloch,
+    verify_basis,
 )
 from blochstrata.errors import _shown
 
@@ -202,32 +205,84 @@ def test_numpy_integers_are_integers():
         max_antipodal_length(np.int64(4), np.int64(4))
 
 
+# every public call that reads an array argument, given that array
+ARRAY_CALLS = {
+    "check_density": check_density,
+    "classify": classify,
+    "stratum_report": stratum_report,
+    "stratum_reports": stratum_reports,
+    "to_bloch": lambda x: to_bloch(build_basis(2), x),
+    "expand": lambda x: expand(build_basis(2), x),
+    "from_bloch": lambda x: from_bloch(build_basis(2), x),
+    "directional_matrix": lambda x: directional_matrix(build_basis(2), x),
+    "direction_report": lambda x: direction_report(build_basis(2), x),
+    "direction_reports": lambda x: direction_reports(build_basis(2), x),
+    "state_along": lambda x: state_along(build_basis(2), x, 0.5),
+    "antipodal_state": lambda x: antipodal_state(build_basis(2), x, 0.5),
+    "harriman_checks": harriman_checks,
+}
+
+
 @pytest.mark.parametrize("bad", [[[1, 0], [0]], {"re": 1}, "x", 10**400],
                          ids=["ragged", "dict", "string", "huge-int"])
-@pytest.mark.parametrize(
-    "call",
-    [
-        check_density,
-        classify,
-        stratum_report,
-        stratum_reports,
-        lambda x: to_bloch(build_basis(2), x),
-        lambda x: expand(build_basis(2), x),
-        lambda x: from_bloch(build_basis(2), x),
-        lambda x: directional_matrix(build_basis(2), x),
-        lambda x: direction_report(build_basis(2), x),
-        lambda x: direction_reports(build_basis(2), x),
-        lambda x: state_along(build_basis(2), x, 0.5),
-        lambda x: antipodal_state(build_basis(2), x, 0.5),
-        harriman_checks,
-    ],
-    ids=[
-        "check_density", "classify", "stratum_report", "stratum_reports", "to_bloch", "expand",
-        "from_bloch", "directional_matrix", "direction_report", "direction_reports",
-        "state_along", "antipodal_state", "harriman_checks",
-    ],
-)
+@pytest.mark.parametrize("call", list(ARRAY_CALLS.values()), ids=list(ARRAY_CALLS))
 def test_arrays_numpy_cannot_read_are_domain_errors(call, bad):
     with pytest.raises(DomainError, match=" are not numeric: ") as exc:
         call(bad)
     assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "bad,kind",
+    [
+        ([True, False], "boolean"),
+        (np.array([True, False]), "boolean"),
+        ([np.True_, 0.5], "boolean"),
+        (["0.5", 0.5], "string"),
+        (np.array(["0.5", "0.5"]), "string"),
+        ([b"0.5", 0.5], "string"),
+    ],
+    ids=["bools", "bool-array", "numpy-bool", "str", "str-array", "bytes"],
+)
+@pytest.mark.parametrize("call", list(ARRAY_CALLS.values()), ids=list(ARRAY_CALLS))
+def test_boolean_and_string_entries_numpy_reads_as_numbers_are_domain_errors(call, bad, kind):
+    # numpy reads True as 1.0 and "0.5" as 0.5; errors._array rejects both for every caller
+    with pytest.raises(DomainError) as exc:
+        call(bad)
+    assert str(exc.value).endswith(f" must be numbers, got a {kind}")
+    assert "\n" not in str(exc.value)
+
+
+def test_a_boolean_stack_is_not_a_stack_of_tuples():
+    with pytest.raises(DomainError, match="^tuple entries must be numbers, got a boolean$"):
+        harriman_checks(np.array([[True, False]]))
+    with pytest.raises(DomainError, match="^tuple entries must be numbers, got a string$"):
+        harriman_checks(np.array([[0.5, "0.5"]], dtype=object))
+
+
+@pytest.mark.parametrize("bad", ["x", None, 3, np.eye(2)], ids=["string", "None", "int", "eye"])
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda b: expand(b, np.eye(2)), "basis must be a BasisSet"),
+        (lambda b: to_bloch(b, np.eye(2) / 2), "basis must be a BasisSet"),
+        (lambda b: from_bloch(b, [0.0, 0.0, 0.5]), "basis must be a BasisSet"),
+        (verify_basis, "basis must be a BasisSet"),
+        (lambda b: directional_matrix(b, [0.0, 0.0, 1.0]), "basis must be a BasisSet"),
+        (lambda b: state_along(b, [0.0, 0.0, 1.0], 0.5), "basis must be a BasisSet"),
+        (lambda b: antipodal_state(b, [0.0, 0.0, 1.0], 0.5), "basis must be a BasisSet"),
+        (lambda b: direction_report(b, [0.0, 0.0, 1.0]), "basis must be a BasisSet"),
+        (lambda b: direction_reports(b, [[0.0, 0.0, 1.0]]), "basis must be a BasisSet"),
+        (lambda c: sample_state(c, 0), "config must be a SamplerConfig"),
+        (lambda c: list(sample_states(c)), "config must be a SamplerConfig"),
+    ],
+    ids=[
+        "expand", "to_bloch", "from_bloch", "verify_basis", "directional_matrix", "state_along",
+        "antipodal_state", "direction_report", "direction_reports", "sample_state",
+        "sample_states",
+    ],
+)
+def test_a_basis_or_config_of_another_type_is_a_domain_error(call, message, bad):
+    with pytest.raises(DomainError) as exc:
+        call(bad)
+    assert str(exc.value) == f"{message}, got {_shown(bad)}"
