@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -203,17 +203,28 @@ def _reject_ignored(args: argparse.Namespace, form: str, names) -> None:
         raise DomainError(f"{form} does not take {', '.join(ignored)}")
 
 
-def _scan(count: int, draw_block, block_text, count_name="count") -> list[str]:
-    """CSV text of a scan of count items, one string per block: the one block loop of the CLI.
+def _scan(args, header, parts, columns, rows, tally=None, count_name="count") -> None:
+    """Write a CSV scan, the CLI's one block loop: the manifest, header, rows, then notes.
 
-    draw_block(indices) stacks the items of a block of indices (see
-    sampling._blocks), and block_text(stack) gives their lines.  A negative
-    count is a DomainError, raised after the empty draw that checks the
-    sampler's other arguments.
+    A part is (count, draw, note); each block of its indices goes draw(indices)
+    -> columns(stack) -> rows(*columns) (see sampling._blocks).  With a tally,
+    the part's note line is note % the least tally(*columns) of its blocks.
+    Nothing is written until every block is done.  A negative count is a
+    DomainError, raised after the empty draw that checks the draw's arguments.
     """
-    blocks = [block_text(stack) for stack in _blocks(count, draw_block)]
-    _integer(count, count_name, 0)
-    return blocks
+    manifest = _manifest(args)
+    blocks, notes = [], []
+    for count, draw, note in parts:
+        least = math.inf
+        for stack in _blocks(count, draw):
+            cells = columns(stack)
+            blocks.append(rows(*cells))
+            if tally is not None:
+                least = min(least, tally(*cells))
+        _integer(count, count_name, 0)
+        if tally is not None:
+            notes.append(note % least)
+    _write(_csv_text(manifest, header, blocks + notes), args.out)
 
 
 @functools.lru_cache(maxsize=64)
@@ -245,8 +256,19 @@ def _strata_rows(n, zeros, distance, radius, on_sphere, satisfied) -> str:
     return "".join(map("%s%.17g%s".__mod__, zip(*cells, tail)))
 
 
-def _lemma_rows(stack) -> str:
-    return _rows(_LEMMA_ROW, stack.shape[1], *_harriman_columns(stack))
+def _least_slack(n, zeros, distance, radius, on_sphere, satisfied) -> float:
+    """The least distance - radius of _stratum_columns' columns: strata-scan's tally."""
+    return (distance - radius).min()
+
+
+def _direction_rows(directions, mu, max_length, smallest, cap_zero_count) -> str:
+    """The CSV lines of _direction_columns' columns."""
+    return _rows(_DIRECTION_ROW, mu.shape[1], mu[:, -1], mu[:, 0], max_length, cap_zero_count)
+
+
+def _file_tuple(values, indices) -> np.ndarray:
+    """The one-item stack of a --tuples file's tuple, a part of its own."""
+    return _tuple(values)[None]
 
 
 def cmd_basis(args: argparse.Namespace) -> None:
@@ -292,39 +314,21 @@ def cmd_classify(args: argparse.Namespace) -> None:
 
 
 def cmd_strata_scan(args: argparse.Namespace) -> None:
-    # rank 1 fits every dimension: this checks seed, dimension and count before the rank loop,
-    # which a count of 0 skips, as no rank could add a row
+    # rank 1 fits every dimension: this checks seed, dimension and count before the ranks,
+    # of which a count of 0 takes none, as no rank could add a row
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=1, count=args.count)
-    blocks, comments = [], []
-    for rank in range(1, config.dim + 1) if config.count else ():
-        ranked = SamplerConfig(seed=args.seed, dim=args.dim, rank=rank, count=args.count)
-        least = []  # the least slack distance - radius of each block
-
-        def block_text(stack):
-            columns = _stratum_columns(stack, args.zero_tol)
-            least.append((columns[2] - columns[3]).min())  # distance - radius
-            return _strata_rows(*columns)
-
-        blocks += _scan(args.count, lambda idx: _state_block(ranked, idx), block_text)
-        comments.append("# min_slack rank=%d %.17g\n" % (rank, min(least)))
-    _write(_csv_text(_manifest(args), STRATA_HEADER, blocks + comments), args.out)
-
-
-def _direction_dict(dim: int, report) -> dict:
-    return {
-        "dim": dim,
-        "direction": report.direction.tolist(),
-        "mu": report.mu.tolist(),
-        "max_length": report.max_length,
-        "cap_state_class": report.cap_state_class.label,
-        "cap_zero_count": report.cap_zero_count,
-    }
+    ranks = range(1, config.dim + 1) if config.count else ()
+    parts = [
+        (config.count, functools.partial(_state_block, replace(config, rank=k)),
+         f"# min_slack rank={k} %.17g\n") for k in ranks
+    ]
+    columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
+    _scan(args, STRATA_HEADER, parts, columns, _strata_rows, tally=_least_slack)
 
 
 def cmd_direction(args: argparse.Namespace) -> None:
     n = args.dim
     basis = build_basis(n)
-    manifest = _manifest(args)
     if args.vector is not None:
         _reject_ignored(args, "--vector", ("seed", "scan"))
         file_dim, v = bloch_from_dict(load_json(args.vector))
@@ -337,18 +341,22 @@ def cmd_direction(args: argparse.Namespace) -> None:
     elif args.scan is None:
         v = sample_direction(args.seed, n * n - 1, 0)
     else:
-
-        def block_text(stack):
-            _, mu, max_length, _, _, counts = _direction_columns(basis, stack, args.zero_tol)
-            return _rows(_DIRECTION_ROW, n, mu[:, -1], mu[:, 0], max_length, counts)
-
-        blocks = _scan(
-            args.scan, lambda idx: _direction_block(args.seed, n * n - 1, idx), block_text, "--scan"
-        )
-        _write(_csv_text(manifest, DIRECTION_HEADER, blocks), args.out)
+        draw = functools.partial(_direction_block, args.seed, n * n - 1)
+        columns = functools.partial(_direction_columns, basis, zero_tol=args.zero_tol)
+        parts = [(args.scan, draw, None)]
+        _scan(args, DIRECTION_HEADER, parts, columns, _direction_rows, count_name="--scan")
         return
     report = direction_report(basis, v, zero_tol=args.zero_tol)
-    _emit_json({"manifest": manifest, **_direction_dict(n, report)}, args)
+    payload = {
+        "manifest": _manifest(args),
+        "dim": n,
+        "direction": report.direction.tolist(),
+        "mu": report.mu.tolist(),
+        "max_length": report.max_length,
+        "cap_state_class": report.cap_state_class.label,
+        "cap_zero_count": report.cap_zero_count,
+    }
+    _emit_json(payload, args)
 
 
 def cmd_antipode(args: argparse.Namespace) -> None:
@@ -393,28 +401,25 @@ def cmd_lemma(args: argparse.Namespace) -> None:
         data = load_json(args.tuples)
         if not isinstance(data, list) or not all(isinstance(t, list) for t in data):
             raise DomainError("tuple file must contain a JSON list of lists of reals")
-        # tuples from a file may differ in length, so each is one check
-        blocks = [_lemma_rows(_tuple(t)[None]) for t in data]
+        # tuples from a file may differ in length, so each is a part
+        parts = [(1, functools.partial(_file_tuple, t), None) for t in data]
     else:
         if args.seed is None or args.count is None or args.size is None:
             raise DomainError("lemma requires --tuples FILE or --count K --size n --seed S")
-        blocks = _scan(args.count, lambda idx: _tuple_block(args.seed, args.size, idx), _lemma_rows)
-    _write(_csv_text(_manifest(args), LEMMA_HEADER, blocks), args.out)
+        parts = [(args.count, functools.partial(_tuple_block, args.seed, args.size), None)]
+    _scan(args, LEMMA_HEADER, parts, _harriman_columns, functools.partial(_rows, _LEMMA_ROW))
 
 
 def cmd_sample(args: argparse.Namespace) -> None:
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=args.rank, count=args.count)
-    manifest = _manifest(args)
     if args.format == "json":
+        manifest = _manifest(args)
         states = [matrix_to_dict(rho) for rho in sample_states(config)]
         _emit_json({"manifest": manifest, "states": states}, args)
         return
-    blocks = _scan(
-        config.count,
-        lambda idx: _state_block(config, idx),
-        lambda stack: _strata_rows(*_stratum_columns(stack, args.zero_tol)),
-    )
-    _write(_csv_text(manifest, STRATA_HEADER, blocks), args.out)
+    parts = [(config.count, functools.partial(_state_block, config), None)]
+    columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
+    _scan(args, STRATA_HEADER, parts, columns, _strata_rows)
 
 
 @functools.cache

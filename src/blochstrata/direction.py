@@ -27,7 +27,6 @@ from .states import (
 from .stratification import stratum_radius
 
 UNIT_NORM_TOL = 1e-10
-MU_CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class DirectionReport:
     mu: np.ndarray  # eigenvalues of T_n, descending
     max_length: float  # 1/(N |mu_N|)
     cap_state_class: StateClass
-    cap_zero_count: int  # multiplicity of the most negative eigenvalue
+    cap_zero_count: int  # the cap's zeros under zero_tol: the multiplicity of mu_N, or 0
 
 
 def directional_matrix(basis: BasisSet, direction) -> np.ndarray:
@@ -62,7 +61,8 @@ def _directional_matrices(basis: BasisSet, directions):
         raise DomainError(
             f"expected a direction of length {d} for dimension {n}, got shape {v.shape[1:]}"
         )
-    norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel()
+    with np.errstate(over="ignore"):  # entries past 1e154 give |n| = inf, which fails below
+        norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel()
     failed = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
     if failed.size:
         raise DomainError(f"direction must have unit norm, got |n| = {float(norms[failed[0]])!r}")
@@ -85,10 +85,11 @@ def direction_report(
     The cap state (1/N) I + max_length * T_n has smallest eigenvalue zero in
     exact arithmetic; computed, that eigenvalue is eigensolver noise (about
     1e-16).  So the cap classifies as a boundary state when zero_tol is above
-    that noise, as the default is, and its zero multiplicity equals the
-    multiplicity of the most negative eigenvalue of T_n (clustered within
-    1e-8).  At a zero_tol below the noise, such as 1e-16 or 1e-17 at N = 4, the
-    cap may classify as positive_interior or nonpositive, and nothing fails.
+    that noise, as the default is, and cap_zero_count, the count of its
+    eigenvalues within zero_tol of 0, is the multiplicity of the most negative
+    eigenvalue of T_n.  At a zero_tol below the noise, such as 1e-16 or 1e-17
+    at N = 4, the count can be 0 and the cap may classify as
+    positive_interior or nonpositive, and nothing fails.
     """
     _check_basis(basis)
     return _direction_reports(basis, _array(direction, "direction entries")[None], zero_tol)[0]
@@ -114,36 +115,28 @@ def direction_reports(
 
 def _direction_reports(basis: BasisSet, directions, zero_tol) -> list[DirectionReport]:
     """direction_reports without the stack check, which would misname direction_report's input."""
-    v, mu, max_length, smallest, zeros, counts = _direction_columns(basis, directions, zero_tol)
+    v, mu, max_length, smallest, zeros = _direction_columns(basis, directions, zero_tol)
+    columns = zip(v, mu, max_length.tolist(), smallest.tolist(), zeros.tolist())
     return [
-        DirectionReport(
-            direction=row,
-            mu=row_mu,
-            max_length=length,
-            cap_state_class=_state_class(least, cap_zeros, zero_tol),
-            cap_zero_count=count,
-        )
-        for row, row_mu, length, least, cap_zeros, count in zip(
-            v, mu, max_length.tolist(), smallest.tolist(), zeros.tolist(), counts.tolist()
-        )
+        DirectionReport(row, row_mu, length, _state_class(least, count, zero_tol), count)
+        for row, row_mu, length, least, count in columns
     ]
 
 
 def _direction_columns(basis: BasisSet, directions, zero_tol):
     """(directions, mu descending, max_length, the cap state's smallest eigenvalue
-    and zero count, cap_zero_count) of an (M, N**2 - 1) stack, one row per direction.
+    and zero count) of an (M, N**2 - 1) stack, one row per direction.
 
     The cap states (1/N) I + max_length T_n go through the validation gate and
     their own eigensolve: the evidence, independent of mu, that each is a
-    boundary state.
+    boundary state, and the one source of its class and cap_zero_count.
     """
     v, t = _directional_matrices(basis, directions)
     n = basis.dim
     mu = hermitian_eigenvalues(t)[:, ::-1]
     max_length = 1.0 / (n * np.abs(mu[:, -1]))
     _, w, zeros = _spectra(maximally_mixed(n) + max_length[:, None, None] * t, zero_tol=zero_tol)
-    counts = np.count_nonzero(mu <= mu[:, -1:] + MU_CLUSTER_TOL, axis=1)
-    return v, mu, max_length, w[:, 0], zeros, counts
+    return v, mu, max_length, w[:, 0], zeros
 
 
 def extremal_spectra(dim: int) -> tuple[np.ndarray, np.ndarray]:

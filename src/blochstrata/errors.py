@@ -6,6 +6,7 @@ from math import inf
 from numbers import Real
 
 import numpy as np
+from numpy.exceptions import ComplexWarning
 
 
 class BlochGeometryError(Exception):
@@ -79,20 +80,55 @@ def _zeros(shape, what: str, dtype=float) -> np.ndarray:
         raise NumericError(f"{what}: {exc}") from exc
 
 
+# what numpy reads as a number that is not one, by numpy dtype kind: a boolean (True as
+# 1.0), a string ("0.5" as 0.5) or a null (None as NaN; "z" here, as numpy has no kind for
+# it); in a real array also a complex number, whose imaginary part numpy drops with a warning
+_NOT_NUMBERS = {
+    "b": "numbers, got a boolean",
+    "U": "numbers, got a string",
+    "S": "numbers, got a string",
+    "z": "numbers, got a null",
+}
+_NOT_REAL_NUMBERS = {**_NOT_NUMBERS, "c": "real numbers, got a complex number"}
+# the kind of an entry of a list or object array, by its type
+_ENTRY_KINDS = (
+    ("b", {bool, np.bool_}),
+    ("U", {str, np.str_, bytes, np.bytes_}),
+    ("z", {type(None)}),
+    ("c", {np.complex64, np.complex128, np.clongdouble}),
+)
+# all of those types: the entries of a list of plain numbers meet this one test
+_ENTRY_TYPES = frozenset().union(*(named for _, named in _ENTRY_KINDS))
+
+
+def _entries(values, depth: int):
+    """The entries of values, depth levels of nesting down."""
+    entries = (values,)
+    for _ in range(depth):
+        entries = chain.from_iterable(entries)
+    return entries
+
+
 def _array(values, what: str, dtype=float) -> np.ndarray:
     """values as an array of dtype; DomainError if numpy cannot read them as numbers, or if
-    it would read a boolean or string entry as one (True as 1.0, "0.5" as 0.5)."""
+    it would read an entry that is not one as a number (True as 1.0, "0.5" as 0.5, None as
+    NaN, and for a real dtype 1j as 0.0)."""
+    rules = _NOT_NUMBERS if dtype is complex else _NOT_REAL_NUMBERS
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
+    if kind in rules:  # an ndarray is judged by its dtype, before numpy casts it
+        raise DomainError(f"{what} must be {rules[kind]}")
     try:
         a = np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged, not numbers, or 10**400
         raise DomainError(f"{what} are not numeric: {exc}") from exc
-    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
-    if kind == "O":  # not an ndarray of one type: judged by the types of its entries
-        entries = (values,)
-        for _ in range(a.ndim):
-            entries = chain.from_iterable(entries)
-        types = set(map(type, entries))
-        kind = "b" if types & {bool, np.bool_} else "U" if types & {str, np.str_, bytes} else "O"
-    if kind in "bUS":
-        raise DomainError(f"{what} must be numbers, got a {'boolean' if kind == 'b' else 'string'}")
+    except ComplexWarning:  # a numpy complex entry of a real array, where warnings are errors
+        raise DomainError(f"{what} must be {rules['c']}") from None
+    if kind == "O":  # judged by the types of its entries; a 0-d array entry by its item's
+        types = set(map(type, _entries(values, a.ndim)))
+        if np.ndarray in types:
+            types.update(type(e[()]) for e in _entries(values, a.ndim) if type(e) is np.ndarray)
+        if not types.isdisjoint(_ENTRY_TYPES):
+            for kind, named in _ENTRY_KINDS:
+                if kind in rules and not types.isdisjoint(named):
+                    raise DomainError(f"{what} must be {rules[kind]}")
     return a

@@ -54,7 +54,9 @@ def distance_to_max(rho) -> float:
 
 def stratum_radius(dim: int, zero_count: int) -> float:
     """Radius sqrt(p/(N(N-p))) of the sphere for states with p zero eigenvalues."""
-    _integer(zero_count, "zero_count", 1, _integer(dim, "dim", 2) - 1)
+    # the checked ints, so a numpy integer cannot wrap around in the product
+    dim = _integer(dim, "dim", 2)
+    zero_count = _integer(zero_count, "zero_count", 1, dim - 1)
     return sqrt(zero_count / (dim * (dim - zero_count)))
 
 
@@ -98,7 +100,7 @@ def harriman_checks(stack) -> list[HarrimanResult]:
     a = _array(stack, "tuple entries")
     if a.ndim != 2 or not a.shape[1]:
         raise DomainError(f"expected an (M, n) stack of nonempty tuples, got shape {a.shape}")
-    sums_sq, bound, slack, equality = _harriman_columns(a)
+    _, sums_sq, bound, slack, equality = _harriman_columns(a)
     return [
         HarrimanResult(sum_of_squares=s, bound=bound, equality=eq, slack=d)
         for s, d, eq in zip(sums_sq.tolist(), slack.tolist(), equality.tolist())
@@ -106,7 +108,7 @@ def harriman_checks(stack) -> list[HarrimanResult]:
 
 
 def _harriman_columns(a: np.ndarray):
-    """(sums of squares, bound 1/n, slack, equality) of an (M, n) float stack,
+    """(n, sums of squares, bound 1/n, slack, equality) of an (M, n) float stack,
     one array entry per tuple; the unit-sum and overflow checks of harriman_checks."""
     # a non-finite entry, or finite ones past the float range, make the sum
     # non-finite (inf - inf is NaN), which fails its test; a row that passes
@@ -119,9 +121,10 @@ def _harriman_columns(a: np.ndarray):
         raise DomainError(f"tuple must sum to 1, got {float(totals[off[0]])!r}")
     if not np.isfinite(sums_sq).all():
         raise NumericError("sum of squares of this tuple is not finite")
-    bound = 1.0 / a.shape[1]
+    n = a.shape[1]
+    bound = 1.0 / n
     slack = sums_sq - bound
-    return sums_sq, bound, slack, slack <= EQUALITY_TOL
+    return n, sums_sq, bound, slack, slack <= EQUALITY_TOL
 
 
 def _min_distance(dim: int, zero_count: int, zero_tol: float) -> float:

@@ -426,3 +426,25 @@ def test_a_direction_scan_solves_the_mu_and_the_cap_spectra_of_each_block(monkey
     args = ["direction", "--dim", "3", "--scan", str(count), "--seed", "1"]
     assert len(scan_lines(args, capsys)) == count
     assert sizes == [BLOCK, BLOCK, BLOCK, BLOCK, 3, 3]
+
+
+@pytest.mark.parametrize("argv,count", [
+    ("strata-scan --dim 3 --count 5 --seed 1", 3 * 5 + 3),  # 5 rows and a note per rank
+    ("direction --dim 3 --scan 5 --seed 1", 5),
+    ("sample --dim 3 --rank 2 --count 5 --seed 1 --format csv", 5),
+    ("lemma --count 5 --size 3 --seed 1", 5),
+    ("lemma --tuples TUPLES", 3),
+])
+def test_every_csv_scan_runs_through_the_one_scan_loop(argv, count, tmp_path, monkeypatch, capsys):
+    tuples = tmp_path / "tuples.json"
+    tuples.write_text("[[0.5, 0.5], [1.0], [0.2, 0.3, 0.5]]")
+    headers = []
+    scan = cli._scan
+
+    def recorded(args, header, *rest, **kwargs):
+        headers.append(header)
+        return scan(args, header, *rest, **kwargs)
+
+    monkeypatch.setattr(cli, "_scan", recorded)
+    lines = scan_lines([str(tuples) if a == "TUPLES" else a for a in argv.split()], capsys)
+    assert len(headers) == 1 and len(lines) == count

@@ -197,6 +197,21 @@ def test_direction_report_from_vector_file(tmp_path, capsys):
     assert payload["mu"] == pytest.approx([sqrt(0.5), -sqrt(0.5)])
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"dim": 2, "coords": [null, 0, 0]}', "Bloch coordinates must be numbers, got a null"),
+        ('{"dim": 1, "re": [[null]], "im": [[0]]}', "matrix entries must be numbers, got a null"),
+    ],
+    ids=["bloch", "matrix"],
+)
+def test_a_json_null_entry_is_one_error_line(text, message, tmp_path, capsys):
+    # json reads null as None, which numpy would read as NaN
+    path = tmp_path / "null.json"
+    path.write_text(text)
+    assert run(["convert", "--in", str(path)], capsys) == (2, "", f"error: {message}\n")
+
+
 def test_direction_vector_dim_mismatch_exits_2(tmp_path, capsys):
     vec = tmp_path / "dir.json"
     vec.write_text(json.dumps({"dim": 2, "coords": [0.0, 0.0, 1.0]}))

@@ -1,11 +1,18 @@
 """Tests for directional matrices, mu-spectra, admissible lengths, and cap states."""
 
+import contextlib
+import io
+import json
 from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import blochstrata.cli as cli
 from blochstrata import (
+    DEFAULT_ZERO_TOL,
     DomainError,
     antipodal_state,
     StateKind,
@@ -22,6 +29,7 @@ from blochstrata import (
     state_along,
     stratum_radius,
 )
+from blochstrata.serialize import bloch_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +198,52 @@ def test_random_direction_invariants(dim):
         assert inside.kind is StateKind.POSITIVE_INTERIOR
         outside = classify(state_along(b, n, rep.max_length + 1e-3))
         assert outside.kind is StateKind.NONPOSITIVE
+
+
+def _planted_direction(basis, x):
+    """The unit direction n whose T_n is diag(x) centered and scaled to unit norm."""
+    x = np.asarray(x, dtype=float)
+    x = x - x.mean()
+    return expand(basis, np.diag(x / np.linalg.norm(x)).astype(complex))
+
+
+def _cli_direction(dim, n, path):
+    path.write_text(json.dumps(bloch_to_dict(dim, n)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["direction", "--dim", str(dim), "--vector", str(path)]) == 0
+    payload = json.loads(out.getvalue())
+    return payload["cap_state_class"], payload["cap_zero_count"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    others=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+    gap=st.floats(-13.0, -5.0).map(lambda e: 10.0**e),
+    zero_tol=st.sampled_from([1e-12, 1e-9, 1e-7]),
+)
+# x = (2, -1 - 1e-8, -1 + 1e-8): mu_N and mu_(N-1) are 8.2e-9 apart, so the cap has one
+# zero, though two mu lie within 1e-8 of mu_N
+@example(others=[2.0], gap=2e-8, zero_tol=1e-9)
+def test_cap_zero_count_is_the_zero_count_of_the_cap_class(
+    others, gap, zero_tol, tmp_path_factory
+):
+    # the smallest pair of x, gap apart around -1, and the others at least 1 above it
+    x = [-1.0 - gap / 2, -1.0 + gap / 2] + others
+    dim = len(x)
+    basis = build_basis(dim)
+    n = _planted_direction(basis, x)
+    rep = direction_report(basis, n, zero_tol=zero_tol)
+    # the cap's eigenvalues are max_length (mu_i - mu_N): one zero, or two when the
+    # pair is closer than zero_tol / max_length
+    cap_gap = rep.max_length * (rep.mu[-2] - rep.mu[-1])
+    assert rep.cap_state_class.kind is StateKind.BOUNDARY
+    assert rep.cap_zero_count == rep.cap_state_class.zero_count
+    if cap_gap > 10 * zero_tol:
+        assert rep.cap_zero_count == 1
+    if cap_gap < zero_tol / 10:
+        assert rep.cap_zero_count == 2
+    if zero_tol == DEFAULT_ZERO_TOL:  # the CLI's default --zero-tol
+        path = tmp_path_factory.mktemp("planted") / "direction.json"
+        label, count = _cli_direction(dim, n, path)
+        assert (label, count) == (rep.cap_state_class.label, rep.cap_zero_count)

@@ -7,12 +7,21 @@ is read by errors._array, so input numpy cannot read as numbers is a
 one-line DomainError too.
 """
 
+from collections.abc import Iterator
+from math import inf, nan
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import blochstrata
 from blochstrata import (
     DomainError,
     NumericError,
+    SamplerConfig,
+    StateClass,
+    StateKind,
     antipodal_family,
     antipodal_state,
     antipode_of_boundary,
@@ -27,6 +36,7 @@ from blochstrata import (
     expand,
     extremal_spectra,
     from_bloch,
+    harriman_check,
     harriman_checks,
     max_antipodal_length,
     maximally_mixed,
@@ -42,6 +52,7 @@ from blochstrata import (
     verify_basis,
 )
 from blochstrata.errors import _shown
+from blochstrata.serialize import bloch_from_dict, matrix_from_dict
 
 
 def _raises_naming(call, name):
@@ -200,6 +211,9 @@ def test_an_allocation_that_fails_is_a_numeric_error(call, what, monkeypatch):
 
 def test_numpy_integers_are_integers():
     assert stratum_radius(np.int64(4), np.uint8(2)) == stratum_radius(4, 2)
+    # the product of a numpy integer would wrap around: N(N - p) is taken on Python ints
+    assert stratum_radius(np.uint64(2**63), np.uint64(1)) == stratum_radius(2**63, 1) > 0
+    assert stratum_radius(np.int64(2**62), 1) == stratum_radius(2**62, 1) > 0
     assert np.array_equal(boundary_state(np.int32(3), np.int64(2)), boundary_state(3, 2))
     with pytest.raises(DomainError, match="rank must be in 1..3, got 4"):
         max_antipodal_length(np.int64(4), np.int64(4))
@@ -219,6 +233,7 @@ ARRAY_CALLS = {
     "direction_reports": lambda x: direction_reports(build_basis(2), x),
     "state_along": lambda x: state_along(build_basis(2), x, 0.5),
     "antipodal_state": lambda x: antipodal_state(build_basis(2), x, 0.5),
+    "harriman_check": harriman_check,
     "harriman_checks": harriman_checks,
 }
 
@@ -241,8 +256,10 @@ def test_arrays_numpy_cannot_read_are_domain_errors(call, bad):
         (["0.5", 0.5], "string"),
         (np.array(["0.5", "0.5"]), "string"),
         ([b"0.5", 0.5], "string"),
+        ([np.array(True), np.array(False)], "boolean"),
+        ([np.array("0.5"), 0.5], "string"),
     ],
-    ids=["bools", "bool-array", "numpy-bool", "str", "str-array", "bytes"],
+    ids=["bools", "bool-array", "numpy-bool", "str", "str-array", "bytes", "0d-bools", "0d-string"],
 )
 @pytest.mark.parametrize("call", list(ARRAY_CALLS.values()), ids=list(ARRAY_CALLS))
 def test_boolean_and_string_entries_numpy_reads_as_numbers_are_domain_errors(call, bad, kind):
@@ -251,6 +268,28 @@ def test_boolean_and_string_entries_numpy_reads_as_numbers_are_domain_errors(cal
         call(bad)
     assert str(exc.value).endswith(f" must be numbers, got a {kind}")
     assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [[None, 0.5], [[None]], None], ids=["list", "nested", "bare"])
+@pytest.mark.parametrize("call", list(ARRAY_CALLS.values()), ids=list(ARRAY_CALLS))
+def test_null_entries_numpy_reads_as_nan_are_domain_errors(call, bad):
+    with pytest.raises(DomainError) as exc:
+        call(bad)
+    assert str(exc.value).endswith(" must be numbers, got a null")
+
+
+@pytest.mark.parametrize(
+    "read,payload,what",
+    [
+        (matrix_from_dict, {"dim": 1, "re": [[None]], "im": [[0]]}, "matrix entries"),
+        (bloch_from_dict, {"dim": 2, "coords": [None, 0, 0]}, "Bloch coordinates"),
+    ],
+    ids=["matrix", "bloch"],
+)
+def test_a_json_null_is_not_read_as_nan(read, payload, what):
+    with pytest.raises(DomainError) as exc:
+        read(payload)
+    assert str(exc.value) == f"{what} must be numbers, got a null"
 
 
 def test_a_boolean_stack_is_not_a_stack_of_tuples():
@@ -286,3 +325,134 @@ def test_a_basis_or_config_of_another_type_is_a_domain_error(call, message, bad)
     with pytest.raises(DomainError) as exc:
         call(bad)
     assert str(exc.value) == f"{message}, got {_shown(bad)}"
+
+
+@pytest.mark.parametrize(
+    "bad", [np.array([0.5 + 1j, 0.5]), [np.complex128(0.5 + 1j), 0.5], [np.array(1j), 1.0]],
+    ids=["complex-array", "numpy-complex", "0d-complex"],
+)
+def test_a_numpy_complex_entry_of_a_real_array_is_a_domain_error(bad):
+    # numpy would drop the imaginary part, with a ComplexWarning
+    with pytest.raises(DomainError) as exc:
+        harriman_check(bad)
+    assert str(exc.value) == "tuple entries must be real numbers, got a complex number"
+
+
+def test_a_0d_array_of_a_number_is_a_number():
+    assert harriman_check([np.array(0.25), np.array(0.75)]) == harriman_check([0.25, 0.75])
+    assert harriman_check([np.float64(0.5), np.array(0.5, dtype=object)]).equality
+
+
+# One good call of each callable of blochstrata.__all__, as its positional arguments;
+# the contract test sets each slot in turn to a bad value.  StateKind is left out:
+# an Enum's lookup by value is the enum protocol, whose ValueError says the value
+# names no member (and for an array, that its truth value is ambiguous).
+_B2 = build_basis(2)
+_HALF = np.eye(2) / 2
+_Z = [0.0, 0.0, 1.0]
+_CONFIG = SamplerConfig(seed=1, dim=3, rank=2, count=2)
+GOOD_CALLS = {
+    "AntipodeReport": (1, _HALF, 0.5, _HALF, True),
+    "BasisSet": (2,),
+    "BlochGeometryError": ("x",),
+    "DirectionReport": (np.array(_Z), np.zeros(2), 0.5, StateClass(StateKind.BOUNDARY, 1), 1),
+    "DomainError": ("x",),
+    "HarrimanResult": (0.5, 0.5, True, 0.0),
+    "NumericError": ("x",),
+    "SamplerConfig": (1, 3, 2, 2),
+    "Spectrum": (np.zeros(2), 0),
+    "StateClass": (StateKind.BOUNDARY, 1),
+    "StratumReport": (2, 0, 0.0, 0.0, True, True),
+    "ValidationReport": ((),),
+    "Violation": ("x", (0,), 0.0),
+    "antipodal_family": (3, 1, 0.1),
+    "antipodal_state": (_B2, _Z, 0.5),
+    "antipode_of_boundary": (3, 1),
+    "boundary_state": (3, 1),
+    "build_basis": (2,),
+    "check_density": (_HALF,),
+    "check_hermitian": (_HALF,),
+    "classify": (_HALF, 1e-9),
+    "direction_report": (_B2, _Z, 1e-9),
+    "direction_reports": (_B2, [_Z], 1e-9),
+    "directional_matrix": (_B2, _Z),
+    "directional_matrix_of_boundary": (3, 1),
+    "distance_to_max": (_HALF,),
+    "expand": (_B2, _HALF),
+    "extremal_spectra": (3,),
+    "from_bloch": (_B2, [0.0, 0.0, 0.5]),
+    "harriman_check": ([0.5, 0.5],),
+    "harriman_checks": ([[0.5, 0.5]],),
+    "max_antipodal_length": (3, 1),
+    "maximally_mixed": (3,),
+    "purity": (_HALF,),
+    "sample_bloch_in_ball": (1, 3, 0.5, 0),
+    "sample_direction": (1, 3, 0),
+    "sample_state": (_CONFIG, 0),
+    "sample_states": (_CONFIG,),
+    "sample_unit_sum_tuple": (1, 3, 0),
+    "spectrum": (_HALF, 1e-9),
+    "state_along": (_B2, _Z, 0.5),
+    "stratum_radius": (3, 1),
+    "stratum_report": (_HALF, 1e-9),
+    "stratum_reports": ([_HALF], 1e-9),
+    "to_bloch": (_B2, _HALF),
+    "verify_basis": (_B2,),
+}
+# (name, slot) of every argument of every good call
+SLOTS = [(name, slot) for name, args in GOOD_CALLS.items() for slot in range(len(args))]
+BAD_VALUES = [
+    None, True, "x", "0.5", b"1", 2.5, -1, 0, 1, 10**400, nan, inf, -inf, 1j, object(),
+    np.eye(2), np.zeros((0, 0)), [], [[1, 0], [0]], {"re": 1}, build_basis(3),
+    SamplerConfig(seed=1, dim=2, rank=1, count=1), np.full(3, nan),
+    np.array(True), np.array("0.5"), [np.array(True), np.array(False)],
+    [np.array("0.5"), 0.5], [None, 1.0], [[None, 0], [0, 1.0]],
+    np.uint64(2**63), np.int64(2**62), np.array([1j, 0, 0]), [np.complex128(0.5 + 1j), 0.5],
+    [1e308, 1e308, 0.0],
+]
+# small integers only: a dimension in the thousands would allocate gigabytes
+_BAD = st.one_of(
+    st.sampled_from(BAD_VALUES),
+    st.integers(-3, 12),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.none(), st.booleans(), st.floats(), st.integers(-3, 3)), max_size=4),
+)
+
+
+def _call(name, args):
+    """Call blochstrata.name(*args), running an iterator it returns to its end."""
+    result = getattr(blochstrata, name)(*args)
+    if isinstance(result, Iterator):
+        list(result)
+
+
+def test_the_good_calls_cover_every_public_callable_and_return():
+    public = {name for name in blochstrata.__all__ if callable(getattr(blochstrata, name))}
+    assert set(GOOD_CALLS) == public - {"StateKind"}
+    for name, args in GOOD_CALLS.items():
+        _call(name, args)
+
+
+@settings(deadline=None, max_examples=500)
+@given(case=st.sampled_from(SLOTS), bad=_BAD)
+@example(case=("harriman_check", 0), bad=[np.array(True), np.array(False)])
+@example(case=("harriman_check", 0), bad=[np.array("0.5"), 0.5])
+@example(case=("harriman_check", 0), bad=[None, 1.0])
+@example(case=("direction_report", 1), bad=[None, 0.0, 1.0])
+@example(case=("stratum_report", 0), bad=[[None, 0], [0, 1.0]])
+# a numpy integer product that wrapped around, a norm that overflowed, numpy complex entries
+@example(case=("stratum_radius", 0), bad=np.uint64(2**63))
+@example(case=("max_antipodal_length", 0), bad=np.int64(2**62))
+@example(case=("direction_report", 1), bad=[1e308, 1e308, 0.0])
+@example(case=("direction_reports", 1), bad=build_basis(3))
+@example(case=("harriman_check", 0), bad=[np.complex128(0.5 + 1j), 0.5])
+def test_every_public_call_returns_or_raises_one_line(case, bad):
+    # any exception other than these two, a RuntimeWarning too, fails the test
+    name, slot = case
+    args = list(GOOD_CALLS[name])
+    args[slot] = bad
+    try:
+        _call(name, args)
+    except (DomainError, NumericError) as exc:
+        assert "\n" not in str(exc)
