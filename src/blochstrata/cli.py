@@ -1,9 +1,12 @@
 """Command-line interface: basis dumps, conversions, classification, and scans.
 
-Exit codes: 0 success, 2 domain/input error, 3 numeric error.  Every JSON
-output embeds a run manifest; every CSV output carries it as a leading
-comment line.  Set SOURCE_DATE_EPOCH to pin the manifest timestamp when
-byte-reproducible output files are required.
+Each cmd_* handler returns its output and writes nothing: a JSON payload as a
+dict, or a CSV header and its blocks of lines.  main reads the run manifest
+once, before the handler runs, puts it first in a JSON output or as the
+leading comment line of a CSV one, and writes the text once.  Exit codes: 0
+success, 2 domain/input error or a failed write, 3 numeric error.  Set
+SOURCE_DATE_EPOCH to pin the manifest timestamp when byte-reproducible output
+files are required.
 """
 
 from __future__ import annotations
@@ -100,15 +103,26 @@ def _manifest(args: argparse.Namespace) -> dict:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    try:  # a missing directory, a directory, no permission: nothing is written
-        fh = open(out, "w", encoding="utf-8", newline="")
+    """Write text to the file out, or to standard output if out is None: the CLI's one write.
+
+    An OSError from the open, the write or the flush on closing (a missing
+    directory, no permission, a full disk, a closed pipe) is a DomainError.
+    The target is left as the failure left it: a file may hold part of text.
+    """
+    try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise DomainError(f"cannot write {_shown(out, path=True)}: {exc}") from exc
-    with fh:
-        fh.write(text)
+        if out is None:  # what stdout still holds goes nowhere, not to a failing flush at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = "standard output" if out is None else _shown(out, path=True)
+        raise DomainError(f"cannot write {where}: {exc}") from exc
 
 
 # The table costs about as much as 30 to 40 float reprs, whatever the size, so a
@@ -169,16 +183,6 @@ def _json_text(value, pad: str = "\n") -> str:
     return json.dumps(value, indent=2).replace("\n", pad)
 
 
-def _emit_json(payload: dict, args: argparse.Namespace) -> None:
-    _write(_json_text(payload) + "\n", args.out)
-
-
-def _csv_text(manifest: dict, header: str, blocks) -> str:
-    """The manifest comment and the header, then blocks, each the text of whole lines."""
-    head = "# manifest " + json.dumps(manifest, separators=(",", ":"))
-    return "\n".join((head, header, "".join(blocks)))
-
-
 def _rows(template: str, *columns) -> str:
     """The CSV lines of a block, one per item: template filled from the columns.
 
@@ -203,16 +207,15 @@ def _reject_ignored(args: argparse.Namespace, form: str, names) -> None:
         raise DomainError(f"{form} does not take {', '.join(ignored)}")
 
 
-def _scan(args, header, parts, columns, rows, tally=None, count_name="count") -> None:
-    """Write a CSV scan, the CLI's one block loop: the manifest, header, rows, then notes.
+def _scan(header, parts, columns, rows, tally=None, count_name="count") -> tuple[str, list]:
+    """A CSV scan, the CLI's one block loop: (header, its blocks of rows, then its notes).
 
     A part is (count, draw, note); each block of its indices goes draw(indices)
     -> columns(stack) -> rows(*columns) (see sampling._blocks).  With a tally,
     the part's note line is note % the least tally(*columns) of its blocks.
-    Nothing is written until every block is done.  A negative count is a
+    main writes the scan once every block is done.  A negative count is a
     DomainError, raised after the empty draw that checks the draw's arguments.
     """
-    manifest = _manifest(args)
     blocks, notes = [], []
     for count, draw, note in parts:
         least = math.inf
@@ -224,7 +227,7 @@ def _scan(args, header, parts, columns, rows, tally=None, count_name="count") ->
         _integer(count, count_name, 0)
         if tally is not None:
             notes.append(note % least)
-    _write(_csv_text(manifest, header, blocks + notes), args.out)
+    return header, blocks + notes
 
 
 @functools.lru_cache(maxsize=64)
@@ -271,49 +274,38 @@ def _file_tuple(values, indices) -> np.ndarray:
     return _tuple(values)[None]
 
 
-def cmd_basis(args: argparse.Namespace) -> None:
+def cmd_basis(args: argparse.Namespace) -> dict | tuple[str, list]:
     b = build_basis(args.dim)
-    manifest = _manifest(args)
     # one row per element: the real and the imaginary part of each entry, row-major
     cells = np.stack((b.elements.real, b.elements.imag), axis=-1).reshape(len(b), -1)
     if args.format == "json":
-        elements = cells.reshape(len(b), -1, 2).tolist()
-        _emit_json({"manifest": manifest, "dim": b.dim, "elements": elements}, args)
-        return
+        return {"dim": b.dim, "elements": cells.reshape(len(b), -1, 2).tolist()}
     header = "element," + ",".join(
         f"re_{r}_{c},im_{r}_{c}" for r in range(b.dim) for c in range(b.dim)
     )
-    rows = _rows("%d" + ",%.17g" * cells.shape[1], np.arange(len(b)), *cells.T)
-    _write(_csv_text(manifest, header, [rows]), args.out)
+    return header, [_rows("%d" + ",%.17g" * cells.shape[1], np.arange(len(b)), *cells.T)]
 
 
-def cmd_convert(args: argparse.Namespace) -> None:
+def cmd_convert(args: argparse.Namespace) -> dict:
     data = load_json(args.infile)
-    manifest = _manifest(args)
     if isinstance(data, dict) and "coords" in data:
         dim, coords = bloch_from_dict(data)
-        m = from_bloch(build_basis(dim), coords)
-        _emit_json({"manifest": manifest, **matrix_to_dict(m)}, args)
-    elif isinstance(data, dict) and ("re" in data or "im" in data):
+        return matrix_to_dict(from_bloch(build_basis(dim), coords))
+    if isinstance(data, dict) and ("re" in data or "im" in data):
         m = matrix_from_dict(data)
         dim = m.shape[0]
-        v = to_bloch(build_basis(dim), m)
-        _emit_json({"manifest": manifest, **bloch_to_dict(dim, v)}, args)
-    else:
-        raise DomainError("input JSON is neither a matrix nor a Bloch vector")
+        return bloch_to_dict(dim, to_bloch(build_basis(dim), m))
+    raise DomainError("input JSON is neither a matrix nor a Bloch vector")
 
 
-def cmd_classify(args: argparse.Namespace) -> None:
+def cmd_classify(args: argparse.Namespace) -> dict | tuple[str, list]:
     m = matrix_from_dict(load_json(args.infile))
     if args.format == "csv":
-        rows = _strata_rows(*_stratum_columns(m[None], args.zero_tol))
-        _write(_csv_text(_manifest(args), STRATA_HEADER, [rows]), args.out)
-        return
-    report = astuple(stratum_report(m, zero_tol=args.zero_tol))
-    _emit_json({"manifest": _manifest(args), **dict(zip(_STRATUM_KEYS, report))}, args)
+        return STRATA_HEADER, [_strata_rows(*_stratum_columns(m[None], args.zero_tol))]
+    return dict(zip(_STRATUM_KEYS, astuple(stratum_report(m, zero_tol=args.zero_tol))))
 
 
-def cmd_strata_scan(args: argparse.Namespace) -> None:
+def cmd_strata_scan(args: argparse.Namespace) -> tuple[str, list]:
     # rank 1 fits every dimension: this checks seed, dimension and count before the ranks,
     # of which a count of 0 takes none, as no rank could add a row
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=1, count=args.count)
@@ -323,10 +315,10 @@ def cmd_strata_scan(args: argparse.Namespace) -> None:
          f"# min_slack rank={k} %.17g\n") for k in ranks
     ]
     columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
-    _scan(args, STRATA_HEADER, parts, columns, _strata_rows, tally=_least_slack)
+    return _scan(STRATA_HEADER, parts, columns, _strata_rows, tally=_least_slack)
 
 
-def cmd_direction(args: argparse.Namespace) -> None:
+def cmd_direction(args: argparse.Namespace) -> dict | tuple[str, list]:
     n = args.dim
     basis = build_basis(n)
     if args.vector is not None:
@@ -344,11 +336,9 @@ def cmd_direction(args: argparse.Namespace) -> None:
         draw = functools.partial(_direction_block, args.seed, n * n - 1)
         columns = functools.partial(_direction_columns, basis, zero_tol=args.zero_tol)
         parts = [(args.scan, draw, None)]
-        _scan(args, DIRECTION_HEADER, parts, columns, _direction_rows, count_name="--scan")
-        return
+        return _scan(DIRECTION_HEADER, parts, columns, _direction_rows, count_name="--scan")
     report = direction_report(basis, v, zero_tol=args.zero_tol)
-    payload = {
-        "manifest": _manifest(args),
+    return {
         "dim": n,
         "direction": report.direction.tolist(),
         "mu": report.mu.tolist(),
@@ -356,10 +346,9 @@ def cmd_direction(args: argparse.Namespace) -> None:
         "cap_state_class": report.cap_state_class.label,
         "cap_zero_count": report.cap_zero_count,
     }
-    _emit_json(payload, args)
 
 
-def cmd_antipode(args: argparse.Namespace) -> None:
+def cmd_antipode(args: argparse.Namespace) -> dict | tuple[str, list]:
     if args.table:
         if args.max_dim is None:
             raise DomainError("--table requires --max-dim M")
@@ -371,15 +360,13 @@ def cmd_antipode(args: argparse.Namespace) -> None:
                 rep = antipode_of_boundary(n, q)
                 values = (n, q, rep.max_antipodal_length, _CSV_BOOL[rep.matches_complement])
                 rows.append(_ANTIPODE_ROW % values + "\n")
-        _write(_csv_text(_manifest(args), ANTIPODE_HEADER, rows), args.out)
-        return
+        return ANTIPODE_HEADER, rows
     if args.dim is None or args.q is None:
         raise DomainError("antipode requires --dim N and --q Q (or --table --max-dim M)")
     if args.max_dim is not None:
         raise DomainError("--max-dim requires --table")
     rep = antipode_of_boundary(args.dim, args.q)
     payload = {
-        "manifest": _manifest(args),
         "dim": args.dim,
         "q": rep.rank,
         "max_antipodal_length": rep.max_antipodal_length,
@@ -392,10 +379,10 @@ def cmd_antipode(args: argparse.Namespace) -> None:
         payload["family_length"] = args.length
         payload["family_state"] = matrix_to_dict(state)
         payload["family_class"] = cls.label
-    _emit_json(payload, args)
+    return payload
 
 
-def cmd_lemma(args: argparse.Namespace) -> None:
+def cmd_lemma(args: argparse.Namespace) -> tuple[str, list]:
     if args.tuples is not None:
         _reject_ignored(args, "--tuples", ("count", "size", "seed"))
         data = load_json(args.tuples)
@@ -407,19 +394,16 @@ def cmd_lemma(args: argparse.Namespace) -> None:
         if args.seed is None or args.count is None or args.size is None:
             raise DomainError("lemma requires --tuples FILE or --count K --size n --seed S")
         parts = [(args.count, functools.partial(_tuple_block, args.seed, args.size), None)]
-    _scan(args, LEMMA_HEADER, parts, _harriman_columns, functools.partial(_rows, _LEMMA_ROW))
+    return _scan(LEMMA_HEADER, parts, _harriman_columns, functools.partial(_rows, _LEMMA_ROW))
 
 
-def cmd_sample(args: argparse.Namespace) -> None:
+def cmd_sample(args: argparse.Namespace) -> dict | tuple[str, list]:
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=args.rank, count=args.count)
     if args.format == "json":
-        manifest = _manifest(args)
-        states = [matrix_to_dict(rho) for rho in sample_states(config)]
-        _emit_json({"manifest": manifest, "states": states}, args)
-        return
+        return {"states": [matrix_to_dict(rho) for rho in sample_states(config)]}
     parts = [(config.count, functools.partial(_state_block, config), None)]
     columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
-    _scan(args, STRATA_HEADER, parts, columns, _strata_rows)
+    return _scan(STRATA_HEADER, parts, columns, _strata_rows)
 
 
 @functools.cache
@@ -543,7 +527,16 @@ def main(argv=None) -> int:
         # checked before the handler runs, so no count, format or early exit skips it
         if hasattr(args, "zero_tol"):
             _real(args.zero_tol, "zero_tol", positive=True)
-        args.handler(args)
+        # read before the handler runs, so a bad SOURCE_DATE_EPOCH fails every command first
+        manifest = _manifest(args)
+        output = args.handler(args)  # a JSON payload, or a CSV header and its blocks of lines
+        if isinstance(output, dict):
+            text = _json_text({"manifest": manifest, **output}) + "\n"
+        else:
+            header, blocks = output
+            head = "# manifest " + json.dumps(manifest, separators=(",", ":"))
+            text = "\n".join((head, header, "".join(blocks)))
+        _write(text, args.out)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,6 @@ from math import inf
 from numbers import Real
 
 import numpy as np
-from numpy.exceptions import ComplexWarning
 
 
 class BlochGeometryError(Exception):
@@ -82,7 +81,7 @@ def _zeros(shape, what: str, dtype=float) -> np.ndarray:
 
 # what numpy reads as a number that is not one, by numpy dtype kind: a boolean (True as
 # 1.0), a string ("0.5" as 0.5) or a null (None as NaN; "z" here, as numpy has no kind for
-# it); in a real array also a complex number, whose imaginary part numpy drops with a warning
+# it); in a real array also a complex number, whose imaginary part a cast would drop
 _NOT_NUMBERS = {
     "b": "numbers, got a boolean",
     "U": "numbers, got a string",
@@ -95,16 +94,26 @@ _ENTRY_KINDS = (
     ("b", {bool, np.bool_}),
     ("U", {str, np.str_, bytes, np.bytes_}),
     ("z", {type(None)}),
-    ("c", {np.complex64, np.complex128, np.clongdouble}),
+    ("c", {complex, np.complex64, np.complex128, np.clongdouble}),
 )
 # all of those types: the entries of a list of plain numbers meet this one test
 _ENTRY_TYPES = frozenset().union(*(named for _, named in _ENTRY_KINDS))
 
 
+def _depth(values) -> int:
+    """The ndim of the array numpy would make of values, found along its first entries."""
+    depth, first = 0, values
+    while isinstance(first, (list, tuple)) and first:
+        depth, first = depth + 1, first[0]
+    if isinstance(first, (float, int, complex, str, bytes)) or first is None:
+        return depth
+    return depth + np.ndim(first)  # an array's ndim, or numpy's reading of [] or another object
+
+
 def _entries(values, depth: int):
     """The entries of values, depth levels of nesting down."""
-    entries = (values,)
-    for _ in range(depth):
+    entries = values if depth else (values,)
+    for _ in range(depth - 1):
         entries = chain.from_iterable(entries)
     return entries
 
@@ -117,18 +126,23 @@ def _array(values, what: str, dtype=float) -> np.ndarray:
     kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
     if kind in rules:  # an ndarray is judged by its dtype, before numpy casts it
         raise DomainError(f"{what} must be {rules[kind]}")
+    types = set()
+    if kind == "O":  # judged by the types of its entries; a 0-d array entry by its item's
+        try:
+            depth = _depth(values)
+            types = set(map(type, _entries(values, depth)))
+        except (TypeError, ValueError):  # ragged: numpy's cast below says how
+            pass
+        if np.ndarray in types:
+            types.update(type(e[()]) for e in _entries(values, depth) if type(e) is np.ndarray)
+    if "c" in rules and not types.isdisjoint(_ENTRY_KINDS[-1][1]):  # before the cast drops 1j
+        raise DomainError(f"{what} must be {rules['c']}")
     try:
         a = np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged, not numbers, or 10**400
         raise DomainError(f"{what} are not numeric: {exc}") from exc
-    except ComplexWarning:  # a numpy complex entry of a real array, where warnings are errors
-        raise DomainError(f"{what} must be {rules['c']}") from None
-    if kind == "O":  # judged by the types of its entries; a 0-d array entry by its item's
-        types = set(map(type, _entries(values, a.ndim)))
-        if np.ndarray in types:
-            types.update(type(e[()]) for e in _entries(values, a.ndim) if type(e) is np.ndarray)
-        if not types.isdisjoint(_ENTRY_TYPES):
-            for kind, named in _ENTRY_KINDS:
-                if kind in rules and not types.isdisjoint(named):
-                    raise DomainError(f"{what} must be {rules[kind]}")
+    if not types.isdisjoint(_ENTRY_TYPES):
+        for kind, named in _ENTRY_KINDS:
+            if kind in rules and not types.isdisjoint(named):
+                raise DomainError(f"{what} must be {rules[kind]}")
     return a

@@ -441,9 +441,9 @@ def test_every_csv_scan_runs_through_the_one_scan_loop(argv, count, tmp_path, mo
     headers = []
     scan = cli._scan
 
-    def recorded(args, header, *rest, **kwargs):
+    def recorded(header, *rest, **kwargs):
         headers.append(header)
-        return scan(args, header, *rest, **kwargs)
+        return scan(header, *rest, **kwargs)
 
     monkeypatch.setattr(cli, "_scan", recorded)
     lines = scan_lines([str(tuples) if a == "TUPLES" else a for a in argv.split()], capsys)

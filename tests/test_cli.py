@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from itertools import product
@@ -981,6 +983,92 @@ def test_a_malformed_source_date_epoch_is_a_domain_error(epoch, capsys, monkeypa
         f"got {_shown(epoch)}\n"
     )
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("argv", [
+    "basis --dim 1",
+    "convert --in missing.json",
+    "classify --in missing.json",
+    "direction --dim 2 --vector missing.json",
+    "antipode --dim 3 --q 7",
+    "antipode --table --max-dim 1",
+    "lemma --tuples missing.json",
+    "strata-scan --dim 1 --count 1 --seed 1",
+    "sample --dim 3 --rank 4 --count 1 --seed 1",
+])
+def test_a_malformed_source_date_epoch_fails_before_the_input_is_read(
+    argv, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)  # where missing.json is missing
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    rc, out, err = run(argv.split(), capsys)
+    assert rc == 2 and out == "" and "SOURCE_DATE_EPOCH" not in err  # the input is bad
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    assert run(argv.split(), capsys) == (
+        2, "", "error: SOURCE_DATE_EPOCH must be integer seconds since 1970 in the date range, "
+        "got 'abc'\n",
+    )
+
+
+_NO_SPACE = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+_needs_dev_full = pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+
+
+class _FullFile(io.StringIO):
+    """A file on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_failed_write_to_a_file_is_one_line(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "basis.json")
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullFile(), raising=False)
+    rc, stdout, err = run(["basis", "--dim", "2", "--out", out], capsys)
+    assert (rc, stdout, err) == (2, "", f"error: cannot write {out}: {_NO_SPACE}\n")
+
+
+@_needs_dev_full
+def test_a_write_to_a_full_device_is_one_line_and_leaves_it(capsys):
+    rc, out, err = run(["basis", "--dim", "2", "--out", "/dev/full"], capsys)
+    assert (rc, out, err) == (2, "", f"error: cannot write /dev/full: {_NO_SPACE}\n")
+    assert Path("/dev/full").is_char_device()
+
+
+def _cli_process(argv, unbuffered=False, **kwargs):
+    """A blochstrata CLI process with stdio buffered, or unbuffered as PYTHONUNBUFFERED makes it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "blochstrata.cli", *argv]
+    return subprocess.Popen(command, env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+# Buffered, the output of basis --dim 2 is still held when the write fails; the
+# exit's flush of it must not fail again.
+@_needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_standard_output_on_a_full_device_is_one_line(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["basis", "--dim", "2"], unbuffered, stdout=full)
+        _, err = proc.communicate()
+    assert (proc.returncode, err.decode()) == (
+        2, f"error: cannot write standard output: {_NO_SPACE}\n"
+    )
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_one_line():
+    # about 1 MB of output, far more than a pipe holds, so the write outlasts the reader;
+    # stdout is buffered, as unbuffered the text layer ignores the short write that the
+    # reader's close causes, and the run exits 0
+    argv = ["strata-scan", "--dim", "5", "--count", "4000", "--seed", "1"]
+    with _cli_process(argv, stdout=subprocess.PIPE) as proc:
+        proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    broken = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+    assert (proc.returncode, err) == (2, f"error: cannot write standard output: {broken}\n")
 
 
 def test_scan_data_reproducible_without_pinned_timestamp(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ is read by errors._array, so input numpy cannot read as numbers is a
 one-line DomainError too.
 """
 
+import warnings
 from collections.abc import Iterator
 from math import inf, nan
 
@@ -328,14 +329,22 @@ def test_a_basis_or_config_of_another_type_is_a_domain_error(call, message, bad)
 
 
 @pytest.mark.parametrize(
-    "bad", [np.array([0.5 + 1j, 0.5]), [np.complex128(0.5 + 1j), 0.5], [np.array(1j), 1.0]],
-    ids=["complex-array", "numpy-complex", "0d-complex"],
+    "bad",
+    [
+        np.array([0.5 + 1j, 0.5]), [np.complex128(0.5 + 1j), 0.5], [np.array(1j), 1.0],
+        [[np.complex64(1j)], [0.5]], [1j, 0.5],
+    ],
+    ids=["complex-array", "numpy-complex", "0d-complex", "nested-complex64", "python-complex"],
 )
 def test_a_numpy_complex_entry_of_a_real_array_is_a_domain_error(bad):
-    # numpy would drop the imaginary part, with a ComplexWarning
-    with pytest.raises(DomainError) as exc:
-        harriman_check(bad)
+    # numpy would drop the imaginary part, with a ComplexWarning; recorded here, as
+    # pytest's filter would turn that warning into an exception
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError) as exc:
+            harriman_check(bad)
     assert str(exc.value) == "tuple entries must be real numbers, got a complex number"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_a_0d_array_of_a_number_is_a_number():
