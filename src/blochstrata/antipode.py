@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, _check_basis
+from .basis import BasisSet
 from .direction import directional_matrix_of_boundary, state_along
 from .errors import NumericError, _array, _integer, _real, _zeros
 from .states import (
@@ -41,7 +41,6 @@ class AntipodeReport:
 
 def antipodal_state(basis: BasisSet, direction, length: float) -> np.ndarray:
     """The matrix (1/N) I - r T_n, i.e. the state at length r along -n."""
-    _check_basis(basis)
     return state_along(basis, -_array(direction, "direction entries"), length)
 
 

@@ -142,15 +142,16 @@ def _diagonal_scales(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(scale, l * scale)
 
 
-def _coordinates(m: np.ndarray) -> np.ndarray:
-    """Tr{m T_j} for every element, from the index formulas (no element tensor).
+def _coordinates(m: np.ndarray, n: int) -> np.ndarray:
+    """Tr{m T_j} for every element, from the index formulas; DomainError unless m is n x n.
 
     Each product is taken before the sum, in the order the dense contraction
     takes them, so the off-diagonal coordinates equal it bit for bit and stay
     finite wherever it does.  The diagonal ones are a scaled cumulative sum of
     the diagonal and may differ from it in the last bit.
     """
-    n = m.shape[0]
+    if m.shape != (n, n):
+        raise DomainError(f"matrix shape {m.shape} does not match basis dimension {n}")
     j, k = _pairs(n)
     upper, lower = m[j, k], m[k, j]
     c = 1.0 / sqrt(2.0)
@@ -191,12 +192,7 @@ def expand(basis: BasisSet, matrix: np.ndarray) -> np.ndarray:
     Hermitian input the expansion reconstructs it exactly.
     """
     _check_basis(basis)
-    m = _array(matrix, "matrix entries", complex)
-    if m.shape != (basis.dim, basis.dim):
-        raise DomainError(
-            f"matrix shape {m.shape} does not match basis dimension {basis.dim}"
-        )
-    return _coordinates(m)
+    return _coordinates(_array(matrix, "matrix entries", complex), basis.dim)
 
 
 def verify_basis(basis: BasisSet) -> ValidationReport:

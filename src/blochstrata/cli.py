@@ -108,10 +108,20 @@ def _write(text: str, out: str | None) -> None:
     An OSError from the open, the write or the flush on closing (a missing
     directory, no permission, a full disk, a closed pipe) is a DomainError.
     The target is left as the failure left it: a file may hold part of text.
+    Standard output takes the bytes through its binary layer, which may write
+    short when unbuffered (PYTHONUNBUFFERED); one with none, such as an
+    io.StringIO under contextlib.redirect_stdout, takes the text.
     """
     try:
         if out is None:
-            sys.stdout.write(text)
+            binary = getattr(sys.stdout, "buffer", None)
+            if binary is None:
+                sys.stdout.write(text)
+            else:
+                data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+                sys.stdout.flush()  # what the text layer holds goes first
+                while data:
+                    data = data[binary.write(data):]
             sys.stdout.flush()
         else:
             with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -72,9 +72,9 @@ def _directional_matrices(basis: BasisSet, directions):
 
 def state_along(basis: BasisSet, direction, length: float) -> np.ndarray:
     """The matrix (1/N) I + r T_n; Hermitian and unit trace, positivity not guaranteed."""
-    _check_basis(basis)
+    t = directional_matrix(basis, direction)
     _real(length, "length")
-    return maximally_mixed(basis.dim) + length * directional_matrix(basis, direction)
+    return maximally_mixed(basis.dim) + length * t
 
 
 def direction_report(

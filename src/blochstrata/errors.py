@@ -21,8 +21,10 @@ class NumericError(BlochGeometryError, ArithmeticError):
 
 
 def _integer(value, name: str, low=None, high=None) -> int:
-    """operator.index(value); DomainError unless it is an integer in low..high (None: unbounded)."""
+    """operator.index(value); DomainError unless a non-bool integer in low..high (None: no bound)."""
     try:
+        if isinstance(value, bool):  # operator.index reads True as 1; _array rejects it too
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {_shown(value)}") from None
@@ -34,8 +36,8 @@ def _integer(value, name: str, low=None, high=None) -> int:
 
 
 def _real(value, name: str, positive: bool = False) -> None:
-    """DomainError unless value is a numbers.Real in the float range, > 0 if positive, else >= 0."""
-    if not isinstance(value, Real):
+    """DomainError unless value is a non-bool Real in the float range, > 0 if positive, else >= 0."""
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise DomainError(f"{name} must be a real number, got {_shown(value)}")
     try:
         float(value)  # an int such as 10**400 would pass the comparisons below

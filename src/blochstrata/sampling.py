@@ -238,8 +238,7 @@ def _check_config(config) -> None:
 def _state_block(config: SamplerConfig, indices) -> np.ndarray:
     """(M, N, N) stack of sample_state(config, i) for i in indices, bit for bit."""
     indices = _index_list(config.seed, indices)
-    # the ints _integer checked: SeedSequence takes no bool in a spawn key
-    n, k = operator.index(config.dim), operator.index(config.rank)
+    n, k = config.dim, config.rank
     z, _ = _draws(config.seed, (_STATE_TAG, n, k), indices, (2, n, k))
     h = _gram(z)
     tr = h.trace(axis1=1, axis2=2).real

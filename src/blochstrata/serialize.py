@@ -13,17 +13,12 @@ import json
 
 import numpy as np
 
-from .errors import DomainError, _array, _shown
+from .errors import DomainError, _array, _integer, _shown
 
 
 def format_float(x: float) -> str:
     """Render with 17 significant digits (full round-trip precision)."""
     return f"{x:.17g}"
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int; numpy reads them as 1.0/0.0
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def matrix_to_dict(matrix: np.ndarray) -> dict:
@@ -38,9 +33,7 @@ def matrix_to_dict(matrix: np.ndarray) -> dict:
 def matrix_from_dict(data) -> np.ndarray:
     if not isinstance(data, dict) or not {"dim", "re", "im"} <= set(data):
         raise DomainError('matrix JSON must have keys "dim", "re", "im"')
-    n = data["dim"]
-    if not _is_int(n) or n < 1:
-        raise DomainError(f'matrix "dim" must be a positive integer, got {_shown(n)}')
+    n = _integer(data["dim"], 'matrix "dim"', 1)
     re = _array(data["re"], "matrix entries")
     im = _array(data["im"], "matrix entries")
     if re.shape != (n, n) or im.shape != (n, n):
@@ -60,9 +53,7 @@ def bloch_to_dict(dim: int, coords: np.ndarray) -> dict:
 def bloch_from_dict(data) -> tuple[int, np.ndarray]:
     if not isinstance(data, dict) or not {"dim", "coords"} <= set(data):
         raise DomainError('Bloch vector JSON must have keys "dim", "coords"')
-    n = data["dim"]
-    if not _is_int(n) or n < 2:
-        raise DomainError(f'Bloch "dim" must be an integer >= 2, got {_shown(n)}')
+    n = _integer(data["dim"], 'Bloch "dim"', 2)
     coords = _array(data["coords"], "Bloch coordinates")
     if coords.shape != (n * n - 1,):
         raise DomainError(

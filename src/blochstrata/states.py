@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import BasisSet, _check_basis, _traceless_part, expand
+from .basis import BasisSet, _check_basis, _coordinates, _traceless_part
 from .errors import DomainError, NumericError, _array, _integer, _real, _zeros
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -99,20 +99,21 @@ def _negative_floor(zero_tol: float) -> float:
     return -min(PSD_TOL, zero_tol)
 
 
-def _spectra(stack, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trace: bool = True):
-    """The one validation gate, over an (M, N, N) stack: returns (m, w, zeros).
+def _spectra(m: np.ndarray, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trace: bool = True):
+    """The one validation gate, over the (M, N, N) array its caller read: returns (m, w, zeros).
 
     Every matrix of m is square with N >= 1, finite, Hermitian and, with
     unit_trace, of trace 1.  One eigensolve covers the stack, and runs only
     for psd (no eigenvalue negative by _negative_floor of zero_tol, or of
     PSD_TOL where no zero_tol is passed) or for a zero_tol passed: w is then
-    (M, N) ascending and zeros the (M,) counts of |w| <= zero_tol;
-    otherwise w and zeros are None.  Each check runs over the whole stack, in
-    this order: shape, zero_tol, the entries (finite, Hermitian, unit trace),
-    then PSD; the first failing check raises the DomainError of its first
-    failing matrix.  An empty stack checks nothing, not even zero_tol.
+    (M, N) ascending and zeros the (M,) counts of |w| <= zero_tol, below N
+    with unit_trace; otherwise w and zeros are None.  Each check runs over
+    the whole stack, in this order: shape, zero_tol, the entries (finite,
+    Hermitian, unit trace), PSD, then with unit_trace a zero count of N,
+    which needs zero_tol >= 1/N; the first failing check raises the
+    DomainError of its first failing matrix.  An empty stack checks
+    nothing, not even zero_tol.
     """
-    m = _array(stack, "matrix entries", complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise DomainError(f"expected a square matrix, got shape {m.shape[1:]}")
     if not m.shape[1]:
@@ -147,6 +148,11 @@ def _spectra(stack, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trace: bool 
                 )
         if counted:
             zeros = np.count_nonzero(np.abs(w) <= zero_tol, axis=1)
+            if unit_trace and (zeros == m.shape[1]).any():
+                raise DomainError(
+                    f"zero_tol = {zero_tol!r} counts all {m.shape[1]} eigenvalues as zero; "
+                    "it must be below 1/N"
+                )
     return m, w, zeros
 
 
@@ -227,6 +233,6 @@ def to_bloch(basis: BasisSet, matrix) -> np.ndarray:
     m = _validate(matrix)[0]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return expand(basis, m)
+            return _coordinates(m, basis.dim)
     except FloatingPointError as exc:
         raise NumericError(f"Bloch coordinates of this matrix are not finite: {exc}") from exc

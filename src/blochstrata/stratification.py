@@ -156,8 +156,7 @@ def stratum_reports(stack, zero_tol: float = DEFAULT_ZERO_TOL) -> list[StratumRe
     distance is the root of per-row BLAS dot products of the real and the
     imaginary parts, the v0.1.0 norm operation for operation, stack or not.
     Each validation check runs over the whole stack and raises for its first
-    failing matrix (see states._spectra); a zero count of N, which needs
-    zero_tol >= 1/N, raises after validation of the stack.
+    failing matrix (see states._spectra), a zero count of N too.
     """
     m = _array(stack, "matrix entries", complex)
     if m.ndim != 3:
@@ -177,12 +176,11 @@ def _center(n: int) -> np.ndarray:
     return _read_only(np.eye(n) / n)[0]
 
 
-def _stratum_columns(stack, zero_tol):
+def _stratum_columns(stack: np.ndarray, zero_tol):
     """(N, zero counts, distances, radii, on_sphere, satisfied) of an (M, N, N)
-    stack, one array entry per matrix: the fields of its stratum reports.
-
-    A zero count of N, which needs zero_tol >= 1/N, is a DomainError raised
-    after validation of the stack, at every N.
+    complex stack its caller read, one array entry per matrix: the fields of
+    its stratum reports.  The gate, states._spectra, validates the stack and
+    leaves every zero count below N.
     """
     m, _, zeros = _spectra(stack, zero_tol=zero_tol, psd=True)
     n = m.shape[-1]
@@ -194,10 +192,6 @@ def _stratum_columns(stack, zero_tol):
     # p = 0 keeps radius 0 and least distance 0
     radius, least = np.zeros(n), np.zeros(n)
     for p in dict.fromkeys(zeros.tolist()):
-        if p == n:
-            raise DomainError(
-                f"zero_tol = {zero_tol!r} counts all {n} eigenvalues as zero; it must be below 1/N"
-            )
         if p:
             radius[p], least[p] = stratum_radius(n, p), _min_distance(n, p, zero_tol)
     radius, least = radius[zeros], least[zeros]

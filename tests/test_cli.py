@@ -214,6 +214,26 @@ def test_a_json_null_entry_is_one_error_line(text, message, tmp_path, capsys):
     assert run(["convert", "--in", str(path)], capsys) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("convert", '{"dim": true, "coords": [0, 0, 0]}', 'Bloch "dim" must be an integer, got True'),
+        ("convert", '{"dim": true, "re": [[1]], "im": [[0]]}',
+         'matrix "dim" must be an integer, got True'),
+        ("classify", '{"dim": true, "re": [[1]], "im": [[0]]}',
+         'matrix "dim" must be an integer, got True'),
+        ("classify", '{"dim": 0, "re": [], "im": []}', 'matrix "dim" must be >= 1, got 0'),
+        ("convert", '{"dim": 1, "coords": []}', 'Bloch "dim" must be >= 2, got 1'),
+    ],
+    ids=["convert-bloch-true", "convert-matrix-true", "classify-true", "classify-0", "convert-1"],
+)
+def test_a_json_dim_is_read_by_the_integer_rule(command, text, message, tmp_path, capsys):
+    # json reads true as True, which operator.index would read as 1
+    path = tmp_path / "dim.json"
+    path.write_text(text)
+    assert run([command, "--in", str(path)], capsys) == (2, "", f"error: {message}\n")
+
+
 def test_direction_vector_dim_mismatch_exits_2(tmp_path, capsys):
     vec = tmp_path / "dir.json"
     vec.write_text(json.dumps({"dim": 2, "coords": [0.0, 0.0, 1.0]}))
@@ -1058,12 +1078,12 @@ def test_standard_output_on_a_full_device_is_one_line(unbuffered):
     )
 
 
-def test_a_reader_that_closes_the_pipe_early_gets_one_line():
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_the_pipe_early_gets_one_line(unbuffered):
     # about 1 MB of output, far more than a pipe holds, so the write outlasts the reader;
-    # stdout is buffered, as unbuffered the text layer ignores the short write that the
-    # reader's close causes, and the run exits 0
+    # unbuffered, a write to the pipe may be short, which the text layer would ignore
     argv = ["strata-scan", "--dim", "5", "--count", "4000", "--seed", "1"]
-    with _cli_process(argv, stdout=subprocess.PIPE) as proc:
+    with _cli_process(argv, unbuffered, stdout=subprocess.PIPE) as proc:
         proc.stdout.read(10)
         proc.stdout.close()
         err = proc.stderr.read().decode()

@@ -19,6 +19,7 @@ from blochstrata import (
     build_basis,
     classify,
     direction_report,
+    direction_reports,
     directional_matrix,
     directional_matrix_of_boundary,
     expand,
@@ -247,3 +248,20 @@ def test_cap_zero_count_is_the_zero_count_of_the_cap_class(
         path = tmp_path_factory.mktemp("planted") / "direction.json"
         label, count = _cli_direction(dim, n, path)
         assert (label, count) == (rep.cap_state_class.label, rep.cap_zero_count)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_a_cap_zero_count_of_n_is_one_error_naming_zero_tol(dim, tmp_path, capsys):
+    # the eigenvalues of a cap state lie in [0, 1], so zero_tol = 2 counts all N of them
+    message = f"zero_tol = 2.0 counts all {dim} eigenvalues as zero; it must be below 1/N"
+    basis, n = build_basis(dim), np.eye(dim * dim - 1)[-1]
+    for call in (lambda: direction_report(basis, n, 2.0), lambda: direction_reports(basis, [n], 2.0)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
+    vector = tmp_path / "direction.json"
+    vector.write_text(json.dumps(bloch_to_dict(dim, n)))
+    argv = ["direction", "--dim", str(dim), "--zero-tol", "2"]
+    for form in (["--vector", str(vector)], ["--seed", "1"], ["--seed", "1", "--scan", "3"]):
+        assert cli.main(argv + form) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")

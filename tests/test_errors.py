@@ -1,13 +1,17 @@
 """Tests for the one argument contract: integers, lengths and arrays.
 
-Every closed form takes its integers as operator.index does (numpy integers
-yes, 2.5, "3" and None no) and its lengths as finite numbers.Real >= 0; a
-bad argument is a one-line DomainError that names it.  Every array argument
+Every closed form takes its integers as operator.index does, but for bools
+(numpy integers yes; True, 2.5, "3" and None no), and its lengths as finite
+numbers.Real >= 0, bools not; a bad argument is a one-line DomainError that
+names it.  Each call reads each argument once.  Every array argument
 is read by errors._array, so input numpy cannot read as numbers is a
 one-line DomainError too.
 """
 
+import sys
+import types
 import warnings
+from collections import Counter
 from collections.abc import Iterator
 from math import inf, nan
 
@@ -45,6 +49,7 @@ from blochstrata import (
     sample_direction,
     sample_state,
     sample_states,
+    sample_unit_sum_tuple,
     state_along,
     stratum_radius,
     stratum_report,
@@ -52,7 +57,8 @@ from blochstrata import (
     to_bloch,
     verify_basis,
 )
-from blochstrata.errors import _shown
+from blochstrata.basis import _check_basis
+from blochstrata.errors import _array, _shown
 from blochstrata.serialize import bloch_from_dict, matrix_from_dict
 
 
@@ -218,6 +224,60 @@ def test_numpy_integers_are_integers():
     assert np.array_equal(boundary_state(np.int32(3), np.int64(2)), boundary_state(3, 2))
     with pytest.raises(DomainError, match="rank must be in 1..3, got 4"):
         max_antipodal_length(np.int64(4), np.int64(4))
+
+
+_INTEGER, _REAL = "an integer", "a real number"
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "call,name,kind",
+    [
+        pytest.param(lambda x: SamplerConfig(x, 3, 2, 2), "seed", _INTEGER, id="config-seed"),
+        pytest.param(lambda x: SamplerConfig(1, x, 1, 2), "dim", _INTEGER, id="config-dim"),
+        pytest.param(lambda x: SamplerConfig(1, 3, x, 2), "rank", _INTEGER, id="config-rank"),
+        pytest.param(lambda x: SamplerConfig(1, 3, 2, x), "count", _INTEGER, id="config-count"),
+        pytest.param(lambda x: sample_state(SamplerConfig(1, 3, 2, 2), x), "index", _INTEGER,
+                     id="sample_state-index"),
+        pytest.param(lambda x: sample_direction(x, 3, 0), "seed", _INTEGER, id="direction-seed"),
+        pytest.param(lambda x: sample_direction(1, x, 0), "num_coords", _INTEGER,
+                     id="direction-num_coords"),
+        pytest.param(lambda x: sample_direction(1, 3, x), "index", _INTEGER, id="direction-index"),
+        pytest.param(lambda x: sample_bloch_in_ball(x, 3, 0.5, 0), "seed", _INTEGER,
+                     id="ball-seed"),
+        pytest.param(lambda x: sample_bloch_in_ball(1, x, 0.5, 0), "num_coords", _INTEGER,
+                     id="ball-num_coords"),
+        pytest.param(lambda x: sample_bloch_in_ball(1, 3, x, 0), "radius", _REAL,
+                     id="ball-radius"),
+        pytest.param(lambda x: sample_bloch_in_ball(1, 3, 0.5, x), "index", _INTEGER,
+                     id="ball-index"),
+        pytest.param(lambda x: sample_unit_sum_tuple(x, 3, 0), "seed", _INTEGER, id="tuple-seed"),
+        pytest.param(lambda x: sample_unit_sum_tuple(1, x, 0), "size", _INTEGER, id="tuple-size"),
+        pytest.param(lambda x: sample_unit_sum_tuple(1, 3, x), "index", _INTEGER,
+                     id="tuple-index"),
+        pytest.param(lambda x: stratum_radius(x, 1), "dim", _INTEGER, id="stratum_radius-dim"),
+        pytest.param(lambda x: stratum_radius(3, x), "zero_count", _INTEGER,
+                     id="stratum_radius-zero_count"),
+        pytest.param(lambda x: boundary_state(x, 1), "dim", _INTEGER, id="boundary_state-dim"),
+        pytest.param(lambda x: boundary_state(3, x), "rank", _INTEGER, id="boundary_state-rank"),
+        pytest.param(lambda x: maximally_mixed(x), "dim", _INTEGER, id="maximally_mixed"),
+        pytest.param(lambda x: classify(np.eye(2) / 2, x), "zero_tol", _REAL, id="classify"),
+        pytest.param(lambda x: stratum_report(np.eye(2) / 2, x), "zero_tol", _REAL,
+                     id="stratum_report"),
+        pytest.param(lambda x: direction_report(build_basis(2), [0.0, 0.0, 1.0], x), "zero_tol",
+                     _REAL, id="direction_report"),
+        pytest.param(lambda x: state_along(build_basis(2), [0.0, 0.0, 1.0], x), "length", _REAL,
+                     id="state_along"),
+        pytest.param(lambda x: antipodal_state(build_basis(2), [0.0, 0.0, 1.0], x), "length",
+                     _REAL, id="antipodal_state"),
+        pytest.param(lambda x: antipodal_family(3, 1, x), "length", _REAL, id="antipodal_family"),
+    ],
+)
+def test_a_bool_is_not_a_number(call, name, kind, flag):
+    # operator.index and numbers.Real take True as 1; errors._array and JSON do not
+    with pytest.raises(DomainError) as exc:
+        call(flag)
+    assert str(exc.value) == f"{name} must be {kind}, got {flag}"
 
 
 # every public call that reads an array argument, given that array
@@ -465,3 +525,36 @@ def test_every_public_call_returns_or_raises_one_line(case, bad):
         _call(name, args)
     except (DomainError, NumericError) as exc:
         assert "\n" not in str(exc)
+
+
+# (_array calls, _check_basis calls) of one call with a good argument of each kind;
+# antipodal_state's second _array reads the negation of the direction it read
+_READS = {
+    "to_bloch": ((_B2, _HALF), 1, 1),
+    "classify": ((_HALF,), 1, 0),
+    "stratum_report": ((_HALF,), 1, 0),
+    "direction_report": ((_B2, _Z), 1, 1),
+    "antipodal_state": ((_B2, _Z, 0.5), 2, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_READS))
+def test_each_argument_is_read_once(name, monkeypatch):
+    args, arrays, bases = _READS[name]
+    reads = Counter()
+
+    def counted(check):
+        def wrapper(*a, **kw):
+            reads[check.__name__] += 1
+            return check(*a, **kw)
+
+        return wrapper
+
+    # every module that holds a reference gets the wrapper, as bench/tracing.py does
+    wrappers = {_array: counted(_array), _check_basis: counted(_check_basis)}
+    for module in [m for key, m in sys.modules.items() if key.startswith("blochstrata")]:
+        for attr, value in list(vars(module).items()):
+            if isinstance(value, types.FunctionType) and value in wrappers:
+                monkeypatch.setattr(module, attr, wrappers[value])
+    getattr(blochstrata, name)(*args)
+    assert (reads["_array"], reads["_check_basis"]) == (arrays, bases)

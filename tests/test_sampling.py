@@ -51,13 +51,15 @@ def test_numpy_integer_arguments_draw_the_same_stream():
     assert a.tobytes() == sample_direction(2**64 - 1, 8, 3).tobytes()
     c = SamplerConfig(seed=np.uint64(55), dim=np.int64(3), rank=np.int8(2), count=1)
     assert sample_state(c, 0).tobytes() == sample_state(SamplerConfig(55, 3, 2, 1), 0).tobytes()
-    # True is the integer 1, as operator.index reads it
-    one = sample_state(SamplerConfig(1, 2, True, 1), 0)
-    assert one.tobytes() == sample_state(SamplerConfig(1, 2, 1, 1), 0).tobytes()
-    assert sample_unit_sum_tuple(1, True, 0).tobytes() == sample_unit_sum_tuple(1, 1, 0).tobytes()
-    ball = sample_bloch_in_ball(1, True, 0.5, 0)
-    assert ball.tobytes() == sample_bloch_in_ball(1, 1, 0.5, 0).tobytes()
-    assert sample_direction(True, 8, True).tobytes() == sample_direction(1, 8, 1).tobytes()
+    # True is not the integer 1, though operator.index reads it so
+    with pytest.raises(DomainError, match="rank must be an integer, got True"):
+        SamplerConfig(1, 2, True, 1)
+    with pytest.raises(DomainError, match="size must be an integer, got True"):
+        sample_unit_sum_tuple(1, True, 0)
+    with pytest.raises(DomainError, match="num_coords must be an integer, got True"):
+        sample_bloch_in_ball(1, True, 0.5, 0)
+    with pytest.raises(DomainError, match="seed must be an integer, got True"):
+        sample_direction(True, 8, True)
     with pytest.raises(DomainError):
         sample_direction(1.5, 8, 0)
 

@@ -157,6 +157,11 @@ def test_a_zero_count_of_n_is_one_error_naming_zero_tol(dim):
     with pytest.raises(DomainError) as stack:
         stratum_reports(np.stack([center, center]), zero_tol=1.0 / dim)
     assert str(one.value) == str(stack.value) == zero_count_n_message(dim)
+    with pytest.raises(DomainError) as classified:
+        classify(center, zero_tol=1.0 / dim)
+    assert str(classified.value) == zero_count_n_message(dim)
+    # spectrum takes no unit trace, so its zero count may be N
+    assert spectrum(np.zeros((dim, dim))).zero_count == dim
 
 
 def test_stratum_report_rejects_nonpositive():
