@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet
-from .direction import directional_matrix_of_boundary, state_along
-from .errors import NumericError, _array, _integer, _real, _zeros
+from .direction import directional_matrix, directional_matrix_of_boundary
+from .errors import NumericError, _integer, _real, _zeros
 from .states import (
     DEFAULT_ZERO_TOL,
     UNIT_TRACE_TOL,
@@ -40,8 +40,10 @@ class AntipodeReport:
 
 
 def antipodal_state(basis: BasisSet, direction, length: float) -> np.ndarray:
-    """The matrix (1/N) I - r T_n, i.e. the state at length r along -n."""
-    return state_along(basis, -_array(direction, "direction entries"), length)
+    """The matrix (1/N) I - r T_n, i.e. the state at length r along -n; checks as state_along."""
+    t = directional_matrix(basis, direction)
+    length = _real(length, "length")
+    return maximally_mixed(basis.dim) - length * t
 
 
 def max_antipodal_length(dim: int, rank: int) -> float:
@@ -56,9 +58,11 @@ def antipode_of_boundary(dim: int, rank: int) -> AntipodeReport:
     places the zero eigenvalues first while R(N-q) places them last; the two
     differ only by relabeling.
     """
+    dim = _integer(dim, "dim", 2)
+    rank = _integer(rank, "rank", 1, dim - 1)
     length = max_antipodal_length(dim, rank)
     t = directional_matrix_of_boundary(dim, rank)
-    cap, w, _ = _validate(maximally_mixed(dim) - length * t, psd=True)
+    cap, _, w, _ = _validate(maximally_mixed(dim) - length * t, psd=True)
     target = boundary_state(dim, dim - rank)
     dev = float(np.abs(w - hermitian_eigenvalues(target)).max())
     return AntipodeReport(
@@ -84,8 +88,10 @@ def antipodal_family(dim: int, rank: int, length: float) -> tuple[np.ndarray, St
     rounding, and a state whose trace is then not 1 within the unit-trace
     tolerance is a NumericError.
     """
+    dim = _integer(dim, "dim", 2)
+    rank = _integer(rank, "rank", 1, dim - 1)
     cap = max_antipodal_length(dim, rank)
-    _real(length, "length")
+    length = _real(length, "length")
     shrink = stratum_radius(dim, dim - rank)
     diag = _zeros(dim, "antipodal state")
     diag[:rank] = 1.0 / dim - length * shrink

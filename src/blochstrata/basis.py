@@ -37,7 +37,7 @@ class BasisSet:
     dim: int
 
     def __post_init__(self):
-        _integer(self.dim, "dim", 2)
+        object.__setattr__(self, "dim", _integer(self.dim, "dim", 2))
 
     @cached_property
     def elements(self) -> np.ndarray:

@@ -274,7 +274,7 @@ def _least_slack(n, zeros, distance, radius, on_sphere, satisfied) -> float:
     return (distance - radius).min()
 
 
-def _direction_rows(directions, mu, max_length, smallest, cap_zero_count) -> str:
+def _direction_rows(directions, mu, max_length, smallest, cap_zero_count, zero_tol) -> str:
     """The CSV lines of _direction_columns' columns."""
     return _rows(_DIRECTION_ROW, mu.shape[1], mu[:, -1], mu[:, 0], max_length, cap_zero_count)
 

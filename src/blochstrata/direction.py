@@ -73,7 +73,7 @@ def _directional_matrices(basis: BasisSet, directions):
 def state_along(basis: BasisSet, direction, length: float) -> np.ndarray:
     """The matrix (1/N) I + r T_n; Hermitian and unit trace, positivity not guaranteed."""
     t = directional_matrix(basis, direction)
-    _real(length, "length")
+    length = _real(length, "length")
     return maximally_mixed(basis.dim) + length * t
 
 
@@ -115,17 +115,18 @@ def direction_reports(
 
 def _direction_reports(basis: BasisSet, directions, zero_tol) -> list[DirectionReport]:
     """direction_reports without the stack check, which would misname direction_report's input."""
-    v, mu, max_length, smallest, zeros = _direction_columns(basis, directions, zero_tol)
+    v, mu, max_length, smallest, zeros, t = _direction_columns(basis, directions, zero_tol)
     columns = zip(v, mu, max_length.tolist(), smallest.tolist(), zeros.tolist())
     return [
-        DirectionReport(row, row_mu, length, _state_class(least, count, zero_tol), count)
+        DirectionReport(row, row_mu, length, _state_class(least, count, t), count)
         for row, row_mu, length, least, count in columns
     ]
 
 
 def _direction_columns(basis: BasisSet, directions, zero_tol):
     """(directions, mu descending, max_length, the cap state's smallest eigenvalue
-    and zero count) of an (M, N**2 - 1) stack, one row per direction.
+    and zero count) of an (M, N**2 - 1) stack, one row per direction, then the
+    zero_tol the gate checked, as a float.
 
     The cap states (1/N) I + max_length T_n go through the validation gate and
     their own eigensolve: the evidence, independent of mu, that each is a
@@ -135,8 +136,8 @@ def _direction_columns(basis: BasisSet, directions, zero_tol):
     n = basis.dim
     mu = hermitian_eigenvalues(t)[:, ::-1]
     max_length = 1.0 / (n * np.abs(mu[:, -1]))
-    _, w, zeros = _spectra(maximally_mixed(n) + max_length[:, None, None] * t, zero_tol=zero_tol)
-    return v, mu, max_length, w[:, 0], zeros
+    tol, w, zeros = _spectra(maximally_mixed(n) + max_length[:, None, None] * t, zero_tol=zero_tol)
+    return v, mu, max_length, w[:, 0], zeros, tol
 
 
 def extremal_spectra(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +165,8 @@ def directional_matrix_of_boundary(dim: int, rank: int) -> np.ndarray:
     Hilbert-Schmidt norm, and (1/N) I + sqrt((N-q)/(qN)) * T reconstructs
     diag(1/q, ..., 1/q, 0, ..., 0).
     """
-    rank = _integer(rank, "rank", 1, _integer(dim, "dim", 2) - 1)
+    dim = _integer(dim, "dim", 2)
+    rank = _integer(rank, "rank", 1, dim - 1)
     diag = _zeros(dim, "directional matrix")
     diag[:rank] = stratum_radius(dim, dim - rank)
     diag[rank:] = -stratum_radius(dim, rank)

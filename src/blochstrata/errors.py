@@ -35,20 +35,23 @@ def _integer(value, name: str, low=None, high=None) -> int:
     return value
 
 
-def _real(value, name: str, positive: bool = False) -> None:
-    """DomainError unless value is a non-bool Real in the float range, > 0 if positive, else >= 0."""
+def _real(value, name: str, positive: bool = False) -> float:
+    """float(value); DomainError unless value is a non-bool Real whose float is finite,
+    > 0 if positive, else >= 0.  The comparisons run on the float, so a Fraction
+    that rounds to 0.0 is not positive."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise DomainError(f"{name} must be a real number, got {_shown(value)}")
     try:
-        float(value)  # an int such as 10**400 would pass the comparisons below
+        x = float(value)
     except OverflowError:
         raise DomainError(f"{name} must be finite, got a number past the float range") from None
-    if positive and not 0 < value < inf:
-        raise DomainError(f"{name} must be positive and finite, got {value}")
-    if not value >= 0:
-        raise DomainError(f"{name} must be >= 0, got {value}")
-    if value == inf:
-        raise DomainError(f"{name} must be finite, got {value}")
+    if positive and not 0 < x < inf:
+        raise DomainError(f"{name} must be positive and finite, got {_shown(value)}")
+    if not x >= 0:
+        raise DomainError(f"{name} must be >= 0, got {_shown(value)}")
+    if x == inf:
+        raise DomainError(f"{name} must be finite, got {_shown(value)}")
+    return x
 
 
 # the most characters of a value's repr that a message shows

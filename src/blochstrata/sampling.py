@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import sqrt
 from typing import Iterator
@@ -60,7 +60,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 def _word_count(value: int) -> int:
     """How many 32-bit words SeedSequence reads from an int; 0 is one word."""
-    value = operator.index(value)  # a numpy integer too, as SeedSequence takes it
     return max(-(-value.bit_length() // 32), 1)
 
 
@@ -111,7 +110,7 @@ def _keys(seed: int, prefix, indices) -> np.ndarray:
     steps = _folded(seed, tuple(prefix))
     single = len(indices) == 1
     if single:
-        x = int(indices[0])
+        x = indices[0]
         large = [0] if x >= _WORD else []
         words = [_hashed(x, *step) for step in steps]
     else:
@@ -189,15 +188,15 @@ def _gram(z: np.ndarray) -> np.ndarray:
     return g @ g.conj().swapaxes(1, 2)
 
 
-def _index_list(seed: int, indices=()) -> list[int]:
-    """The indices as a list of ints; DomainError unless the seed is a 64-bit
-    unsigned integer and every index an integer >= 0."""
+def _index_list(seed: int, indices=()) -> tuple[int, list[int]]:
+    """The seed as an int and the indices as a list of ints; DomainError unless
+    the seed is a 64-bit unsigned integer and every index an integer >= 0."""
     seed = _integer(seed, "seed")
     if not 0 <= seed <= _MAX_SEED:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {_shown(seed)}")
     indices = list(indices)
     _integer(min(indices, default=0), "index", 0)
-    return list(map(operator.index, indices))
+    return seed, list(map(operator.index, indices))
 
 
 def _blocks(count: int, draw):
@@ -224,9 +223,11 @@ class SamplerConfig:
     count: int
 
     def __post_init__(self):
-        _index_list(self.seed)
-        _integer(self.rank, "rank", 1, _integer(self.dim, "dim", 2))
-        _integer(self.count, "count", 0)
+        seed, _ = _index_list(self.seed)
+        dim = _integer(self.dim, "dim", 2)
+        checked = seed, dim, _integer(self.rank, "rank", 1, dim), _integer(self.count, "count", 0)
+        for field, value in zip(fields(self), checked):  # the class is frozen
+            object.__setattr__(self, field.name, value)
 
 
 def _check_config(config) -> None:
@@ -237,7 +238,7 @@ def _check_config(config) -> None:
 
 def _state_block(config: SamplerConfig, indices) -> np.ndarray:
     """(M, N, N) stack of sample_state(config, i) for i in indices, bit for bit."""
-    indices = _index_list(config.seed, indices)
+    _, indices = _index_list(config.seed, indices)
     n, k = config.dim, config.rank
     z, _ = _draws(config.seed, (_STATE_TAG, n, k), indices, (2, n, k))
     h = _gram(z)
@@ -270,7 +271,7 @@ def sample_states(config: SamplerConfig) -> Iterator[np.ndarray]:
 
 def _direction_block(seed: int, num_coords: int, indices) -> np.ndarray:
     """(M, num_coords) stack of sample_direction(seed, num_coords, i), bit for bit."""
-    indices = _index_list(seed, indices)
+    seed, indices = _index_list(seed, indices)
     num_coords = _integer(num_coords, "num_coords", 3)
     z, _ = _draws(seed, (_DIRECTION_TAG, num_coords), indices, (num_coords,))
     norm = _norms(z)
@@ -285,8 +286,8 @@ def sample_direction(seed: int, num_coords: int, index: int) -> np.ndarray:
 
 def _ball_block(seed: int, num_coords: int, radius: float, indices) -> np.ndarray:
     """(M, num_coords) stack of sample_bloch_in_ball(seed, num_coords, radius, i)."""
-    _real(radius, "radius", positive=True)
-    indices = _index_list(seed, indices)
+    radius = _real(radius, "radius", positive=True)
+    seed, indices = _index_list(seed, indices)
     num_coords = _integer(num_coords, "num_coords", 1)
     z, u = _draws(seed, (_BALL_TAG, num_coords), indices, (num_coords,), uniform=True)
     norm = _norms(z)
@@ -307,7 +308,7 @@ def sample_bloch_in_ball(seed: int, num_coords: int, radius: float, index: int) 
 
 def _tuple_block(seed: int, size: int, indices) -> np.ndarray:
     """(M, size) stack of sample_unit_sum_tuple(seed, size, i), bit for bit."""
-    indices = _index_list(seed, indices)
+    seed, indices = _index_list(seed, indices)
     size = _integer(size, "size", 1)
     x, _ = _draws(seed, (_TUPLE_TAG, size), indices, (size,))
     return x - x.mean(axis=1, keepdims=True) + 1.0 / size

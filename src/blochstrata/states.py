@@ -100,7 +100,7 @@ def _negative_floor(zero_tol: float) -> float:
 
 
 def _spectra(m: np.ndarray, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trace: bool = True):
-    """The one validation gate, over the (M, N, N) array its caller read: returns (m, w, zeros).
+    """The one validation gate, over the (M, N, N) array its caller read: returns (t, w, zeros).
 
     Every matrix of m is square with N >= 1, finite, Hermitian and, with
     unit_trace, of trace 1.  One eigensolve covers the stack, and runs only
@@ -112,7 +112,9 @@ def _spectra(m: np.ndarray, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trac
     Hermitian, unit trace), PSD, then with unit_trace a zero count of N,
     which needs zero_tol >= 1/N; the first failing check raises the
     DomainError of its first failing matrix.  An empty stack checks
-    nothing, not even zero_tol.
+    nothing, not even zero_tol.  t is the checked zero_tol as a float, the
+    one every later use takes; where nothing was checked it is zero_tol as
+    passed, and no caller uses it.
     """
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise DomainError(f"expected a square matrix, got shape {m.shape[1:]}")
@@ -120,7 +122,7 @@ def _spectra(m: np.ndarray, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trac
         raise DomainError("expected a matrix of at least 1 x 1, got shape (0, 0)")
     counted = zero_tol is not _UNCOUNTED
     if len(m) and counted:
-        _real(zero_tol, "zero_tol", positive=True)
+        zero_tol = _real(zero_tol, "zero_tol", positive=True)
     # inf - inf is NaN, finite entries may overflow to inf; both fail the checks
     with np.errstate(invalid="ignore", over="ignore"):
         dev = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
@@ -153,13 +155,14 @@ def _spectra(m: np.ndarray, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trac
                     f"zero_tol = {zero_tol!r} counts all {m.shape[1]} eigenvalues as zero; "
                     "it must be below 1/N"
                 )
-    return m, w, zeros
+    return zero_tol, w, zeros
 
 
 def _validate(matrix, **gate):
-    """_spectra of one matrix: returns (m, ascending eigenvalues, zero count)."""
-    m, w, zeros = _spectra(_array(matrix, "matrix entries", complex)[None], **gate)
-    return m[0], None if w is None else w[0], None if zeros is None else int(zeros[0])
+    """_spectra of one matrix: returns (m, t, ascending eigenvalues, zero count)."""
+    m = _array(matrix, "matrix entries", complex)[None]
+    t, w, zeros = _spectra(m, **gate)
+    return m[0], t, None if w is None else w[0], None if zeros is None else int(zeros[0])
 
 
 def spectrum(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectrum:
@@ -167,7 +170,7 @@ def spectrum(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectrum:
 
     ``zero_count`` is the number of eigenvalues with |w| <= zero_tol.
     """
-    _, w, zeros = _validate(matrix, zero_tol=zero_tol, unit_trace=False)
+    _, _, w, zeros = _validate(matrix, zero_tol=zero_tol, unit_trace=False)
     return Spectrum(values=w[::-1], zero_count=zeros)
 
 
@@ -187,8 +190,8 @@ def classify(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> StateClass:
     POSITIVE_INTERIOR otherwise.  Inputs with trace away from 1 are a
     precondition violation, not silently renormalized.
     """
-    _, w, zeros = _validate(matrix, zero_tol=zero_tol)
-    return _state_class(w[0], zeros, zero_tol)
+    _, t, w, zeros = _validate(matrix, zero_tol=zero_tol)
+    return _state_class(w[0], zeros, t)
 
 
 def _state_class(smallest: float, zeros: int, zero_tol: float) -> StateClass:

@@ -77,7 +77,7 @@ def harriman_check(values) -> HarrimanResult:
     Equality holds iff every a_j equals 1/n; the slack sum(a_j^2) - 1/n is the
     sum of squared deviations from the uniform tuple.
     """
-    return harriman_checks(_tuple(values)[None])[0]
+    return _harriman_results(_tuple(values)[None])[0]
 
 
 def _tuple(values) -> np.ndarray:
@@ -100,6 +100,11 @@ def harriman_checks(stack) -> list[HarrimanResult]:
     a = _array(stack, "tuple entries")
     if a.ndim != 2 or not a.shape[1]:
         raise DomainError(f"expected an (M, n) stack of nonempty tuples, got shape {a.shape}")
+    return _harriman_results(a)
+
+
+def _harriman_results(a: np.ndarray) -> list[HarrimanResult]:
+    """harriman_checks of an (M, n) float stack its caller read, without the stack check."""
     _, sums_sq, bound, slack, equality = _harriman_columns(a)
     return [
         HarrimanResult(sum_of_squares=s, bound=bound, equality=eq, slack=d)
@@ -182,9 +187,9 @@ def _stratum_columns(stack: np.ndarray, zero_tol):
     its stratum reports.  The gate, states._spectra, validates the stack and
     leaves every zero count below N.
     """
-    m, _, zeros = _spectra(stack, zero_tol=zero_tol, psd=True)
-    n = m.shape[-1]
-    x = (m - _center(n)).reshape(len(m), 1, n * n)
+    t, _, zeros = _spectra(stack, zero_tol=zero_tol, psd=True)
+    n = stack.shape[-1]
+    x = (stack - _center(n)).reshape(len(stack), 1, n * n)
     re, im = x.real, x.imag
     sq = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
     distance = np.sqrt(sq).ravel()
@@ -193,7 +198,7 @@ def _stratum_columns(stack: np.ndarray, zero_tol):
     radius, least = np.zeros(n), np.zeros(n)
     for p in dict.fromkeys(zeros.tolist()):
         if p:
-            radius[p], least[p] = stratum_radius(n, p), _min_distance(n, p, zero_tol)
+            radius[p], least[p] = stratum_radius(n, p), _min_distance(n, p, t)
     radius, least = radius[zeros], least[zeros]
     on_sphere = np.abs(distance - radius) <= ON_SPHERE_TOL
     return n, zeros, distance, radius, on_sphere, distance >= least - ON_SPHERE_TOL

@@ -540,6 +540,10 @@ def _inf_tuples(tmp_path):
             "--tuples does not take --count, --size, --seed", id="lemma-tuples-with-count",
         ),
         pytest.param(
+            lambda tmp: ["lemma", "--tuples", _json_file(tmp, {"a": 1})],
+            "tuple file must contain a JSON list of lists of reals", id="lemma-tuples-not-a-list",
+        ),
+        pytest.param(
             lambda tmp: ["direction", "--dim", "2",
                          "--vector", _json_file(tmp, {"dim": 2, "coords": [0, 0, 1]}),
                          "--scan", "5", "--seed", "3"],

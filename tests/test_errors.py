@@ -3,7 +3,8 @@
 Every closed form takes its integers as operator.index does, but for bools
 (numpy integers yes; True, 2.5, "3" and None no), and its lengths as finite
 numbers.Real >= 0, bools not; a bad argument is a one-line DomainError that
-names it.  Each call reads each argument once.  Every array argument
+names it, and a good one is used as the Python int or float its check
+returned.  Each call reads each argument once.  Every array argument
 is read by errors._array, so input numpy cannot read as numbers is a
 one-line DomainError too.
 """
@@ -13,6 +14,7 @@ import types
 import warnings
 from collections import Counter
 from collections.abc import Iterator
+from fractions import Fraction
 from math import inf, nan
 
 import numpy as np
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 import blochstrata
 from blochstrata import (
+    BasisSet,
     DomainError,
     NumericError,
     SamplerConfig,
@@ -58,7 +61,7 @@ from blochstrata import (
     verify_basis,
 )
 from blochstrata.basis import _check_basis
-from blochstrata.errors import _array, _shown
+from blochstrata.errors import _array, _real, _shown
 from blochstrata.serialize import bloch_from_dict, matrix_from_dict
 
 
@@ -224,6 +227,75 @@ def test_numpy_integers_are_integers():
     assert np.array_equal(boundary_state(np.int32(3), np.int64(2)), boundary_state(3, 2))
     with pytest.raises(DomainError, match="rank must be in 1..3, got 4"):
         max_antipodal_length(np.int64(4), np.int64(4))
+    # the checked int is what is kept and computed with: N**2 - 1 of a uint8 20 would wrap to 143
+    wide, b20 = BasisSet(np.uint8(20)), BasisSet(20)
+    assert type(BasisSet(np.int64(3)).dim) is int
+    assert repr(BasisSet(np.int64(3))) == "BasisSet(dim=3)"
+    assert len(wide) == 399
+    v = sample_direction(1, 399, 0)
+    rho = from_bloch(b20, 0.01 * v)
+    assert np.array_equal(from_bloch(wide, 0.01 * v), rho)
+    assert np.array_equal(to_bloch(wide, rho), to_bloch(b20, rho))
+    ours, theirs = direction_report(wide, v), direction_report(b20, v)
+    assert np.array_equal(ours.mu, theirs.mu) and ours.max_length == theirs.max_length
+    assert ours.cap_state_class == theirs.cap_state_class
+    config = SamplerConfig(np.uint64(7), np.int8(3), np.int16(2), np.int32(4))
+    assert [type(getattr(config, f)) for f in ("seed", "dim", "rank", "count")] == [int] * 4
+    assert config == SamplerConfig(7, 3, 2, 4)
+    assert np.array_equal(sample_state(config, np.uint8(1)), sample_state(config, 1))
+    report = antipode_of_boundary(np.int64(4), np.uint8(1))
+    assert type(report.rank) is int
+    _, cls = antipodal_family(np.uint8(4), np.int64(1), max_antipodal_length(4, 1))
+    assert type(cls.zero_count) is int and cls == StateClass(StateKind.BOUNDARY, 1)
+
+
+def test_numpy_and_fraction_reals_compute_as_their_floats():
+    # a checked real is used as its Python float: numpy float32 arithmetic, Fraction
+    # object arrays and a float32 least distance below the stratum radius cannot happen
+    assert type(_real(np.float32(0.5), "x")) is float and _real(Fraction(1, 4), "x") == 0.25
+    tol = np.float32(1e-9)
+    for n in range(2, 9):
+        for q in range(1, n + 1):
+            rho = boundary_state(n, q)
+            report = stratum_report(rho, zero_tol=tol)
+            assert report == stratum_report(rho, zero_tol=float(tol)) and report.satisfied
+            assert classify(rho, tol) == classify(rho, float(tol))
+    b3 = build_basis(3)
+    direction = sample_direction(2, 8, 0)
+    assert direction_report(b3, direction, tol).cap_state_class == direction_report(
+        b3, direction, float(tol)
+    ).cap_state_class
+    ours, theirs = antipodal_family(4, 1, np.float32(0.25)), antipodal_family(4, 1, 0.25)
+    assert np.array_equal(ours[0], theirs[0]) and ours[1] == theirs[1]
+    assert np.array_equal(sample_bloch_in_ball(1, 3, np.float32(0.5), 0),
+                          sample_bloch_in_ball(1, 3, 0.5, 0))
+    b2 = build_basis(2)
+    for call in (state_along, antipodal_state):
+        state = call(b2, [0.0, 0.0, 1.0], Fraction(1, 3))
+        assert state.dtype == np.complex128
+        assert np.array_equal(state, call(b2, [0.0, 0.0, 1.0], 1 / 3))
+    # a message written after the check shows the float
+    with pytest.raises(NumericError, match=r"^at length 1e\+20 the entries "):
+        antipodal_family(3, 1, 10**20)
+
+
+# the comparisons run on the float: a positive Fraction that rounds to 0.0 is not positive
+@pytest.mark.parametrize(
+    "call,name,value,rule",
+    [
+        (lambda x: classify(np.eye(2) / 2, x), "zero_tol", Fraction(1, 10**400),
+         "positive and finite"),
+        (lambda x: state_along(build_basis(2), [0.0, 0.0, 1.0], x), "length",
+         Fraction(-1, 3**400), ">= 0"),
+        (lambda x: antipodal_family(3, 1, x), "length", Fraction(-(10**100), 3), ">= 0"),
+    ],
+    ids=["zero_tol", "state_along", "antipodal_family"],
+)
+def test_a_real_is_shown_cut_to_80_characters(call, name, value, rule):
+    with pytest.raises(DomainError) as exc:
+        call(value)
+    shown = _shown(value)
+    assert str(exc.value) == f"{name} must be {rule}, got {shown}" and len(shown) == 80
 
 
 _INTEGER, _REAL = "an integer", "a real number"
@@ -299,8 +371,8 @@ ARRAY_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [[[1, 0], [0]], {"re": 1}, "x", 10**400],
-                         ids=["ragged", "dict", "string", "huge-int"])
+@pytest.mark.parametrize("bad", [[[1, 0], [0]], {"re": 1}, "x", 10**400, [[0.5, 0.5], 1]],
+                         ids=["ragged", "dict", "string", "huge-int", "mixed-depths"])
 @pytest.mark.parametrize("call", list(ARRAY_CALLS.values()), ids=list(ARRAY_CALLS))
 def test_arrays_numpy_cannot_read_are_domain_errors(call, bad):
     with pytest.raises(DomainError, match=" are not numeric: ") as exc:
@@ -516,6 +588,8 @@ def test_the_good_calls_cover_every_public_callable_and_return():
 @example(case=("direction_report", 1), bad=[1e308, 1e308, 0.0])
 @example(case=("direction_reports", 1), bad=build_basis(3))
 @example(case=("harriman_check", 0), bad=[np.complex128(0.5 + 1j), 0.5])
+# a Fraction whose repr runs to hundreds of characters, and whose float is -0.0
+@example(case=("state_along", 2), bad=Fraction(-1, 10**400))
 def test_every_public_call_returns_or_raises_one_line(case, bad):
     # any exception other than these two, a RuntimeWarning too, fails the test
     name, slot = case
@@ -527,14 +601,14 @@ def test_every_public_call_returns_or_raises_one_line(case, bad):
         assert "\n" not in str(exc)
 
 
-# (_array calls, _check_basis calls) of one call with a good argument of each kind;
-# antipodal_state's second _array reads the negation of the direction it read
+# (_array calls, _check_basis calls) of one call with a good argument of each kind
 _READS = {
     "to_bloch": ((_B2, _HALF), 1, 1),
     "classify": ((_HALF,), 1, 0),
     "stratum_report": ((_HALF,), 1, 0),
     "direction_report": ((_B2, _Z), 1, 1),
-    "antipodal_state": ((_B2, _Z, 0.5), 2, 1),
+    "antipodal_state": ((_B2, _Z, 0.5), 1, 1),
+    "harriman_check": (([0.5, 0.5],), 1, 0),
 }
 
 
