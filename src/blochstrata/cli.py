@@ -135,12 +135,6 @@ def _write(text: str, out: str | None) -> None:
         raise DomainError(f"cannot write {where}: {exc}") from exc
 
 
-# The table costs about as much as 30 to 40 float reprs, whatever the size, so a
-# smaller matrix is written row by row: the two ways break even at about 8 x 8
-# for one part of a Hermitian matrix.
-_TABLE_ENTRIES = 64
-
-
 def _finite_floats(items) -> bool:
     """Whether every item is a finite float of exact type float (np.float64 is not)."""
     return set(map(type, items)) == {float} and all(map(math.isfinite, items))
@@ -149,17 +143,17 @@ def _finite_floats(items) -> bool:
 def _float_rows(rows, pad: str) -> list[str] | None:
     """The JSON text of each row of a matrix, float.__repr__ called once per magnitude.
 
-    A matrix is a list of non-empty lists of finite floats, with at least
-    _TABLE_ENTRIES entries; for any other rows this returns None.  A density
-    matrix is Hermitian, so its real part is symmetric and its imaginary part
-    antisymmetric: about half its entries repeat a magnitude.  repr(-x) is
-    "-" + repr(x) for x >= 0, -0.0 included, so each entry is looked up in a
-    table of the distinct magnitudes' texts and their negations.
+    A matrix is a list of non-empty lists of finite floats; for any other
+    rows this returns None.  A density matrix is Hermitian, so its real part
+    is symmetric and its imaginary part antisymmetric: about half its entries
+    repeat a magnitude.  repr(-x) is "-" + repr(x) for x >= 0, -0.0 included,
+    so each entry is looked up in a table of the distinct magnitudes' texts
+    and their negations.
     """
     if not (set(map(type, rows)) <= {list, tuple} and all(rows)):
         return None
     entries = list(chain.from_iterable(rows))
-    if len(entries) < _TABLE_ENTRIES or not _finite_floats(entries):
+    if not _finite_floats(entries):
         return None
     flat = np.array(entries)
     magnitudes, where = np.unique(np.abs(flat), return_inverse=True)
@@ -176,8 +170,8 @@ def _json_text(value, pad: str = "\n") -> str:
     With indent set, json.dumps takes its pure-Python encoder (CPython < 3.14).
     Here a dict of str keys and a non-empty list or tuple are written item by
     item, a list of finite floats with one join of float.__repr__ (what json
-    writes for a float), a large enough matrix of such floats from one table
-    of texts (_float_rows), and every other value by json.dumps itself.
+    writes for a float), a matrix of such floats from one table of texts
+    (_float_rows), and every other value by json.dumps itself.
     """
     inner = pad + "  "
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
@@ -363,14 +357,13 @@ def cmd_antipode(args: argparse.Namespace) -> dict | tuple[str, list]:
         if args.max_dim is None:
             raise DomainError("--table requires --max-dim M")
         _reject_ignored(args, "--table", ("dim", "q", "length"))
-        _integer(args.max_dim, "--max-dim", 2)
-        rows = []
-        for n in range(2, args.max_dim + 1):
-            for q in range(1, n):
-                rep = antipode_of_boundary(n, q)
-                values = (n, q, rep.max_antipodal_length, _CSV_BOOL[rep.matches_complement])
-                rows.append(_ANTIPODE_ROW % values + "\n")
-        return ANTIPODE_HEADER, rows
+        max_dim = _integer(args.max_dim, "--max-dim", 2)
+        pairs = [(n, q) for n in range(2, max_dim + 1) for q in range(1, n)]
+        reports = [antipode_of_boundary(n, q) for n, q in pairs]
+        dims, ranks = np.array(pairs).T
+        lengths = np.array([rep.max_antipodal_length for rep in reports])
+        matches = np.array([rep.matches_complement for rep in reports])
+        return ANTIPODE_HEADER, [_rows(_ANTIPODE_ROW, dims, ranks, lengths, matches)]
     if args.dim is None or args.q is None:
         raise DomainError("antipode requires --dim N and --q Q (or --table --max-dim M)")
     if args.max_dim is not None:

@@ -43,6 +43,9 @@ _BALL_TAG = 2
 _TUPLE_TAG = 3
 
 _MIN_GAUSSIAN_NORM = 1e-150  # a Gaussian draw this short has no usable direction
+# the floor on tr G G^H, the trace that normalizes a sampled state: it is |z|^2 / 2
+# for the Gaussian draws z, so this is about _MIN_GAUSSIAN_NORM squared
+_MIN_GINIBRE_TRACE = 1e-300
 _MAX_SEED = 2**64 - 1
 
 # Samples per block of a scan.  Speed was flat, within noise, from 64 to 1500;
@@ -243,7 +246,7 @@ def _state_block(config: SamplerConfig, indices) -> np.ndarray:
     z, _ = _draws(config.seed, (_STATE_TAG, n, k), indices, (2, n, k))
     h = _gram(z)
     tr = h.trace(axis1=1, axis2=2).real
-    _degenerate(config.seed, indices, tr, 1e-300, "Ginibre")
+    _degenerate(config.seed, indices, tr, _MIN_GINIBRE_TRACE, "Ginibre")
     return h / tr[:, None, None]
 
 

@@ -929,18 +929,16 @@ _HERMITIAN = st.integers(1, 10).flatmap(
 @example([[0.5] * 64, []])
 @example([[np.float64(0.5)] + [0.5] * 63])
 @example(_hermitian_parts(8, [0.5, -0.25, 0.0, 0.25, -0.0, 1e-300] * 6))
+@example(_hermitian_parts(1, [1.0]))
+@example(_hermitian_parts(2, [0.5, -0.25, -0.0]))
+@example(_hermitian_parts(7, [0.125, -1e-300, 0.0, -0.0, 3.5, 5e-324, -2.0] * 4))
 def test_json_text_is_json_dumps_with_indent_2(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
-def test_matrices_of_at_least_64_entries_take_the_table():
-    assert cli._float_rows([[0.5] * 8] * 8, "\n") is not None
-    assert cli._float_rows([[0.5] * 9] * 7, "\n") is None  # 63 entries: row by row
-
-
 # SHA-256 of JSON matrix outputs at SOURCE_DATE_EPOCH=0, recorded when every entry
-# was formatted on its own; the 12 x 12 matrix of the second convert is large
-# enough for cli._float_rows' table of magnitudes, the other matrices are not
+# was formatted on its own; every matrix here, from the 9 x 2 cells of a basis
+# element to the 12 x 12 state, now takes cli._float_rows' table of magnitudes
 PINNED_JSON_MATRICES = [
     (["convert", "--in", "matrix.json", "--out", "bloch.json"],
      "3db2adfb52ab19738c10d9a89c1440ec32a0ebb33a1b955a62d31d16f162891c"),
