@@ -936,6 +936,14 @@ def test_json_text_is_json_dumps_with_indent_2(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
+def test_every_matrix_of_finite_floats_takes_the_table():
+    for rows in ([[0.5]], [[0.5] * 9] * 7, [[0.5] * 8] * 8, ((1.0, -0.0), [0.0, -1.0])):
+        assert cli._float_rows(rows, "\n") is not None
+    not_matrices = ([], [0.5, 1.0], [[0.5], []], [[np.float64(0.5)]], [[nan]], [[1]])
+    for rows in not_matrices:
+        assert cli._float_rows(rows, "\n") is None
+
+
 # SHA-256 of JSON matrix outputs at SOURCE_DATE_EPOCH=0, recorded when every entry
 # was formatted on its own; every matrix here, from the 9 x 2 cells of a basis
 # element to the 12 x 12 state, now takes cli._float_rows' table of magnitudes
