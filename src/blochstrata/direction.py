@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from .basis import BasisSet, _check_basis
-from .errors import DomainError, _array, _integer, _real, _zeros
+from .errors import DomainError, _array, _first_failure, _integer, _real, _zeros
 from .states import (
     DEFAULT_ZERO_TOL,
     StateClass,
@@ -63,9 +63,9 @@ def _directional_matrices(basis: BasisSet, directions):
         )
     with np.errstate(over="ignore"):  # entries past 1e154 give |n| = inf, which fails below
         norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel()
-    failed = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
-    if failed.size:
-        raise DomainError(f"direction must have unit norm, got |n| = {float(norms[failed[0]])!r}")
+    j = _first_failure(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
+    if j is not None:
+        raise DomainError(f"direction must have unit norm, got |n| = {float(norms[j])!r}")
     t = np.matmul(v.astype(complex)[:, None, :], basis.elements.reshape(d, n * n))
     return v, t.reshape(len(v), n, n)
 

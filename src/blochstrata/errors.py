@@ -76,6 +76,12 @@ def _shown(value, path: bool = False) -> str:
     return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
 
 
+def _first_failure(ok: np.ndarray) -> int | None:
+    """The index of the first False of a batched check's (M,) pass mask, the item
+    its error reports; None, after one .all() and no search, if every item passes."""
+    return None if ok.all() else int(ok.argmin())
+
+
 def _zeros(shape, what: str, dtype=float) -> np.ndarray:
     """np.zeros(shape, dtype); NumericError naming what if numpy refuses the size or cannot get it."""
     try:

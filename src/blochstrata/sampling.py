@@ -1,9 +1,9 @@
 """Seedable random states, directions, and Bloch vectors for Monte-Carlo runs.
 
-Every draw is a pure function of (seed, index): each index gets its own
-substream of a counter-based Philox generator, keyed through a SeedSequence
-spawn key.  Scans are therefore reproducible bit-for-bit and
-order-independent, whatever the degree of parallelism.
+Every draw is a pure function of (seed, index) under one BLAS kernel, which
+rounds its norm or Gram product: each index gets its own substream of a
+counter-based Philox generator, keyed through a SeedSequence spawn key.  Scans
+are reproducible bit-for-bit and order-independent, whatever the parallelism.
 
 Index i of a sampler draws from
 ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(tag, *shape, i))))``.
@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _integer, _real, _shown, _zeros
+from .errors import DomainError, NumericError, _first_failure, _integer, _real, _shown, _zeros
 
 _STATE_TAG = 0
 _DIRECTION_TAG = 1
@@ -175,9 +175,9 @@ def _degenerate(seed: int, indices, values: np.ndarray, floor: float, kind: str)
     whose Gaussian entries are all 0.0 falls this short, an event of
     probability zero.
     """
-    rows = np.flatnonzero(~(values > floor))
-    if rows.size:
-        raise NumericError(f"degenerate {kind} draw (seed={seed}, index={indices[rows[0]]})")
+    j = _first_failure(values > floor)
+    if j is not None:
+        raise NumericError(f"degenerate {kind} draw (seed={seed}, index={indices[j]})")
 
 
 def _norms(z: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import BasisSet, _check_basis, _coordinates, _traceless_part
-from .errors import DomainError, NumericError, _array, _integer, _real, _zeros
+from .errors import DomainError, NumericError, _array, _first_failure, _integer, _real, _zeros
 
 DEFAULT_ZERO_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -130,8 +130,8 @@ def _spectra(m: np.ndarray, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trac
         if unit_trace:
             tr = m.trace(axis1=1, axis2=2).real
             ok &= np.abs(tr - 1.0) <= UNIT_TRACE_TOL
-    if not ok.all():  # the all-pass path of a scan block looks for no failure
-        j = np.flatnonzero(~ok)[0]
+    j = _first_failure(ok)
+    if j is not None:
         if not np.isfinite(m[j]).all():
             raise DomainError("matrix has non-finite entries")
         if not dev[j] <= HERMITICITY_TOL:
@@ -142,9 +142,8 @@ def _spectra(m: np.ndarray, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trac
         w = hermitian_eigenvalues(m)
         if psd and len(m):  # an empty stack has nothing to check, and an unchecked zero_tol
             floor = _negative_floor(zero_tol if counted else PSD_TOL)
-            above = w[:, 0] >= floor
-            if not above.all():
-                j = np.flatnonzero(~above)[0]
+            j = _first_failure(w[:, 0] >= floor)
+            if j is not None:
                 raise DomainError(
                     f"matrix is not positive semidefinite: smallest eigenvalue {w[j, 0]:.3e}"
                 )

@@ -15,7 +15,7 @@ from math import sqrt
 import numpy as np
 
 from .basis import _read_only
-from .errors import DomainError, NumericError, _array, _integer, _zeros
+from .errors import DomainError, NumericError, _array, _first_failure, _integer, _zeros
 from .states import DEFAULT_ZERO_TOL, _spectra
 
 ON_SPHERE_TOL = 1e-9
@@ -121,9 +121,9 @@ def _harriman_columns(a: np.ndarray):
     with np.errstate(invalid="ignore", over="ignore"):
         totals = a.sum(axis=1)
         sums_sq = np.matmul(a[:, None, :], a[:, :, None]).ravel()
-    off = np.flatnonzero(~(np.abs(totals - 1.0) <= UNIT_SUM_TOL))
-    if off.size:
-        raise DomainError(f"tuple must sum to 1, got {float(totals[off[0]])!r}")
+    j = _first_failure(np.abs(totals - 1.0) <= UNIT_SUM_TOL)
+    if j is not None:
+        raise DomainError(f"tuple must sum to 1, got {float(totals[j])!r}")
     if not np.isfinite(sums_sq).all():
         raise NumericError("sum of squares of this tuple is not finite")
     n = a.shape[1]

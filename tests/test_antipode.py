@@ -8,12 +8,14 @@ import pytest
 from blochstrata import (
     DomainError,
     NumericError,
+    StateClass,
     StateKind,
     antipodal_family,
     antipodal_state,
     antipode_of_boundary,
     boundary_state,
     build_basis,
+    direction_report,
     directional_matrix_of_boundary,
     expand,
     max_antipodal_length,
@@ -21,7 +23,10 @@ from blochstrata import (
     spectrum,
     state_along,
     stratum_radius,
+    stratum_report,
+    to_bloch,
 )
+from blochstrata.antipode import SPECTRAL_MATCH_TOL
 
 
 def test_zero_length_is_maximally_mixed():
@@ -161,3 +166,33 @@ def test_family_rejects_bad_arguments():
         antipodal_family(3, 2, float("nan"))
     with pytest.raises(DomainError, match="length must be finite, got inf"):
         antipodal_family(3, 2, float("inf"))
+
+
+def _haar_unitary(rng, dim):
+    """A Haar-random unitary: the Q of a complex Gaussian matrix's QR, each column
+    multiplied by the phase of R's diagonal entry, so that the QR is unique."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    return q * phases
+
+
+def test_a_rotated_boundary_state_sits_antipodal_to_its_complement():
+    # the antipodean claim on boundary states U R(q) U^H that no closed form builds:
+    # they go through the basis path, to_bloch and then T_n, in every direction
+    rng = np.random.default_rng(20260810)
+    for dim in range(2, 9):
+        b = build_basis(dim)
+        for q in range(1, dim):
+            complement = spectrum(boundary_state(dim, dim - q)).values
+            for _ in range(20):
+                u = _haar_unitary(rng, dim)
+                rho = u @ boundary_state(dim, q) @ u.conj().T
+                assert stratum_report(rho).on_sphere
+                v = to_bloch(b, rho)
+                n = -v / np.linalg.norm(v)
+                rep = direction_report(b, n)
+                assert rep.cap_zero_count == q
+                assert rep.cap_state_class == StateClass(StateKind.BOUNDARY, q)
+                assert rep.max_length == pytest.approx(max_antipodal_length(dim, q), abs=1e-12)
+                cap = spectrum(state_along(b, n, rep.max_length)).values
+                assert np.abs(cap - complement).max() <= SPECTRAL_MATCH_TOL

@@ -944,29 +944,57 @@ def test_every_matrix_of_finite_floats_takes_the_table():
         assert cli._float_rows(rows, "\n") is None
 
 
-# SHA-256 of JSON matrix outputs at SOURCE_DATE_EPOCH=0, recorded when every entry
-# was formatted on its own; every matrix here, from the 9 x 2 cells of a basis
-# element to the 12 x 12 state, now takes cli._float_rows' table of magnitudes
-PINNED_JSON_MATRICES = [
-    (["convert", "--in", "matrix.json", "--out", "bloch.json"],
-     "3db2adfb52ab19738c10d9a89c1440ec32a0ebb33a1b955a62d31d16f162891c"),
-    (["convert", "--in", "bloch.json", "--out", "back.json"],
-     "583d092a00a081b7cb2d57892581dca23e245e018c8e6617b62604efa0e128fa"),
-    (["basis", "--dim", "3", "--format", "json", "--out", "basis.json"],
-     "20a11896879ad9bea7a5be824d4b2850c399ed8d5ad270b7b10c6dcbf80e5f70"),
-    (["antipode", "--dim", "4", "--q", "2", "--length", "0.1", "--out", "antipode.json"],
-     "475cdbee0f20e603adbe95c88e32a2280d7389f153f86f118d7e6ba4b8319c03"),
+JSON_MATRIX_COMMANDS = [
+    ["convert", "--in", "matrix.json", "--out", "bloch.json"],
+    ["convert", "--in", "bloch.json", "--out", "back.json"],
+    ["basis", "--dim", "3", "--format", "json", "--out", "basis.json"],
+    ["antipode", "--dim", "4", "--q", "2", "--length", "0.1", "--out", "antipode.json"],
 ]
+# SHA-256 of the outputs of JSON_MATRIX_COMMANDS at SOURCE_DATE_EPOCH=0, in their order,
+# by the OpenBLAS core that ran them (see conftest.py); recorded when every entry was
+# formatted on its own (git archive d3e5b95 src).  Every matrix here, from the 9 x 2
+# cells of a basis element to the 12 x 12 state, now takes cli._float_rows' table of
+# magnitudes
+PINNED_JSON_MATRICES = {
+    "SkylakeX": (
+        "3db2adfb52ab19738c10d9a89c1440ec32a0ebb33a1b955a62d31d16f162891c",
+        "583d092a00a081b7cb2d57892581dca23e245e018c8e6617b62604efa0e128fa",
+        "20a11896879ad9bea7a5be824d4b2850c399ed8d5ad270b7b10c6dcbf80e5f70",
+        "475cdbee0f20e603adbe95c88e32a2280d7389f153f86f118d7e6ba4b8319c03",
+    ),
+    "Haswell": (
+        "748cfdcd690f8a51657d612c87c00c458d009f719a411561c76a5f461452d465",
+        "cd955e43c475db270d739dce975c060d12967cba1f809596177234fa64d229e5",
+        "20a11896879ad9bea7a5be824d4b2850c399ed8d5ad270b7b10c6dcbf80e5f70",
+        "475cdbee0f20e603adbe95c88e32a2280d7389f153f86f118d7e6ba4b8319c03",
+    ),
+    "Sandybridge": (
+        "47cfc683394523e9daa1c68d4056af769fa4b56225e9137a2ca64bf849a640b7",
+        "f357b89c6c9a84b66bcc2920c8cae8fda9a4b1a1a15c96dc32f42801e2db4977",
+        "20a11896879ad9bea7a5be824d4b2850c399ed8d5ad270b7b10c6dcbf80e5f70",
+        "475cdbee0f20e603adbe95c88e32a2280d7389f153f86f118d7e6ba4b8319c03",
+    ),
+}
 
 
-def test_json_matrix_outputs_are_pinned(tmp_path, monkeypatch):
+def test_json_matrix_outputs_are_pinned(tmp_path, monkeypatch, blas_core):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     monkeypatch.chdir(tmp_path)  # the manifest records the relative --in path
     rho = sample_state(SamplerConfig(seed=7, dim=12, rank=5, count=1), 0)
     write_matrix(tmp_path / "matrix.json", rho)
-    for argv, digest in PINNED_JSON_MATRICES:
+    got = []
+    for argv in JSON_MATRIX_COMMANDS:
         assert cli.main(argv) == 0
-        assert hashlib.sha256((tmp_path / argv[-1]).read_bytes()).hexdigest() == digest, argv
+        got.append(hashlib.sha256((tmp_path / argv[-1]).read_bytes()).hexdigest())
+    if blas_core not in PINNED_JSON_MATRICES:
+        print(f"PINNED_JSON_MATRICES[{blas_core!r}] = {tuple(got)}")
+        pytest.fail(
+            f"no pinned set for OpenBLAS core {blas_core!r}: add the digests printed above "
+            "under its name once d3e5b95 gives the same outputs under "
+            f"OPENBLAS_CORETYPE={blas_core}"
+        )
+    for argv, digest, pinned in zip(JSON_MATRIX_COMMANDS, got, PINNED_JSON_MATRICES[blas_core]):
+        assert digest == pinned, (blas_core, argv)
 
 
 def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
