@@ -126,6 +126,13 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    """np.dot(a[j], a[j]) for each row j of an (M, K) real array, each row with its own stride,
+    so the real and imaginary views of a complex stack give np.linalg.norm's bits; the dot
+    of a contiguous copy of a strided row may differ in the last bit."""
+    return np.matmul(a[:, None, :], a[:, :, None]).ravel()
+
+
 # Both tables depend on N alone and every call of a conversion reads them; they
 # are cached read-only, so a caller cannot change what the next one reads.
 @lru_cache(maxsize=64)

@@ -238,14 +238,13 @@ def _scan(header, parts, columns, rows, tally=None, count_name="count") -> tuple
 def _strata_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The texts of a strata row at dimension n around its distance, read-only.
 
-    heads[p] is "N,p," and tails[4p + 2 on_sphere + satisfied] is
-    ",r_p,on_sphere,satisfied" and the newline, as _STRATA_ROW writes them,
-    for p = 0..n-1 (r_p = 0 at p = 0); only the distance varies by row.
+    heads[p] is "N,p," and tails[4p + 2 on_sphere + satisfied] is ",r_p,on_sphere,satisfied",
+    as _STRATA_ROW writes them, for p = 0..n-1 (r_p = 0 at p = 0); only the distance varies.
     """
     radii = [stratum_radius(n, p) if p else 0.0 for p in range(n)]
     heads = np.array(["%d,%d," % (n, p) for p in range(n)], dtype=object)
     tails = np.array(
-        [",%.17g,%s,%s\n" % (r, on, ok) for r in radii for on in _CSV_BOOL for ok in _CSV_BOOL],
+        [",%.17g,%s,%s" % (r, on, ok) for r in radii for on in _CSV_BOOL for ok in _CSV_BOOL],
         dtype=object,
     )
     return _read_only(heads, tails)
@@ -258,9 +257,7 @@ def _strata_rows(n, zeros, distance, radius, on_sphere, satisfied) -> str:
     _strata_cells with N and p, not from the radius column.
     """
     heads, tails = _strata_cells(n)
-    cells = heads.take(zeros).tolist(), distance.tolist()
-    tail = tails.take(4 * zeros + 2 * on_sphere + satisfied).tolist()
-    return "".join(map("%s%.17g%s".__mod__, zip(*cells, tail)))
+    return _rows("%s%.17g%s", heads[zeros], distance, tails[4 * zeros + 2 * on_sphere + satisfied])
 
 
 def _least_slack(n, zeros, distance, radius, on_sphere, satisfied) -> float:

@@ -14,11 +14,12 @@ from math import sqrt
 
 import numpy as np
 
-from .basis import BasisSet, _check_basis
+from .basis import BasisSet, _check_basis, _row_dots
 from .errors import DomainError, _array, _first_failure, _integer, _real, _zeros
 from .states import (
     DEFAULT_ZERO_TOL,
     StateClass,
+    _center,
     _spectra,
     _state_class,
     hermitian_eigenvalues,
@@ -62,7 +63,7 @@ def _directional_matrices(basis: BasisSet, directions):
             f"expected a direction of length {d} for dimension {n}, got shape {v.shape[1:]}"
         )
     with np.errstate(over="ignore"):  # entries past 1e154 give |n| = inf, which fails below
-        norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel()
+        norms = np.sqrt(_row_dots(v))
     j = _first_failure(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
     if j is not None:
         raise DomainError(f"direction must have unit norm, got |n| = {float(norms[j])!r}")
@@ -136,7 +137,7 @@ def _direction_columns(basis: BasisSet, directions, zero_tol):
     n = basis.dim
     mu = hermitian_eigenvalues(t)[:, ::-1]
     max_length = 1.0 / (n * np.abs(mu[:, -1]))
-    tol, w, zeros = _spectra(maximally_mixed(n) + max_length[:, None, None] * t, zero_tol=zero_tol)
+    tol, w, zeros = _spectra(_center(n) + max_length[:, None, None] * t, zero_tol=zero_tol)
     return v, mu, max_length, w[:, 0], zeros, tol
 
 

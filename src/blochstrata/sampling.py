@@ -35,6 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .basis import _row_dots
 from .errors import DomainError, NumericError, _first_failure, _integer, _real, _shown, _zeros
 
 _STATE_TAG = 0
@@ -180,11 +181,6 @@ def _degenerate(seed: int, indices, values: np.ndarray, floor: float, kind: str)
         raise NumericError(f"degenerate {kind} draw (seed={seed}, index={indices[j]})")
 
 
-def _norms(z: np.ndarray) -> np.ndarray:
-    """Row norms of z: np.linalg.norm's BLAS dot, row by row."""
-    return np.sqrt(np.matmul(z[:, None, :], z[:, :, None]).ravel())
-
-
 def _gram(z: np.ndarray) -> np.ndarray:
     """G G^H for each row's complex Gaussian G = (z[0] + i z[1])/sqrt(2)."""
     g = (z[:, 0] + 1j * z[:, 1]) / sqrt(2.0)
@@ -277,7 +273,7 @@ def _direction_block(seed: int, num_coords: int, indices) -> np.ndarray:
     seed, indices = _index_list(seed, indices)
     num_coords = _integer(num_coords, "num_coords", 3)
     z, _ = _draws(seed, (_DIRECTION_TAG, num_coords), indices, (num_coords,))
-    norm = _norms(z)
+    norm = np.sqrt(_row_dots(z))
     _degenerate(seed, indices, norm, _MIN_GAUSSIAN_NORM, "direction")
     return z / norm[:, None]
 
@@ -293,7 +289,7 @@ def _ball_block(seed: int, num_coords: int, radius: float, indices) -> np.ndarra
     seed, indices = _index_list(seed, indices)
     num_coords = _integer(num_coords, "num_coords", 1)
     z, u = _draws(seed, (_BALL_TAG, num_coords), indices, (num_coords,), uniform=True)
-    norm = _norms(z)
+    norm = np.sqrt(_row_dots(z))
     _degenerate(seed, indices, norm, _MIN_GAUSSIAN_NORM, "ball")
     # the power in Python floats, as sample_bloch_in_ball of v0.1.0 takes it
     lengths = np.array([radius * x ** (1.0 / num_coords) for x in u.tolist()])

@@ -9,14 +9,13 @@ q = N - p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
-from .basis import _read_only
+from .basis import _row_dots
 from .errors import DomainError, NumericError, _array, _first_failure, _integer, _zeros
-from .states import DEFAULT_ZERO_TOL, _spectra
+from .states import DEFAULT_ZERO_TOL, _center, _spectra
 
 ON_SPHERE_TOL = 1e-9
 EQUALITY_TOL = 1e-12
@@ -120,7 +119,7 @@ def _harriman_columns(a: np.ndarray):
     # it is finite, so only overflow makes its sum of squares non-finite
     with np.errstate(invalid="ignore", over="ignore"):
         totals = a.sum(axis=1)
-        sums_sq = np.matmul(a[:, None, :], a[:, :, None]).ravel()
+        sums_sq = _row_dots(a)
     j = _first_failure(np.abs(totals - 1.0) <= UNIT_SUM_TOL)
     if j is not None:
         raise DomainError(f"tuple must sum to 1, got {float(totals[j])!r}")
@@ -175,12 +174,6 @@ def _stratum_reports(stack, zero_tol) -> list[StratumReport]:
     return [StratumReport(n, *row) for row in zip(*(c.tolist() for c in columns))]
 
 
-@lru_cache(maxsize=64)
-def _center(n: int) -> np.ndarray:
-    """(1/N) I as np.eye(n) / n, read-only: the center every distance is taken from."""
-    return _read_only(np.eye(n) / n)[0]
-
-
 def _stratum_columns(stack: np.ndarray, zero_tol):
     """(N, zero counts, distances, radii, on_sphere, satisfied) of an (M, N, N)
     complex stack its caller read, one array entry per matrix: the fields of
@@ -189,10 +182,8 @@ def _stratum_columns(stack: np.ndarray, zero_tol):
     """
     t, _, zeros = _spectra(stack, zero_tol=zero_tol, psd=True)
     n = stack.shape[-1]
-    x = (stack - _center(n)).reshape(len(stack), 1, n * n)
-    re, im = x.real, x.imag
-    sq = np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))
-    distance = np.sqrt(sq).ravel()
+    x = (stack - _center(n)).reshape(len(stack), n * n)
+    distance = np.sqrt(_row_dots(x.real) + _row_dots(x.imag))
     # one radius and one least distance per zero count present, indexed by the count;
     # p = 0 keeps radius 0 and least distance 0
     radius, least = np.zeros(n), np.zeros(n)

@@ -6,8 +6,10 @@ from math import sqrt
 import numpy as np
 import pytest
 
+import blochstrata.cli as cli
 from blochstrata import DomainError, build_basis, expand, to_bloch, verify_basis
 from blochstrata.basis import _diagonal_scales, _pairs
+from blochstrata.states import _center
 
 SQ2 = sqrt(2.0)
 
@@ -138,16 +140,18 @@ def test_basis_is_read_only():
         b.elements[0, 0, 0] = 1.0
 
 
-@pytest.mark.parametrize("table", [_pairs, _diagonal_scales])
+@pytest.mark.parametrize("table", [_pairs, _diagonal_scales, _center, cli._strata_cells])
 def test_cached_index_tables_are_read_only(table):
     arrays = table(5)
     assert table(5) is arrays
-    for a in arrays:
+    for a in arrays if isinstance(arrays, tuple) else [arrays]:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
     if table is _pairs:
         np.testing.assert_array_equal(arrays, np.triu_indices(5, 1))
+    if table is _center:
+        np.testing.assert_array_equal(arrays, np.eye(5) / 5)
 
 
 @pytest.mark.parametrize("dim", [1, 0, -3, 2.5, "3"])

@@ -179,15 +179,6 @@ def test_strata_rows_equal_the_strata_row_template(dim):
     assert rows == expected
 
 
-def test_strata_row_cells_are_cached_read_only():
-    cells = cli._strata_cells(4)
-    assert cli._strata_cells(4) is cells
-    for a in cells:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = "x"
-
-
 def test_direction_report_from_vector_file(tmp_path, capsys):
     vec = tmp_path / "dir.json"
     vec.write_text(json.dumps({"dim": 2, "coords": [0.0, 0.0, 1.0]}))

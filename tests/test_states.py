@@ -29,7 +29,7 @@ from blochstrata import (
     stratum_reports,
     to_bloch,
 )
-from blochstrata.states import PSD_TOL
+from blochstrata.states import PSD_TOL, _center
 
 
 @pytest.fixture(scope="module")
@@ -319,3 +319,16 @@ def test_one_rule_for_a_negative_eigenvalue(case):
         assert classify(rho).kind is StateKind.NONPOSITIVE
     else:
         assert classify(rho).kind is not StateKind.NONPOSITIVE
+
+
+def test_maximally_mixed_is_a_fresh_writable_array():
+    center = _center(4)  # cached first, so a result that shared it would change it below
+    first = maximally_mixed(4)
+    assert first.dtype == complex and first.flags.writeable
+    np.testing.assert_array_equal(first, np.eye(4) / 4)
+    first[0, 0] = 7.0
+    second = maximally_mixed(4)
+    assert second is not first
+    np.testing.assert_array_equal(second, np.eye(4) / 4)
+    assert _center(4) is center
+    np.testing.assert_array_equal(center, np.eye(4) / 4)

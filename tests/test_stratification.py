@@ -317,11 +317,3 @@ def test_batched_harriman_checks_raise_for_the_first_failing_row():
         harriman_checks(ok)
     with pytest.raises(DomainError, match=r"got shape \(2, 0\)"):
         harriman_checks(np.zeros((2, 0)))
-
-
-def test_the_cached_center_is_read_only():
-    center = stratification._center(4)
-    assert stratification._center(4) is center
-    assert np.array_equal(center, np.eye(4) / 4)
-    with pytest.raises(ValueError):
-        center[0, 0] = 0.0
