@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import functools
 import json
 import math
@@ -110,10 +111,13 @@ def _write(text: str, out: str | None) -> None:
     The target is left as the failure left it: a file may hold part of text.
     Standard output takes the bytes through its binary layer, which may write
     short when unbuffered (PYTHONUNBUFFERED); one with none, such as an
-    io.StringIO under contextlib.redirect_stdout, takes the text.
+    io.StringIO under contextlib.redirect_stdout, takes the text.  A closed
+    descriptor 1 at startup leaves sys.stdout None: a bad file descriptor.
     """
     try:
         if out is None:
+            if sys.stdout is None:
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             binary = getattr(sys.stdout, "buffer", None)
             if binary is None:
                 sys.stdout.write(text)
@@ -127,7 +131,8 @@ def _write(text: str, out: str | None) -> None:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
-        if out is None:  # what stdout still holds goes nowhere, not to a failing flush at exit
+        # what stdout still holds goes nowhere, not to a failing flush at exit
+        if out is None and sys.stdout is not None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)

@@ -19,7 +19,6 @@ from .errors import DomainError, _array, _first_failure, _integer, _real, _zeros
 from .states import (
     DEFAULT_ZERO_TOL,
     StateClass,
-    _center,
     _spectra,
     _state_class,
     hermitian_eigenvalues,
@@ -137,7 +136,7 @@ def _direction_columns(basis: BasisSet, directions, zero_tol):
     n = basis.dim
     mu = hermitian_eigenvalues(t)[:, ::-1]
     max_length = 1.0 / (n * np.abs(mu[:, -1]))
-    tol, w, zeros = _spectra(_center(n) + max_length[:, None, None] * t, zero_tol=zero_tol)
+    tol, w, zeros = _spectra(np.eye(n) / n + max_length[:, None, None] * t, zero_tol=zero_tol)
     return v, mu, max_length, w[:, 0], zeros, tol
 
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisSet, _check_basis, _coordinates, _read_only, _traceless_part
+from .basis import BasisSet, _check_basis, _coordinates, _traceless_part
 from .errors import DomainError, NumericError, _array, _first_failure, _integer, _real, _zeros
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -60,16 +59,11 @@ class Spectrum:
 def maximally_mixed(dim: int) -> np.ndarray:
     """The state (1/N) I, center of the state space."""
     dim = _integer(dim, "dim", 2)
-    eye = _zeros((dim, dim), "maximally mixed state", complex)
-    eye.flat[:: dim + 1] = 1.0  # np.eye, which raises numpy's own errors for a huge dim
-    return eye / dim
-
-
-@lru_cache(maxsize=64)
-def _center(n: int) -> np.ndarray:
-    """(1/N) I as np.eye(n) / n, read-only, for the reports; a one-item state builder takes
-    maximally_mixed, so a one-off call at a large N caches no N x N array."""
-    return _read_only(np.eye(n) / n)[0]
+    # the bits of np.eye(dim) / dim in one guarded array: np.eye raises numpy's own errors
+    # for a huge dim, and the division would allocate a second N x N array
+    center = _zeros((dim, dim), "maximally mixed state", complex)
+    center.flat[:: dim + 1] = 1.0 / dim
+    return center
 
 
 def check_hermitian(matrix) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import _row_dots
 from .errors import DomainError, NumericError, _array, _first_failure, _integer, _zeros
-from .states import DEFAULT_ZERO_TOL, _center, _spectra
+from .states import DEFAULT_ZERO_TOL, _spectra
 
 ON_SPHERE_TOL = 1e-9
 EQUALITY_TOL = 1e-12
@@ -182,7 +182,7 @@ def _stratum_columns(stack: np.ndarray, zero_tol):
     """
     t, _, zeros = _spectra(stack, zero_tol=zero_tol, psd=True)
     n = stack.shape[-1]
-    x = (stack - _center(n)).reshape(len(stack), n * n)
+    x = (stack - np.eye(n) / n).reshape(len(stack), n * n)
     distance = np.sqrt(_row_dots(x.real) + _row_dots(x.imag))
     # one radius and one least distance per zero count present, indexed by the count;
     # p = 0 keeps radius 0 and least distance 0

@@ -9,7 +9,6 @@ import pytest
 import blochstrata.cli as cli
 from blochstrata import DomainError, build_basis, expand, to_bloch, verify_basis
 from blochstrata.basis import _diagonal_scales, _pairs
-from blochstrata.states import _center
 
 SQ2 = sqrt(2.0)
 
@@ -140,7 +139,7 @@ def test_basis_is_read_only():
         b.elements[0, 0, 0] = 1.0
 
 
-@pytest.mark.parametrize("table", [_pairs, _diagonal_scales, _center, cli._strata_cells])
+@pytest.mark.parametrize("table", [_pairs, _diagonal_scales, cli._strata_cells])
 def test_cached_index_tables_are_read_only(table):
     arrays = table(5)
     assert table(5) is arrays
@@ -150,8 +149,6 @@ def test_cached_index_tables_are_read_only(table):
             a[0] = 0
     if table is _pairs:
         np.testing.assert_array_equal(arrays, np.triu_indices(5, 1))
-    if table is _center:
-        np.testing.assert_array_equal(arrays, np.eye(5) / 5)
 
 
 @pytest.mark.parametrize("dim", [1, 0, -3, 2.5, "3"])

@@ -1107,6 +1107,14 @@ def test_standard_output_on_a_full_device_is_one_line(unbuffered):
     )
 
 
+# Python starts with sys.stdout None when descriptor 1 is closed
+def test_a_closed_standard_output_is_one_line():
+    proc = _cli_process(["basis", "--dim", "2"], preexec_fn=lambda: os.close(1))
+    _, err = proc.communicate()
+    bad = f"[Errno {errno.EBADF}] {os.strerror(errno.EBADF)}"
+    assert (proc.returncode, err.decode()) == (2, f"error: cannot write standard output: {bad}\n")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_a_reader_that_closes_the_pipe_early_gets_one_line(unbuffered):
     # about 1 MB of output, far more than a pipe holds, so the write outlasts the reader;

@@ -1,5 +1,7 @@
 """Tests for state/Bloch-vector conversion, spectra, purity, and classification."""
 
+import gc
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -19,6 +21,7 @@ from blochstrata import (
     direction_report,
     direction_reports,
     directional_matrix,
+    distance_to_max,
     expand,
     extremal_spectra,
     from_bloch,
@@ -29,7 +32,7 @@ from blochstrata import (
     stratum_reports,
     to_bloch,
 )
-from blochstrata.states import PSD_TOL, _center
+from blochstrata.states import PSD_TOL
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +325,6 @@ def test_one_rule_for_a_negative_eigenvalue(case):
 
 
 def test_maximally_mixed_is_a_fresh_writable_array():
-    center = _center(4)  # cached first, so a result that shared it would change it below
     first = maximally_mixed(4)
     assert first.dtype == complex and first.flags.writeable
     np.testing.assert_array_equal(first, np.eye(4) / 4)
@@ -330,5 +332,24 @@ def test_maximally_mixed_is_a_fresh_writable_array():
     second = maximally_mixed(4)
     assert second is not first
     np.testing.assert_array_equal(second, np.eye(4) / 4)
-    assert _center(4) is center
-    np.testing.assert_array_equal(center, np.eye(4) / 4)
+
+
+def test_one_item_reports_at_a_new_dimension_hold_no_array():
+    centers = [maximally_mixed(n) for n in (301, 302, 303)]
+    bases = [build_basis(n) for n in (13, 14, 15)]
+    for basis in bases:  # a BasisSet keeps its elements once read, by design
+        basis.elements
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for rho in centers:
+            distance_to_max(rho)
+            stratum_report(rho)
+        for basis in bases:
+            direction_report(basis, np.eye(basis.dim**2 - 1)[0])
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000
