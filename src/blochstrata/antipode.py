@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet
+from .basis import BasisSet, _diagonal
 from .direction import directional_matrix, directional_matrix_of_boundary
-from .errors import NumericError, _integer, _real, _zeros
+from .errors import NumericError, _integer, _real
 from .states import (
     DEFAULT_ZERO_TOL,
     UNIT_TRACE_TOL,
@@ -86,18 +86,20 @@ def antipodal_family(dim: int, rank: int, length: float) -> tuple[np.ndarray, St
     sqrt((N-q)/(qN)) (cap - r), so they are measured against the cap and
     keep their sign at any length.  At large r the entries lose 1/N to
     rounding, and a state whose trace is then not 1 within the unit-trace
-    tolerance is a NumericError.
+    tolerance is a NumericError.  The state is one guarded complex array
+    filled through its diagonal: a dim whose N x N array cannot be allocated
+    is a NumericError naming it.
     """
     dim = _integer(dim, "dim", 2)
     rank = _integer(rank, "rank", 1, dim - 1)
     cap = max_antipodal_length(dim, rank)
     length = _real(length, "length")
     shrink = stratum_radius(dim, dim - rank)
-    diag = _zeros(dim, "antipodal state")
-    diag[:rank] = 1.0 / dim - length * shrink
-    diag[rank:] = 1.0 / dim + length * cap
+    state, diagonal = _diagonal(dim, "antipodal state")
+    diagonal[:rank] = 1.0 / dim - length * shrink
+    diagonal[rank:] = 1.0 / dim + length * cap
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trace fails below
-        trace = float(diag.sum())
+        trace = float(diagonal.real.sum())
     if not abs(trace - 1.0) <= UNIT_TRACE_TOL:
         raise NumericError(
             f"at length {length!r} the entries 1/N - r c and 1/N + r c lose 1/N to rounding: "
@@ -105,4 +107,4 @@ def antipodal_family(dim: int, rank: int, length: float) -> tuple[np.ndarray, St
         )
     smallest = shrink * (cap - length)
     zeros = rank if abs(smallest) <= DEFAULT_ZERO_TOL else 0
-    return np.diag(diag).astype(complex), _state_class(smallest, zeros, DEFAULT_ZERO_TOL)
+    return state, _state_class(smallest, zeros, DEFAULT_ZERO_TOL)

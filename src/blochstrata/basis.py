@@ -120,6 +120,13 @@ def _gell_mann_tensor(n: int) -> np.ndarray:
     return mats
 
 
+def _diagonal(n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """A complex n x n zero matrix and a writable view of its diagonal, for a builder to
+    fill; the one allocation is guarded, a NumericError naming what if it fails."""
+    m = _zeros((n, n), what, complex)
+    return m, m.reshape(-1)[:: n + 1]
+
+
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
@@ -175,14 +182,13 @@ def _coordinates(m: np.ndarray, n: int) -> np.ndarray:
 
 def _traceless_part(v: np.ndarray, n: int) -> np.ndarray:
     """sum_j v_j T_j as an N x N complex matrix, from the index formulas."""
+    out, diagonal = _diagonal(n, "matrix of this Bloch vector")
     pairs = n * (n - 1) // 2
     scale, top = _diagonal_scales(n)
     d = v[2 * pairs :]
     # diagonal entry m: sum over l > m of v_l/sqrt(l(l+1)), minus m v_m/sqrt(m(m+1))
-    diagonal = np.zeros(n)
-    diagonal[:-1] = np.cumsum((scale * d)[::-1])[::-1]
-    diagonal[1:] -= top * d
-    out = np.diag(diagonal).astype(complex)
+    diagonal.real[:-1] = np.cumsum((scale * d)[::-1])[::-1]
+    diagonal.real[1:] -= top * d
     j, k = _pairs(n)
     c = 1.0 / sqrt(2.0)
     sym, anti = c * v[:pairs], c * v[pairs : 2 * pairs]

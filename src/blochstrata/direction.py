@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .basis import BasisSet, _check_basis, _row_dots
+from .basis import BasisSet, _check_basis, _diagonal, _row_dots
 from .errors import DomainError, _array, _first_failure, _integer, _real, _zeros
 from .states import (
     DEFAULT_ZERO_TOL,
@@ -163,11 +163,13 @@ def directional_matrix_of_boundary(dim: int, rank: int) -> np.ndarray:
 
     diag(sqrt((N-q)/(qN)) x q, -sqrt(q/(N(N-q))) x (N-q)): traceless, unit
     Hilbert-Schmidt norm, and (1/N) I + sqrt((N-q)/(qN)) * T reconstructs
-    diag(1/q, ..., 1/q, 0, ..., 0).
+    diag(1/q, ..., 1/q, 0, ..., 0).  One guarded complex array filled through
+    its diagonal: a dim whose N x N array cannot be allocated is a
+    NumericError naming it.
     """
     dim = _integer(dim, "dim", 2)
     rank = _integer(rank, "rank", 1, dim - 1)
-    diag = _zeros(dim, "directional matrix")
-    diag[:rank] = stratum_radius(dim, dim - rank)
-    diag[rank:] = -stratum_radius(dim, rank)
-    return np.diag(diag).astype(complex)
+    t, diagonal = _diagonal(dim, "directional matrix")
+    diagonal[:rank] = stratum_radius(dim, dim - rank)
+    diagonal[rank:] = -stratum_radius(dim, rank)
+    return t

@@ -182,9 +182,12 @@ def _degenerate(seed: int, indices, values: np.ndarray, floor: float, kind: str)
 
 
 def _gram(z: np.ndarray) -> np.ndarray:
-    """G G^H for each row's complex Gaussian G = (z[0] + i z[1])/sqrt(2)."""
+    """G G^H for each row's complex Gaussian G = (z[0] + i z[1])/sqrt(2), in one guarded
+    (M, N, N) stack: NumericError naming it if it cannot be allocated."""
     g = (z[:, 0] + 1j * z[:, 1]) / sqrt(2.0)
-    return g @ g.conj().swapaxes(1, 2)
+    m, n, _ = g.shape
+    h = _zeros((m, n, n), f"Gram matrices of dimension {n}", complex)
+    return np.matmul(g, g.conj().swapaxes(1, 2), out=h)
 
 
 def _index_list(seed: int, indices=()) -> tuple[int, list[int]]:
@@ -243,7 +246,8 @@ def _state_block(config: SamplerConfig, indices) -> np.ndarray:
     h = _gram(z)
     tr = h.trace(axis1=1, axis2=2).real
     _degenerate(config.seed, indices, tr, _MIN_GINIBRE_TRACE, "Ginibre")
-    return h / tr[:, None, None]
+    h /= tr[:, None, None]
+    return h
 
 
 def sample_state(config: SamplerConfig, index: int) -> np.ndarray:

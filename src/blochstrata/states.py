@@ -19,8 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .basis import BasisSet, _check_basis, _coordinates, _traceless_part
-from .errors import DomainError, NumericError, _array, _first_failure, _integer, _real, _zeros
+from .basis import BasisSet, _check_basis, _coordinates, _diagonal, _traceless_part
+from .errors import DomainError, NumericError, _array, _first_failure, _integer, _real
 
 DEFAULT_ZERO_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -57,12 +57,16 @@ class Spectrum:
 
 
 def maximally_mixed(dim: int) -> np.ndarray:
-    """The state (1/N) I, center of the state space."""
+    """The state (1/N) I, center of the state space.
+
+    Like every diagonal state of this package, one guarded complex array filled
+    through its diagonal: a dim whose N x N array cannot be allocated is a
+    NumericError naming it.
+    """
     dim = _integer(dim, "dim", 2)
-    # the bits of np.eye(dim) / dim in one guarded array: np.eye raises numpy's own errors
-    # for a huge dim, and the division would allocate a second N x N array
-    center = _zeros((dim, dim), "maximally mixed state", complex)
-    center.flat[:: dim + 1] = 1.0 / dim
+    # allocated before 1.0 / dim, which overflows for a dim numpy refuses anyway
+    center, diagonal = _diagonal(dim, "maximally mixed state")
+    diagonal[:] = 1.0 / dim
     return center
 
 
@@ -223,7 +227,9 @@ def from_bloch(basis: BasisSet, vector) -> np.ndarray:
         raise DomainError("Bloch vector has non-finite entries")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return maximally_mixed(n) + _traceless_part(v, n)
+            rho = maximally_mixed(n)
+            rho += _traceless_part(v, n)  # in place: no third N x N array
+            return rho
     except FloatingPointError as exc:
         raise NumericError(f"matrix of this Bloch vector is not finite: {exc}") from exc
 

@@ -13,8 +13,8 @@ from math import sqrt
 
 import numpy as np
 
-from .basis import _row_dots
-from .errors import DomainError, NumericError, _array, _first_failure, _integer, _zeros
+from .basis import _diagonal, _row_dots
+from .errors import DomainError, NumericError, _array, _first_failure, _integer
 from .states import DEFAULT_ZERO_TOL, _spectra
 
 ON_SPHERE_TOL = 1e-9
@@ -62,12 +62,15 @@ def stratum_radius(dim: int, zero_count: int) -> float:
 def boundary_state(dim: int, rank: int) -> np.ndarray:
     """The state diag(1/q, ..., 1/q, 0, ..., 0) with q equal nonzero eigenvalues.
 
-    rank = N gives the maximally mixed state; rank = 1 a pure state.
+    rank = N gives the maximally mixed state; rank = 1 a pure state.  One
+    guarded complex array filled through its diagonal: a dim whose N x N
+    array cannot be allocated is a NumericError naming it.
     """
-    rank = _integer(rank, "rank", 1, _integer(dim, "dim", 2))
-    diag = _zeros(dim, "boundary state", complex)
-    diag[:rank] = 1.0 / rank
-    return np.diag(diag)
+    dim = _integer(dim, "dim", 2)
+    rank = _integer(rank, "rank", 1, dim)
+    state, diagonal = _diagonal(dim, "boundary state")
+    diagonal[:rank] = 1.0 / rank
+    return state
 
 
 def harriman_check(values) -> HarrimanResult:

@@ -157,6 +157,29 @@ def test_family_is_classified_against_the_cap_at_any_length():
                 antipodal_family(dim, q, r)
 
 
+def _has_diagonal_bits(state, entries):
+    """state is, bit for bit, np.diag of the real entries cast to complex."""
+    expected = np.diag(np.array(entries, dtype=float)).astype(complex)
+    return state.dtype == expected.dtype and state.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_diagonal_builders_equal_their_documented_formulas_bit_for_bit(n):
+    # each builder fills one complex array through its diagonal; the reference is the
+    # documented entries, in the documented order
+    assert _has_diagonal_bits(maximally_mixed(n), [1 / n] * n)
+    for q in range(1, n + 1):
+        assert _has_diagonal_bits(boundary_state(n, q), [1 / q] * q + [0.0] * (n - q))
+    for q in range(1, n):
+        big, small = sqrt((n - q) / (q * n)), sqrt(q / (n * (n - q)))
+        t = directional_matrix_of_boundary(n, q)
+        assert _has_diagonal_bits(t, [big] * q + [-small] * (n - q))
+        for r in (0.0, small, 2 * small):  # the centre, the cap and beyond it
+            rho, _ = antipodal_family(n, q, r)
+            assert _has_diagonal_bits(rho, [1 / n - r * big] * q + [1 / n + r * small] * (n - q))
+            assert rho.shape == (n, n) and rho.flags.writeable and rho.flags.c_contiguous
+
+
 def test_family_rejects_bad_arguments():
     with pytest.raises(DomainError):
         antipodal_family(3, 0, 0.1)

@@ -60,7 +60,7 @@ from blochstrata import (
     to_bloch,
     verify_basis,
 )
-from blochstrata.basis import _check_basis
+from blochstrata.basis import _check_basis, _traceless_part
 from blochstrata.errors import _array, _real, _shown
 from blochstrata.serialize import bloch_from_dict, matrix_from_dict
 
@@ -205,8 +205,9 @@ def test_dimensions_numpy_cannot_allocate_are_numeric_errors(call):
         (lambda: maximally_mixed(3), "maximally mixed state"),
         (lambda: extremal_spectra(4), "eigenvalue profile"),
         (lambda: build_basis(3).elements, "basis tensor of dimension 3"),
+        (lambda: _traceless_part(np.full(8, 0.01), 3), "matrix of this Bloch vector"),
     ],
-    ids=["maximally_mixed", "extremal_spectra", "basis_elements"],
+    ids=["maximally_mixed", "extremal_spectra", "basis_elements", "from_bloch_traceless_part"],
 )
 def test_an_allocation_that_fails_is_a_numeric_error(call, what, monkeypatch):
     # a MemoryError stands in for a size numpy accepts but cannot get; nothing large is allocated
@@ -217,6 +218,31 @@ def test_an_allocation_that_fails_is_a_numeric_error(call, what, monkeypatch):
     with pytest.raises(NumericError) as exc:
         call()
     assert str(exc.value) == f"{what}: Unable to allocate 7.28 TiB for an array"
+
+
+# a sampler whose (1, N, N) Gram stack is 233 TiB, from draws of 64 MB
+_WIDE = SamplerConfig(1, 4 * 10**6, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "call,what",
+    [
+        (lambda: boundary_state(10**7, 1), "boundary state"),
+        (lambda: directional_matrix_of_boundary(10**7, 1), "directional matrix"),
+        (lambda: antipodal_family(10**7, 1, 0.1), "antipodal state"),
+        (lambda: antipode_of_boundary(10**7, 1), "directional matrix"),
+        (lambda: sample_state(_WIDE, 0), "Gram matrices of dimension 4000000"),
+        (lambda: next(sample_states(_WIDE)), "Gram matrices of dimension 4000000"),
+    ],
+    ids=["boundary_state", "directional_matrix_of_boundary", "antipodal_family",
+         "antipode_of_boundary", "sample_state", "sample_states"],
+)
+def test_an_n_by_n_array_past_the_address_space_is_one_numeric_error_line(call, what):
+    # 1.42 PiB at N = 10**7 and 233 TiB, past the 128 TiB an x86-64 process can map:
+    # refused at once, so no host commits memory to it, whatever its overcommit policy
+    with pytest.raises(NumericError, match=f"^{what}: Unable to allocate ") as exc:
+        call()
+    assert "\n" not in str(exc.value)
 
 
 def test_numpy_integers_are_integers():
