@@ -60,7 +60,7 @@ from .stratification import (
     stratum_reports,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # the public names are the ones imported above, listed once
 __all__ = sorted(

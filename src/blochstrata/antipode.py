@@ -61,8 +61,12 @@ def antipode_of_boundary(dim: int, rank: int) -> AntipodeReport:
     dim = _integer(dim, "dim", 2)
     rank = _integer(rank, "rank", 1, dim - 1)
     length = max_antipodal_length(dim, rank)
-    t = directional_matrix_of_boundary(dim, rank)
-    cap, _, w, _ = _validate(maximally_mixed(dim) - length * t, psd=True)
+    # (1/N) I - r T through the diagonal, as antipodal_family builds its state;
+    # T is dropped once read, so it is not held through the two eigensolves
+    shift = length * directional_matrix_of_boundary(dim, rank).diagonal()
+    cap, diagonal = _diagonal(dim, "antipodal cap")
+    diagonal[:] = 1.0 / dim - shift
+    cap, _, w, _ = _validate(cap, psd=True)
     target = boundary_state(dim, dim - rank)
     dev = float(np.abs(w - hermitian_eigenvalues(target)).max())
     return AntipodeReport(

@@ -27,11 +27,13 @@ class BasisSet:
     N**2 - 1 matrices, orthonormal in the trace inner product Tr{A B}.
 
     ``BasisSet(dim)`` (or :func:`build_basis`) stores only ``dim``;
-    :func:`expand` and :func:`~blochstrata.states.from_bloch` use the
-    closed-form index formulas of this basis.  ``elements``, the read-only
-    complex array of shape (N**2 - 1, N, N), is built on first read and
-    cached on the instance.  Instances are immutable and safe to share
-    between threads; threads that race on the first read build equal arrays.
+    :func:`expand`, :func:`~blochstrata.states.from_bloch` and every
+    directional matrix T_n use the closed-form index formulas of this basis.
+    ``elements``, the read-only complex array of shape (N**2 - 1, N, N), is
+    built on first read, by iteration, indexing, :func:`verify_basis` or the
+    ``basis`` command, and cached on the instance.  Instances are immutable
+    and safe to share between threads; threads that race on the first read
+    build equal arrays.
     """
 
     dim: int
@@ -95,7 +97,8 @@ def _gell_mann_tensor(n: int) -> np.ndarray:
     """The (N**2 - 1, N, N) element tensor in build_basis order, read-only.
 
     Written entry by entry from the definition, independently of the closed
-    forms in _coordinates and _traceless_part, which the tests check against it.
+    forms in _coordinates and _traceless_part, which the tests check against
+    it; no computation of the package reads it.
     """
     mats = _zeros((n * n - 1, n, n), f"basis tensor of dimension {n}", complex)
     inv_sqrt2 = 1.0 / sqrt(2.0)
@@ -181,20 +184,28 @@ def _coordinates(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def _traceless_part(v: np.ndarray, n: int) -> np.ndarray:
-    """sum_j v_j T_j as an N x N complex matrix, from the index formulas."""
-    out, diagonal = _diagonal(n, "matrix of this Bloch vector")
+    """sum_j v[m, j] T_j for each row m of an (M, N**2 - 1) real stack, as an
+    (M, N, N) complex stack, from the index formulas; the one builder of T_n.
+
+    Each off-diagonal entry is one coordinate over sqrt(2): the bits of the
+    dense contraction with ``BasisSet.elements``, a zero coordinate giving
+    +0.0 as its sum does (only a -0.0 coordinate gives -0.0).  Each diagonal
+    entry is a scaled cumulative sum and may differ from it in the last bits.
+    """
+    out = _zeros((len(v), n, n), "matrix of this Bloch vector", complex)
+    diagonal = out.reshape(len(v), n * n)[:, :: n + 1]
     pairs = n * (n - 1) // 2
     scale, top = _diagonal_scales(n)
-    d = v[2 * pairs :]
+    d = v[:, 2 * pairs :]
     # diagonal entry m: sum over l > m of v_l/sqrt(l(l+1)), minus m v_m/sqrt(m(m+1))
-    diagonal.real[:-1] = np.cumsum((scale * d)[::-1])[::-1]
-    diagonal.real[1:] -= top * d
+    diagonal.real[:, :-1] = np.cumsum((scale * d)[:, ::-1], axis=1)[:, ::-1]
+    diagonal.real[:, 1:] -= top * d
     j, k = _pairs(n)
     c = 1.0 / sqrt(2.0)
-    sym, anti = c * v[:pairs], c * v[pairs : 2 * pairs]
-    out.real[j, k] = out.real[k, j] = sym
-    out.imag[j, k] = -anti
-    out.imag[k, j] = anti
+    sym, anti = c * v[:, :pairs], c * v[:, pairs : 2 * pairs]
+    out.real[:, j, k] = out.real[:, k, j] = sym
+    out.imag[:, j, k] = 0.0 - anti  # not -anti, which is -0.0 for a zero coordinate
+    out.imag[:, k, j] = anti
     return out
 
 

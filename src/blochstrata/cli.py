@@ -361,10 +361,11 @@ def cmd_antipode(args: argparse.Namespace) -> dict | tuple[str, list]:
         _reject_ignored(args, "--table", ("dim", "q", "length"))
         max_dim = _integer(args.max_dim, "--max-dim", 2)
         pairs = [(n, q) for n in range(2, max_dim + 1) for q in range(1, n)]
-        reports = [antipode_of_boundary(n, q) for n, q in pairs]
+        # each report holds two N x N matrices: keep its two cells, drop the report
+        reports = (antipode_of_boundary(n, q) for n, q in pairs)
+        cells = [(rep.max_antipodal_length, rep.matches_complement) for rep in reports]
         dims, ranks = np.array(pairs).T
-        lengths = np.array([rep.max_antipodal_length for rep in reports])
-        matches = np.array([rep.matches_complement for rep in reports])
+        lengths, matches = map(np.array, zip(*cells))
         return ANTIPODE_HEADER, [_rows(_ANTIPODE_ROW, dims, ranks, lengths, matches)]
     if args.dim is None or args.q is None:
         raise DomainError("antipode requires --dim N and --q Q (or --table --max-dim M)")

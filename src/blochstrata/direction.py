@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .basis import BasisSet, _check_basis, _diagonal, _row_dots
+from .basis import BasisSet, _check_basis, _diagonal, _row_dots, _traceless_part
 from .errors import DomainError, _array, _first_failure, _integer, _real, _zeros
 from .states import (
     DEFAULT_ZERO_TOL,
@@ -52,8 +52,9 @@ def directional_matrix(basis: BasisSet, direction) -> np.ndarray:
 
 def _directional_matrices(basis: BasisSet, directions):
     """(v, t): the rows as floats and their T_n; DomainError for the first
-    non-unit row.  Norms and T_n are per-row BLAS products, the v0.1.0 norm
-    and basis contraction operation for operation."""
+    non-unit row.  The norms are per-row BLAS dots, the v0.1.0 norm operation
+    for operation; T_n comes from the index formulas of basis._traceless_part,
+    so no (N**2 - 1, N, N) basis tensor is built."""
     v = np.ascontiguousarray(directions, dtype=float)
     n = basis.dim
     d = n * n - 1
@@ -66,8 +67,7 @@ def _directional_matrices(basis: BasisSet, directions):
     j = _first_failure(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
     if j is not None:
         raise DomainError(f"direction must have unit norm, got |n| = {float(norms[j])!r}")
-    t = np.matmul(v.astype(complex)[:, None, :], basis.elements.reshape(d, n * n))
-    return v, t.reshape(len(v), n, n)
+    return v, _traceless_part(v, n)
 
 
 def state_along(basis: BasisSet, direction, length: float) -> np.ndarray:
@@ -100,10 +100,10 @@ def direction_reports(
 ) -> list[DirectionReport]:
     """direction_report of each row of an (M, N**2 - 1) array of unit directions.
 
-    One product with the basis forms every T_n, as in directional_matrix, one
-    eigensolve gives every mu-spectrum, and one gate call validates and
-    classifies every cap state, so every report equals direction_report of
-    its row bit for bit.  The norm check runs over every row before any cap
+    One pass of the basis index formulas forms every T_n, as in
+    directional_matrix, one eigensolve gives every mu-spectrum, and one gate
+    call validates and classifies every cap state, so every report equals
+    direction_report of its row bit for bit.  The norm check runs over every row before any cap
     is checked, and each check raises for its first failing row.
     """
     _check_basis(basis)

@@ -228,7 +228,7 @@ def from_bloch(basis: BasisSet, vector) -> np.ndarray:
     try:
         with np.errstate(over="raise", invalid="raise"):
             rho = maximally_mixed(n)
-            rho += _traceless_part(v, n)  # in place: no third N x N array
+            rho += _traceless_part(v[None], n)[0]  # in place: no third N x N array
             return rho
     except FloatingPointError as exc:
         raise NumericError(f"matrix of this Bloch vector is not finite: {exc}") from exc

@@ -1,5 +1,6 @@
 """Tests for antipodal states and the boundary-to-boundary pairing."""
 
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -27,6 +28,31 @@ from blochstrata import (
     to_bloch,
 )
 from blochstrata.antipode import SPECTRAL_MATCH_TOL
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_antipodal_cap_is_the_center_minus_the_scaled_direction(dim):
+    # the cap is filled through its diagonal; (1/N) I - r T gives the same bits
+    for rank in range(1, dim):
+        t = directional_matrix_of_boundary(dim, rank)
+        cap = maximally_mixed(dim) - max_antipodal_length(dim, rank) * t
+        assert antipode_of_boundary(dim, rank).antipodal_cap.tobytes() == cap.tobytes()
+
+
+def test_antipode_of_boundary_holds_five_matrices_at_its_peak():
+    dim = 300
+    matrix = dim * dim * 16  # bytes of one complex N x N matrix
+    antipode_of_boundary(dim, 1)  # imports and caches
+    for rank in (1, dim // 2, dim - 1):
+        tracemalloc.start()
+        try:
+            antipode_of_boundary(dim, rank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the cap, R(N-q), and the three arrays of R(N-q)'s eigensolve: (m/2), its
+        # conjugate and their sum; the direction matrix is dropped once the cap is filled
+        assert peak <= 5.5 * matrix
 
 
 def test_zero_length_is_maximally_mixed():

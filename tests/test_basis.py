@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import blochstrata.cli as cli
-from blochstrata import DomainError, build_basis, expand, to_bloch, verify_basis
-from blochstrata.basis import _diagonal_scales, _pairs
+from blochstrata import DomainError, build_basis, expand, sample_direction, to_bloch, verify_basis
+from blochstrata.basis import _diagonal_scales, _pairs, _traceless_part
 
 SQ2 = sqrt(2.0)
 
@@ -193,6 +193,45 @@ def test_closed_form_expand_matches_dense_contraction(dim):
             assert np.abs(fast - dense).max() <= 1e-15
             # off-diagonal coordinates take the products in the dense order
             assert fast[:pairs].tobytes() == dense[:pairs].tobytes()
+
+
+def dense_t(v, b):
+    """sum_j v[m, j] T_j by the dense contraction with the element tensor, per row."""
+    n = b.dim
+    return np.matmul(v.astype(complex)[:, None, :], b.elements.reshape(len(b), n * n)).reshape(
+        len(v), n, n
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 3, 256])
+@pytest.mark.parametrize("dim", range(2, 10))
+def test_closed_form_t_n_matches_dense_contraction(dim, rows):
+    b = build_basis(dim)
+    v = np.stack([sample_direction(dim, len(b), i) for i in range(rows)])
+    closed, dense = _traceless_part(v, dim), dense_t(v, b)
+    assert closed.shape == (rows, dim, dim)
+    off = ~np.eye(dim, dtype=bool)
+    # one coordinate per off-diagonal entry: the dense bits, signed zeros included
+    assert closed[:, off].tobytes() == dense[:, off].tobytes()
+    # a diagonal entry sums up to N - 1 terms in another order; unit directions keep
+    # every entry and term within 1 in magnitude, so a few ulp of 1 bound the difference
+    closed_diagonal = np.diagonal(closed, axis1=1, axis2=2)
+    dense_diagonal = np.diagonal(dense, axis1=1, axis2=2)
+    assert closed_diagonal.imag.tobytes() == dense_diagonal.imag.tobytes()
+    assert np.abs(closed_diagonal.real - dense_diagonal.real).max() <= 2 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("dim", range(2, 10))
+def test_closed_form_t_n_of_a_coordinate_direction_is_its_element(dim):
+    b = build_basis(dim)
+    # every other coordinate is zero, and gives +0.0 as the dense sum does
+    assert _traceless_part(np.eye(len(b)), dim).tobytes() == b.elements.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7])
+def test_closed_form_t_n_of_an_empty_stack_is_empty(dim):
+    t = _traceless_part(np.empty((0, dim * dim - 1)), dim)
+    assert t.shape == (0, dim, dim) and t.dtype == complex
 
 
 @pytest.mark.parametrize("dim", [2, 3, 7])

@@ -1,9 +1,12 @@
-"""Batched reports against the per-item formulas of v0.1.0, bit for bit.
+"""Batched reports against per-item formulas, bit for bit.
 
 The reference rows below are computed here, one item at a time, with the
-formulas of v0.1.0: ``eigvalsh`` of (m + m^H)/2 per matrix, ``np.linalg.norm``
-per matrix and ``tensordot`` per direction.  The CLI scans and the batched
-library calls must reproduce them exactly, for every block boundary.
+formulas of v0.1.0: ``eigvalsh`` of (m + m^H)/2 per matrix and
+``np.linalg.norm`` per matrix.  T_n is written entry by entry from the
+basis index formulas, each diagonal entry summed in the order the library
+sums it (since 0.2.0; v0.1.0 took ``tensordot`` with the dense basis
+tensor).  The CLI scans and the batched library calls must reproduce them
+exactly, for every block boundary.
 """
 
 from math import sqrt
@@ -61,10 +64,34 @@ def reference_stratum(rho):
     return n, p, dist, radius, abs(dist - radius) <= 1e-9, dist >= radius - 1e-9
 
 
-def reference_direction(elements, v):
-    """(mu descending, max_length, cap zero count, cap class) as v0.1.0 computed them."""
-    n = elements.shape[1]
-    t = np.tensordot(v, elements, axes=(0, 0))
+def reference_t(v, n):
+    """T_n = sum_j v_j T_j, one entry at a time from the index formulas.
+
+    An off-diagonal pair takes one symmetric and one antisymmetric coordinate
+    over sqrt(2).  Diagonal entry m adds v_l/sqrt(l(l+1)) over the diagonal
+    elements l = N-1 down to m+1, then subtracts m v_m/sqrt(m(m+1)).
+    """
+    c = 1.0 / sqrt(2.0)
+    pairs = n * (n - 1) // 2
+    t = np.zeros((n, n), dtype=complex)
+    for p, (j, k) in enumerate(zip(*np.triu_indices(n, 1))):
+        t[j, k] = complex(c * v[p], 0.0 - c * v[pairs + p])
+        t[k, j] = complex(c * v[p], c * v[pairs + p])
+    scale = [0.0] + [1.0 / sqrt(l * (l + 1)) for l in range(1, n)]
+    d = [0.0] + list(v[2 * pairs :])  # d[l]: the coordinate of diagonal element l
+    for m in range(n):
+        terms = [scale[l] * d[l] for l in range(n - 1, m, -1)]
+        entry = sum(terms[1:], terms[0]) if terms else 0.0
+        if m:
+            entry -= (m * scale[m]) * d[m]
+        t[m, m] = entry
+    return t
+
+
+def reference_direction(v):
+    """(mu descending, max_length, cap zero count, cap class) by the per-item formulas."""
+    n = round(sqrt(len(v) + 1))
+    t = reference_t(v, n)
     mu = eigvals(t)[::-1]
     max_length = 1.0 / (n * abs(mu[-1]))
     w = eigvals(np.eye(n, dtype=complex) / n + max_length * t)
@@ -113,11 +140,10 @@ def test_strata_scan_rows_match_per_item_formulas(dim, count, tmp_path):
 @pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_direction_scan_rows_match_per_item_formulas(dim, count, tmp_path):
-    elements = build_basis(dim).elements
     expected = []
     for i in range(count):
         mu, max_length, cap_zeros, _ = reference_direction(
-            elements, sample_direction(20260810, dim * dim - 1, i)
+            sample_direction(20260810, dim * dim - 1, i)
         )
         expected.append(
             ",".join([str(dim), fmt(mu[-1]), fmt(mu[0]), fmt(max_length), str(cap_zeros)])
@@ -174,7 +200,7 @@ def test_direction_reports_match_per_item_formulas(dim):
     directions = np.stack(rows)
     reports = direction_reports(basis, directions, ZERO_TOL)
     for v, r in zip(directions, reports):
-        mu, max_length, cap_zeros, cap_class = reference_direction(basis.elements, v)
+        mu, max_length, cap_zeros, cap_class = reference_direction(v)
         assert r.mu.tobytes() == mu.tobytes()
         assert r.max_length == max_length
         assert (r.cap_zero_count, r.cap_state_class) == (cap_zeros, cap_class)
@@ -193,8 +219,7 @@ def test_scalar_calls_match_per_item_formulas(dim):
     d = dim * dim - 1
     for i in range(30):
         v = sample_direction(dim, d, i)
-        t = np.tensordot(v, basis.elements, axes=(0, 0))
-        assert directional_matrix(basis, v).tobytes() == t.tobytes()
+        assert directional_matrix(basis, v).tobytes() == reference_t(v, dim).tobytes()
         long = 1.5 * v
         with pytest.raises(DomainError) as bad:
             directional_matrix(basis, long)

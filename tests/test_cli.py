@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from math import inf, nan, sqrt
 from pathlib import Path
@@ -278,6 +279,22 @@ def test_antipode_table(capsys):
     rows = lines[2:]
     assert len(rows) == sum(n - 1 for n in range(2, 6))
     assert all(row.endswith(",true") for row in rows)
+
+
+def test_antipode_table_holds_no_report(tmp_path):
+    out = tmp_path / "table.csv"
+    cli.main(["antipode", "--table", "--max-dim", "3", "--out", str(out)])  # imports, caches
+    tracemalloc.start()
+    try:
+        assert cli.main(["antipode", "--table", "--max-dim", "40", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 40 x 40 complex matrix is 25.6 kB; the 780 reports hold two each.  One
+    # antipode_of_boundary call peaks at 5, the report before it holds 2, and the
+    # pairs, cells and rows of the table take about 6 more
+    assert peak <= 16 * 40 * 40 * 16
+    assert len(out.read_text().splitlines()) == 2 + 780
 
 
 def test_lemma_from_file(tmp_path, capsys):
@@ -942,28 +959,29 @@ JSON_MATRIX_COMMANDS = [
     ["antipode", "--dim", "4", "--q", "2", "--length", "0.1", "--out", "antipode.json"],
 ]
 # SHA-256 of the outputs of JSON_MATRIX_COMMANDS at SOURCE_DATE_EPOCH=0, in their order,
-# by the OpenBLAS core that ran them (see conftest.py); recorded when every entry was
-# formatted on its own (git archive d3e5b95 src).  Every matrix here, from the 9 x 2
+# by the OpenBLAS core that ran them (see conftest.py); recorded at 0.2.0, where each
+# output differs only in its manifest version from the one of the code that formatted
+# every entry on its own (git archive d3e5b95 src).  Every matrix here, from the 9 x 2
 # cells of a basis element to the 12 x 12 state, now takes cli._float_rows' table of
 # magnitudes
 PINNED_JSON_MATRICES = {
     "SkylakeX": (
-        "3db2adfb52ab19738c10d9a89c1440ec32a0ebb33a1b955a62d31d16f162891c",
-        "583d092a00a081b7cb2d57892581dca23e245e018c8e6617b62604efa0e128fa",
-        "20a11896879ad9bea7a5be824d4b2850c399ed8d5ad270b7b10c6dcbf80e5f70",
-        "475cdbee0f20e603adbe95c88e32a2280d7389f153f86f118d7e6ba4b8319c03",
+        "9d2138f4e9bd7549bda2dcd6f907a30dd0e8d196b2e3c94532ea1c6c34c82858",
+        "c82c4e90bb142ca5a8821bc002ce80eb8bcd73561bbdbf62b64f2de929fbb5e6",
+        "bb97142c65fa75659af72d1c8517d1acc69f7d50e340c0dc44738d5bcb7a3218",
+        "4bf5b66c57c6d11e6a7d11f3b61d6d7d0abcc9627cd9d3fbeb8d23379f79f8bf",
     ),
     "Haswell": (
-        "748cfdcd690f8a51657d612c87c00c458d009f719a411561c76a5f461452d465",
-        "cd955e43c475db270d739dce975c060d12967cba1f809596177234fa64d229e5",
-        "20a11896879ad9bea7a5be824d4b2850c399ed8d5ad270b7b10c6dcbf80e5f70",
-        "475cdbee0f20e603adbe95c88e32a2280d7389f153f86f118d7e6ba4b8319c03",
+        "514835642d6277f6573d44f014b121461cbd50df9480df883a0578c0ceb3c72f",
+        "0d49f9bf7216803b158180abcd280b8e0794f483c75f9a8b5e90f56b0b0da06c",
+        "bb97142c65fa75659af72d1c8517d1acc69f7d50e340c0dc44738d5bcb7a3218",
+        "4bf5b66c57c6d11e6a7d11f3b61d6d7d0abcc9627cd9d3fbeb8d23379f79f8bf",
     ),
     "Sandybridge": (
-        "47cfc683394523e9daa1c68d4056af769fa4b56225e9137a2ca64bf849a640b7",
-        "f357b89c6c9a84b66bcc2920c8cae8fda9a4b1a1a15c96dc32f42801e2db4977",
-        "20a11896879ad9bea7a5be824d4b2850c399ed8d5ad270b7b10c6dcbf80e5f70",
-        "475cdbee0f20e603adbe95c88e32a2280d7389f153f86f118d7e6ba4b8319c03",
+        "0593e1e75638c38f47abdf2dc5343b99a0dbcc4fb1ffbc646db99d17015561a9",
+        "0b38998111f5dfeaa4b4a01bc8c254bd5bbaf261c537a3600d3a2125e54d4f44",
+        "bb97142c65fa75659af72d1c8517d1acc69f7d50e340c0dc44738d5bcb7a3218",
+        "4bf5b66c57c6d11e6a7d11f3b61d6d7d0abcc9627cd9d3fbeb8d23379f79f8bf",
     ),
 }
 

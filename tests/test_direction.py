@@ -48,9 +48,22 @@ def test_coordinate_directions_pick_basis_elements(basis3):
     for j in range(8):
         n = np.zeros(8)
         n[j] = 1.0
-        np.testing.assert_allclose(
-            directional_matrix(basis3, n), basis3[j], atol=1e-15
-        )
+        assert directional_matrix(basis3, n).tobytes() == basis3[j].tobytes()
+
+
+def test_large_dimensions_build_t_n_without_the_basis_tensor():
+    # the (N**2 - 1, N, N) tensor would take 14.6 TiB at N = 1000; T_n takes 15.3 MiB
+    dim = 1000
+    basis = build_basis(dim)
+    e_0 = np.zeros(len(basis))
+    e_0[0] = 1.0
+    t = directional_matrix(basis, e_0)
+    assert t[0, 1] == t[1, 0] == 1.0 / sqrt(2.0)
+    assert np.count_nonzero(t) == 2
+    rho = state_along(basis, e_0, 0.001)
+    assert rho[0, 1] == 0.001 * t[0, 1] and rho[2, 2] == 1.0 / dim
+    assert antipodal_state(basis, e_0, 0.001)[0, 1] == -rho[0, 1]
+    assert "elements" not in vars(basis)
 
 
 def test_opposite_direction_negates(basis3):

@@ -205,7 +205,7 @@ def test_dimensions_numpy_cannot_allocate_are_numeric_errors(call):
         (lambda: maximally_mixed(3), "maximally mixed state"),
         (lambda: extremal_spectra(4), "eigenvalue profile"),
         (lambda: build_basis(3).elements, "basis tensor of dimension 3"),
-        (lambda: _traceless_part(np.full(8, 0.01), 3), "matrix of this Bloch vector"),
+        (lambda: _traceless_part(np.full((1, 8), 0.01), 3), "matrix of this Bloch vector"),
     ],
     ids=["maximally_mixed", "extremal_spectra", "basis_elements", "from_bloch_traceless_part"],
 )
