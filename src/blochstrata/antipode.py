@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet, _diagonal
-from .direction import directional_matrix, directional_matrix_of_boundary
+from .direction import _center_plus, directional_matrix, directional_matrix_of_boundary
 from .errors import NumericError, _integer, _real
 from .states import (
     DEFAULT_ZERO_TOL,
@@ -21,7 +21,6 @@ from .states import (
     _state_class,
     _validate,
     hermitian_eigenvalues,
-    maximally_mixed,
 )
 from .stratification import boundary_state, stratum_radius
 
@@ -42,8 +41,7 @@ class AntipodeReport:
 def antipodal_state(basis: BasisSet, direction, length: float) -> np.ndarray:
     """The matrix (1/N) I - r T_n, i.e. the state at length r along -n; checks as state_along."""
     t = directional_matrix(basis, direction)
-    length = _real(length, "length")
-    return maximally_mixed(basis.dim) - length * t
+    return _center_plus(-_real(length, "length"), t)
 
 
 def max_antipodal_length(dim: int, rank: int) -> float:

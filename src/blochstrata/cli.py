@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from dataclasses import astuple, replace
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .states import DEFAULT_ZERO_TOL, from_bloch, to_bloch
 from .stratification import (
     _harriman_columns,
     _stratum_columns,
-    _tuple,
+    _tuples,
     stratum_radius,
     stratum_report,
 )
@@ -275,11 +275,6 @@ def _direction_rows(directions, mu, max_length, smallest, cap_zero_count, zero_t
     return _rows(_DIRECTION_ROW, mu.shape[1], mu[:, -1], mu[:, 0], max_length, cap_zero_count)
 
 
-def _file_tuple(values, indices) -> np.ndarray:
-    """The one-item stack of a --tuples file's tuple, a part of its own."""
-    return _tuple(values)[None]
-
-
 def cmd_basis(args: argparse.Namespace) -> dict | tuple[str, list]:
     b = build_basis(args.dim)
     # one row per element: the real and the imaginary part of each entry, row-major
@@ -394,8 +389,9 @@ def cmd_lemma(args: argparse.Namespace) -> tuple[str, list]:
         data = load_json(args.tuples)
         if not isinstance(data, list) or not all(isinstance(t, list) for t in data):
             raise DomainError("tuple file must contain a JSON list of lists of reals")
-        # tuples from a file may differ in length, so each is a part
-        parts = [(1, functools.partial(_file_tuple, t), None) for t in data]
+        # each run of equal-length tuples is a part, each block of it read when drawn
+        runs = [list(run) for _, run in groupby(data, len)]
+        parts = [(len(r), lambda i, r=r: _tuples(r[i.start : i.stop], 2), None) for r in runs]
     else:
         if args.seed is None or args.count is None or args.size is None:
             raise DomainError("lemma requires --tuples FILE or --count K --size n --seed S")

@@ -22,7 +22,6 @@ from .states import (
     _spectra,
     _state_class,
     hermitian_eigenvalues,
-    maximally_mixed,
 )
 from .stratification import stratum_radius
 
@@ -73,8 +72,19 @@ def _directional_matrices(basis: BasisSet, directions):
 def state_along(basis: BasisSet, direction, length: float) -> np.ndarray:
     """The matrix (1/N) I + r T_n; Hermitian and unit trace, positivity not guaranteed."""
     t = directional_matrix(basis, direction)
-    length = _real(length, "length")
-    return maximally_mixed(basis.dim) + length * t
+    return _center_plus(_real(length, "length"), t)
+
+
+def _center_plus(scale, t: np.ndarray) -> np.ndarray:
+    """(1/N) I + scale * t built in t, an N x N matrix or an (M, N, N) stack, with the bits
+    of that sum: the product first, in that operand order, then + 0.0, which turns each
+    -0.0 into the +0.0 that adding (1/N) I gives, then 1/N on the diagonal.  scale is a
+    real, or an (M, 1, 1) array of them; no N x N array is allocated."""
+    np.multiply(scale, t, out=t)
+    t += 0.0
+    n = t.shape[-1]
+    t.reshape(-1, n * n)[:, :: n + 1] += 1.0 / n
+    return t
 
 
 def direction_report(
@@ -136,7 +146,8 @@ def _direction_columns(basis: BasisSet, directions, zero_tol):
     n = basis.dim
     mu = hermitian_eigenvalues(t)[:, ::-1]
     max_length = 1.0 / (n * np.abs(mu[:, -1]))
-    tol, w, zeros = _spectra(np.eye(n) / n + max_length[:, None, None] * t, zero_tol=zero_tol)
+    # t is not read again, so the cap states are built in it
+    tol, w, zeros = _spectra(_center_plus(max_length[:, None, None], t), zero_tol=zero_tol)
     return v, mu, max_length, w[:, 0], zeros, tol
 
 

@@ -15,12 +15,12 @@ above zero_tol counts as zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, EnumType
 
 import numpy as np
 
 from .basis import BasisSet, _check_basis, _coordinates, _diagonal, _traceless_part
-from .errors import DomainError, NumericError, _array, _first_failure, _integer, _real
+from .errors import DomainError, NumericError, _array, _first_failure, _integer, _real, _shown
 
 DEFAULT_ZERO_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -28,7 +28,23 @@ UNIT_TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
-class StateKind(str, Enum):
+class _KindLookup(EnumType):
+    """StateKind's metaclass: a lookup by a value that names no kind is a DomainError.
+
+    Enum's own lookup raises ValueError for such a value; for an array of other than
+    one entry it raises one from the comparison in its member search, before any
+    _missing_ hook runs.  Both are caught here.
+    """
+
+    def __call__(cls, value, *args, **kwargs):
+        try:
+            return super().__call__(value, *args, **kwargs)
+        except ValueError:
+            kinds = ", ".join(kind.value for kind in cls)
+            raise DomainError(f"kind must be one of {kinds}, got {_shown(value)}") from None
+
+
+class StateKind(str, Enum, metaclass=_KindLookup):
     POSITIVE_INTERIOR = "positive_interior"
     BOUNDARY = "boundary"
     NONPOSITIVE = "nonpositive"
@@ -89,11 +105,11 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     # halving first cannot overflow, and gives the bits of (m + m^H)/2
     # wherever that is finite and not subnormal
     half = matrix / 2.0
-    h = half + half.conj().swapaxes(-1, -2)
+    np.add(half, half.conj().swapaxes(-1, -2), out=half)  # in place: one N x N copy fewer
     try:
-        return np.linalg.eigvalsh(h)
+        return np.linalg.eigvalsh(half)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed on shape {h.shape}: {exc}") from exc
+        raise NumericError(f"eigensolver failed on shape {half.shape}: {exc}") from exc
 
 
 # _spectra's zero_tol when no zeros are counted; a caller's None is a bad tolerance

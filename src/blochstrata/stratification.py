@@ -79,14 +79,19 @@ def harriman_check(values) -> HarrimanResult:
     Equality holds iff every a_j equals 1/n; the slack sum(a_j^2) - 1/n is the
     sum of squared deviations from the uniform tuple.
     """
-    return _harriman_results(_tuple(values)[None])[0]
+    return _harriman_results(_tuples(values, 1)[None])[0]
 
 
-def _tuple(values) -> np.ndarray:
-    """values as the nonempty 1-d float array that harriman_check takes, or DomainError."""
+# what the one tuple reader expects, by ndim: a tuple, or a stack of them
+_TUPLE_SHAPES = {1: "a nonempty 1-d tuple of reals", 2: "an (M, n) stack of nonempty tuples"}
+
+
+def _tuples(values, ndim: int) -> np.ndarray:
+    """values as the float array of ndim 1 or 2 that harriman_check or harriman_checks
+    takes, every tuple nonempty, or DomainError: the one reader of tuples, a file's too."""
     a = _array(values, "tuple entries")
-    if a.ndim != 1 or a.size < 1:
-        raise DomainError(f"expected a nonempty 1-d tuple of reals, got shape {a.shape}")
+    if a.ndim != ndim or not a.shape[-1]:
+        raise DomainError(f"expected {_TUPLE_SHAPES[ndim]}, got shape {a.shape}")
     return a
 
 
@@ -99,10 +104,7 @@ def harriman_checks(stack) -> list[HarrimanResult]:
     then the unit-sum check, then the overflow check, runs over every row,
     and raises for its first failing row.
     """
-    a = _array(stack, "tuple entries")
-    if a.ndim != 2 or not a.shape[1]:
-        raise DomainError(f"expected an (M, n) stack of nonempty tuples, got shape {a.shape}")
-    return _harriman_results(a)
+    return _harriman_results(_tuples(stack, 2))
 
 
 def _harriman_results(a: np.ndarray) -> list[HarrimanResult]:

@@ -23,8 +23,10 @@ from blochstrata import (
     NumericError,
     SamplerConfig,
     boundary_state,
+    harriman_check,
     maximally_mixed,
     sample_state,
+    sample_unit_sum_tuple,
     stratum_radius,
 )
 from blochstrata.cli import _CSV_BOOL
@@ -307,6 +309,55 @@ def test_lemma_from_file(tmp_path, capsys):
     assert lines[2].endswith(",true")
     assert lines[3].endswith(",false")
     assert lines[4].split(",")[1] == "5"
+
+
+def _lemma_tuples(tuples, tmp_path, capsys):
+    """(exit code, data rows, stderr) of lemma --tuples on a file of the tuples."""
+    rc, out, err = run(["lemma", "--tuples", _json_file(tmp_path, tuples)], capsys)
+    return rc, data_lines(out)[1:], err
+
+
+# a run of two 3-tuples, then a run of 300 7-tuples that crosses a block, a 2-tuple, a 3-tuple
+_RUN_SIZES = [3, 3] + [7] * 300 + [2, 3]
+
+
+@pytest.mark.parametrize("sizes", [_RUN_SIZES, []], ids=["runs", "empty"])
+def test_lemma_tuples_rows_are_one_harriman_check_per_tuple(sizes, tmp_path, capsys):
+    tuples = [sample_unit_sum_tuple(4, n, i).tolist() for i, n in enumerate(sizes)]
+    if tuples:
+        tuples[5] = [1.0 / 7] * 7  # equality
+    rc, rows, _ = _lemma_tuples(tuples, tmp_path, capsys)
+    results = [harriman_check(t) for t in tuples]
+    assert rc == 0 and rows == [
+        cli._LEMMA_ROW % (len(t), r.sum_of_squares, r.bound, r.slack, _CSV_BOOL[r.equality])
+        for t, r in zip(tuples, results)
+    ]
+    assert any(r.equality for r in results) == bool(tuples)
+
+
+@pytest.mark.parametrize(
+    "string_at,message",
+    [
+        # one block is read whole before its sums are checked: the later string raises
+        pytest.param(5, "tuple entries must be numbers, got a string", id="one-block"),
+        # the first block of 256 is checked before the next is read: the earlier sum raises
+        pytest.param(300, "tuple must sum to 1, got 1.1", id="two-blocks"),
+    ],
+)
+def test_lemma_tuples_faults_raise_by_block_then_entries_before_sums(
+    string_at, message, tmp_path, capsys
+):
+    tuples = [[0.5, 0.5]] * 301
+    tuples[2] = [0.5, 0.6]
+    tuples[string_at] = ["0.5", 0.5]
+    rc, rows, err = _lemma_tuples(tuples, tmp_path, capsys)
+    assert (rc, rows, err) == (2, [], f"error: {message}\n")
+
+
+def test_lemma_tuples_an_empty_tuple_is_one_error_line(tmp_path, capsys):
+    rc, rows, err = _lemma_tuples([[0.5, 0.5], [], []], tmp_path, capsys)
+    assert (rc, rows) == (2, [])
+    assert err == "error: expected an (M, n) stack of nonempty tuples, got shape (2, 0)\n"
 
 
 def test_lemma_random(capsys):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blochstrata.cli as cli
+import blochstrata.direction as direction
 from blochstrata import (
     DEFAULT_ZERO_TOL,
     DomainError,
@@ -24,6 +25,7 @@ from blochstrata import (
     directional_matrix_of_boundary,
     expand,
     extremal_spectra,
+    maximally_mixed,
     purity,
     sample_direction,
     spectrum,
@@ -64,6 +66,47 @@ def test_large_dimensions_build_t_n_without_the_basis_tensor():
     assert rho[0, 1] == 0.001 * t[0, 1] and rho[2, 2] == 1.0 / dim
     assert antipodal_state(basis, e_0, 0.001)[0, 1] == -rho[0, 1]
     assert "elements" not in vars(basis)
+
+
+def _directions(dim):
+    """Sampled unit directions of dimension dim and every +-e_k."""
+    d = dim * dim - 1
+    sampled = [sample_direction(7, d, i) for i in range(4)]
+    return np.array(sampled + [sign * e for e in np.eye(d) for sign in (1.0, -1.0)])
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_states_built_in_t_n_have_the_bits_of_the_center_plus_the_product(dim):
+    # each builder scales T_n in place; these are the sums it replaced, written out
+    basis = build_basis(dim)
+    for v in _directions(dim):
+        t = directional_matrix(basis, v)
+        for r in (0.0, 1e-300, 0.3, 1.0, 7.5, 1e150):
+            along = maximally_mixed(dim) + r * t
+            against = maximally_mixed(dim) - r * t
+            assert state_along(basis, v, r).tobytes() == along.tobytes()
+            assert antipodal_state(basis, v, r).tobytes() == against.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_cap_states_built_in_t_n_have_the_bits_of_the_center_plus_the_product(
+    dim, monkeypatch
+):
+    basis = build_basis(dim)
+    v = _directions(dim)
+    caps = []
+    spectra = direction._spectra
+
+    def recorded(m, **gate):
+        caps.append(m.copy())
+        return spectra(m, **gate)
+
+    monkeypatch.setattr(direction, "_spectra", recorded)
+    reports = direction_reports(basis, v)
+    t = np.array([directional_matrix(basis, row) for row in v])
+    max_length = np.array([r.max_length for r in reports])
+    (cap,) = caps
+    assert cap.tobytes() == (np.eye(dim) / dim + max_length[:, None, None] * t).tobytes()
 
 
 def test_opposite_direction_negates(basis3):

@@ -505,15 +505,40 @@ def test_a_numpy_complex_entry_of_a_real_array_is_a_domain_error(bad):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize(
+    "bad,shown",
+    [
+        pytest.param("foo", "'foo'", id="unknown-name"),
+        pytest.param("BOUNDARY", "'BOUNDARY'", id="member-name-not-value"),
+        pytest.param(None, "None", id="none"),
+        pytest.param([], "[]", id="unhashable"),
+        # Enum's member search compares the array and asks for its truth value
+        pytest.param(np.eye(2), "array([[1., 0.], [0., 1.]])", id="2x2-array"),
+        pytest.param(np.array(["boundary", "x"]), "array(['boundary', 'x'], dtype='<U8')",
+                     id="array-holding-a-kind"),
+    ],
+)
+def test_a_value_that_names_no_kind_is_a_domain_error(bad, shown):
+    with pytest.raises(DomainError) as exc:
+        StateKind(bad)
+    assert str(exc.value) == (
+        f"kind must be one of positive_interior, boundary, nonpositive, got {shown}"
+    )
+
+
+def test_a_kind_is_found_by_its_value_or_itself():
+    assert StateKind("boundary") is StateKind.BOUNDARY
+    assert StateKind(StateKind.NONPOSITIVE) is StateKind.NONPOSITIVE
+    assert StateKind(np.str_("positive_interior")) is StateKind.POSITIVE_INTERIOR
+
+
 def test_a_0d_array_of_a_number_is_a_number():
     assert harriman_check([np.array(0.25), np.array(0.75)]) == harriman_check([0.25, 0.75])
     assert harriman_check([np.float64(0.5), np.array(0.5, dtype=object)]).equality
 
 
 # One good call of each callable of blochstrata.__all__, as its positional arguments;
-# the contract test sets each slot in turn to a bad value.  StateKind is left out:
-# an Enum's lookup by value is the enum protocol, whose ValueError says the value
-# names no member (and for an array, that its truth value is ambiguous).
+# the contract test sets each slot in turn to a bad value.
 _B2 = build_basis(2)
 _HALF = np.eye(2) / 2
 _Z = [0.0, 0.0, 1.0]
@@ -529,6 +554,7 @@ GOOD_CALLS = {
     "SamplerConfig": (1, 3, 2, 2),
     "Spectrum": (np.zeros(2), 0),
     "StateClass": (StateKind.BOUNDARY, 1),
+    "StateKind": ("boundary",),
     "StratumReport": (2, 0, 0.0, 0.0, True, True),
     "ValidationReport": ((),),
     "Violation": ("x", (0,), 0.0),
@@ -596,7 +622,7 @@ def _call(name, args):
 
 def test_the_good_calls_cover_every_public_callable_and_return():
     public = {name for name in blochstrata.__all__ if callable(getattr(blochstrata, name))}
-    assert set(GOOD_CALLS) == public - {"StateKind"}
+    assert set(GOOD_CALLS) == public
     for name, args in GOOD_CALLS.items():
         _call(name, args)
 

@@ -14,6 +14,7 @@ from blochstrata import (
     DomainError,
     NumericError,
     StateKind,
+    antipodal_state,
     build_basis,
     check_density,
     check_hermitian,
@@ -27,7 +28,9 @@ from blochstrata import (
     from_bloch,
     maximally_mixed,
     purity,
+    sample_direction,
     spectrum,
+    state_along,
     stratum_report,
     stratum_reports,
     to_bloch,
@@ -351,3 +354,32 @@ def test_one_item_reports_at_a_new_dimension_hold_no_array():
     finally:
         tracemalloc.stop()
     assert held < 100_000
+
+
+_PEAK_DIM = 500
+# the peak of each one-item call in complex N x N matrices at N = 500, past the arrays it
+# is passed: T_n and three arrays of N(N-1)/2 floats, a quarter matrix each, from the
+# index formulas (1.75); the gate's m^H and m - m^H (2); the eigensolve's m/2 and its
+# conjugate, summed in place (2); T_n, then the cap built in it, beside an eigensolve (3)
+_PEAKS = {
+    "state_along": (lambda basis, v, rho: state_along(basis, v, 0.1), 1.75),
+    "antipodal_state": (lambda basis, v, rho: antipodal_state(basis, v, 0.1), 1.75),
+    "classify": (lambda basis, v, rho: classify(rho), 2.0),
+    "to_bloch": (lambda basis, v, rho: to_bloch(basis, rho), 2.0),
+    "direction_report": (lambda basis, v, rho: direction_report(basis, v), 3.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_PEAKS))
+def test_a_one_item_call_peaks_at_its_pinned_count_of_matrices(name):
+    call, count = _PEAKS[name]
+    basis = build_basis(_PEAK_DIM)
+    args = basis, sample_direction(1, _PEAK_DIM**2 - 1, 0), maximally_mixed(_PEAK_DIM)
+    call(*args)  # imports and caches
+    tracemalloc.start()
+    try:
+        call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (_PEAK_DIM**2 * 16) == pytest.approx(count, abs=0.1)
