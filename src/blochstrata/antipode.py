@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, _diagonal
-from .direction import _center_plus, directional_matrix, directional_matrix_of_boundary
+from .basis import BasisSet, _center_plus, _diagonal
+from .direction import directional_matrix, directional_matrix_of_boundary
 from .errors import NumericError, _integer, _real
 from .states import (
     DEFAULT_ZERO_TOL,

@@ -130,6 +130,20 @@ def _diagonal(n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     return m, m.reshape(-1)[:: n + 1]
 
 
+def _center_plus(scale, t: np.ndarray) -> np.ndarray:
+    """(1/N) I + scale * t built in t, an N x N matrix or an (M, N, N) stack: the one builder
+    of the center plus a traceless part (from_bloch, state_along, antipodal_state and the
+    cap states of a direction scan), with the bits of that sum: the product first, in that
+    operand order, then + 0.0, which turns each -0.0 into the +0.0 that adding (1/N) I
+    gives, then 1/N on the diagonal.  scale is a real, or an (M, 1, 1) array of them; no
+    N x N array is allocated."""
+    np.multiply(scale, t, out=t)
+    t += 0.0
+    n = t.shape[-1]
+    t.reshape(-1, n * n)[:, :: n + 1] += 1.0 / n
+    return t
+
+
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)

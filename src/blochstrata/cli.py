@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from dataclasses import astuple, replace
-from itertools import chain, groupby, islice, repeat
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -38,13 +38,7 @@ from .sampling import (
     sample_direction,
     sample_states,
 )
-from .serialize import (
-    bloch_from_dict,
-    bloch_to_dict,
-    load_json,
-    matrix_from_dict,
-    matrix_to_dict,
-)
+from .serialize import _bloch_payload, _matrix_payload, bloch_from_dict, load_json, matrix_from_dict
 from .states import DEFAULT_ZERO_TOL, from_bloch, to_bloch
 from .stratification import (
     _harriman_columns,
@@ -140,56 +134,55 @@ def _write(text: str, out: str | None) -> None:
         raise DomainError(f"cannot write {where}: {exc}") from exc
 
 
-def _finite_floats(items) -> bool:
-    """Whether every item is a finite float of exact type float (np.float64 is not)."""
-    return set(map(type, items)) == {float} and all(map(math.isfinite, items))
+def _float_rows(a: np.ndarray, pad: str) -> list[str]:
+    """The JSON text of each row of a non-empty, finite 2-D float array, float.__repr__
+    called once per magnitude.
 
-
-def _float_rows(rows, pad: str) -> list[str] | None:
-    """The JSON text of each row of a matrix, float.__repr__ called once per magnitude.
-
-    A matrix is a list of non-empty lists of finite floats; for any other
-    rows this returns None.  A density matrix is Hermitian, so its real part
-    is symmetric and its imaginary part antisymmetric: about half its entries
-    repeat a magnitude.  repr(-x) is "-" + repr(x) for x >= 0, -0.0 included,
-    so each entry is looked up in a table of the distinct magnitudes' texts
-    and their negations.
+    A density matrix is Hermitian, so its real part is symmetric and its
+    imaginary part antisymmetric: about half its entries repeat a magnitude.
+    repr(-x) is "-" + repr(x) for x >= 0, -0.0 included, so each entry is
+    looked up in a table of the distinct magnitudes' texts and their negations.
     """
-    if not (set(map(type, rows)) <= {list, tuple} and all(rows)):
-        return None
-    entries = list(chain.from_iterable(rows))
-    if not _finite_floats(entries):
-        return None
-    flat = np.array(entries)
+    flat = a.ravel()
     magnitudes, where = np.unique(np.abs(flat), return_inverse=True)
     texts = list(map(float.__repr__, magnitudes.tolist()))
-    table = texts + ["-" + text for text in texts]
-    cells = map(table.__getitem__, (where + len(texts) * np.signbit(flat)).tolist())
+    table = np.array(texts + ["-" + text for text in texts], dtype=object)
+    cells = table.take(where + len(texts) * np.signbit(flat)).reshape(a.shape).tolist()
     inner = pad + "  "
-    return ["[" + inner + ("," + inner).join(islice(cells, len(row))) + pad + "]" for row in rows]
+    return ["[" + inner + ("," + inner).join(row) + pad + "]" for row in cells]
 
 
 def _json_text(value, pad: str = "\n") -> str:
-    """json.dumps(value, indent=2), byte for byte; pad is the newline and indent of value's line.
+    """json.dumps(value, indent=2), byte for byte, where each array is its .tolist(); pad is
+    the newline and indent of value's line.
 
     With indent set, json.dumps takes its pure-Python encoder (CPython < 3.14).
     Here a dict of str keys and a non-empty list or tuple are written item by
-    item, a list of finite floats with one join of float.__repr__ (what json
-    writes for a float), a matrix of such floats from one table of texts
-    (_float_rows), and every other value by json.dumps itself.
+    item, and a non-empty, finite float64 array as numpy made it: a 1-D one
+    with one join of float.__repr__ (what json writes for a float), a 2-D one
+    from one table of texts (_float_rows), and a deeper one row by row.  Any
+    other array is written as its .tolist(), and every other value by
+    json.dumps itself, with each array in it as its .tolist().
     """
     inner = pad + "  "
+    if isinstance(value, np.ndarray):
+        if value.dtype == float and value.ndim and value.size and np.isfinite(value).all():
+            if value.ndim == 1:
+                items = map(float.__repr__, value.tolist())
+            elif value.ndim == 2:
+                items = _float_rows(value, inner)
+            else:
+                items = (_json_text(row, inner) for row in value)
+            return "[" + inner + ("," + inner).join(items) + pad + "]"
+        value = value.tolist()
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         items = (json.dumps(key) + ": " + _json_text(item, inner) for key, item in value.items())
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, (list, tuple)) and value:
-        if _finite_floats(value):
-            items = map(float.__repr__, value)
-        else:
-            items = _float_rows(value, inner) or (_json_text(item, inner) for item in value)
+        items = (_json_text(item, inner) for item in value)
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     # a scalar, an empty container or non-str keys; a non-finite float is NaN or Infinity
-    return json.dumps(value, indent=2).replace("\n", pad)
+    return json.dumps(value, indent=2, default=np.ndarray.tolist).replace("\n", pad)
 
 
 def _rows(template: str, *columns) -> str:
@@ -280,7 +273,7 @@ def cmd_basis(args: argparse.Namespace) -> dict | tuple[str, list]:
     # one row per element: the real and the imaginary part of each entry, row-major
     cells = np.stack((b.elements.real, b.elements.imag), axis=-1).reshape(len(b), -1)
     if args.format == "json":
-        return {"dim": b.dim, "elements": cells.reshape(len(b), -1, 2).tolist()}
+        return {"dim": b.dim, "elements": cells.reshape(len(b), -1, 2)}
     header = "element," + ",".join(
         f"re_{r}_{c},im_{r}_{c}" for r in range(b.dim) for c in range(b.dim)
     )
@@ -291,11 +284,11 @@ def cmd_convert(args: argparse.Namespace) -> dict:
     data = load_json(args.infile)
     if isinstance(data, dict) and "coords" in data:
         dim, coords = bloch_from_dict(data)
-        return matrix_to_dict(from_bloch(build_basis(dim), coords))
+        return _matrix_payload(from_bloch(build_basis(dim), coords))
     if isinstance(data, dict) and ("re" in data or "im" in data):
         m = matrix_from_dict(data)
         dim = m.shape[0]
-        return bloch_to_dict(dim, to_bloch(build_basis(dim), m))
+        return _bloch_payload(dim, to_bloch(build_basis(dim), m))
     raise DomainError("input JSON is neither a matrix nor a Bloch vector")
 
 
@@ -341,8 +334,8 @@ def cmd_direction(args: argparse.Namespace) -> dict | tuple[str, list]:
     report = direction_report(basis, v, zero_tol=args.zero_tol)
     return {
         "dim": n,
-        "direction": report.direction.tolist(),
-        "mu": report.mu.tolist(),
+        "direction": report.direction,
+        "mu": report.mu,
         "max_length": report.max_length,
         "cap_state_class": report.cap_state_class.label,
         "cap_zero_count": report.cap_zero_count,
@@ -371,14 +364,14 @@ def cmd_antipode(args: argparse.Namespace) -> dict | tuple[str, list]:
         "dim": args.dim,
         "q": rep.rank,
         "max_antipodal_length": rep.max_antipodal_length,
-        "direction_state": matrix_to_dict(rep.direction_state),
-        "antipodal_cap": matrix_to_dict(rep.antipodal_cap),
+        "direction_state": _matrix_payload(rep.direction_state),
+        "antipodal_cap": _matrix_payload(rep.antipodal_cap),
         "matches_R_p": rep.matches_complement,
     }
     if args.length is not None:
         state, cls = antipodal_family(args.dim, args.q, args.length)
         payload["family_length"] = args.length
-        payload["family_state"] = matrix_to_dict(state)
+        payload["family_state"] = _matrix_payload(state)
         payload["family_class"] = cls.label
     return payload
 
@@ -402,7 +395,7 @@ def cmd_lemma(args: argparse.Namespace) -> tuple[str, list]:
 def cmd_sample(args: argparse.Namespace) -> dict | tuple[str, list]:
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=args.rank, count=args.count)
     if args.format == "json":
-        return {"states": [matrix_to_dict(rho) for rho in sample_states(config)]}
+        return {"states": [_matrix_payload(rho) for rho in sample_states(config)]}
     parts = [(config.count, functools.partial(_state_block, config), None)]
     columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
     return _scan(STRATA_HEADER, parts, columns, _strata_rows)

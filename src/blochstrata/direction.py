@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .basis import BasisSet, _check_basis, _diagonal, _row_dots, _traceless_part
+from .basis import BasisSet, _center_plus, _check_basis, _diagonal, _row_dots, _traceless_part
 from .errors import DomainError, _array, _first_failure, _integer, _real, _zeros
 from .states import (
     DEFAULT_ZERO_TOL,
@@ -73,18 +73,6 @@ def state_along(basis: BasisSet, direction, length: float) -> np.ndarray:
     """The matrix (1/N) I + r T_n; Hermitian and unit trace, positivity not guaranteed."""
     t = directional_matrix(basis, direction)
     return _center_plus(_real(length, "length"), t)
-
-
-def _center_plus(scale, t: np.ndarray) -> np.ndarray:
-    """(1/N) I + scale * t built in t, an N x N matrix or an (M, N, N) stack, with the bits
-    of that sum: the product first, in that operand order, then + 0.0, which turns each
-    -0.0 into the +0.0 that adding (1/N) I gives, then 1/N on the diagonal.  scale is a
-    real, or an (M, 1, 1) array of them; no N x N array is allocated."""
-    np.multiply(scale, t, out=t)
-    t += 0.0
-    n = t.shape[-1]
-    t.reshape(-1, n * n)[:, :: n + 1] += 1.0 / n
-    return t
 
 
 def direction_report(

@@ -3,6 +3,11 @@
 Matrix schema: {"dim": N, "re": [[...]], "im": [[...]]}, row-major.
 Bloch vector schema: {"dim": N, "coords": [...]} with N**2 - 1 coordinates.
 
+_matrix_payload and _bloch_payload define the two schemas once, holding each
+array as a read-only float64 view, which the CLI's JSON writer (cli._json_text)
+takes as it is; matrix_to_dict and bloch_to_dict return the same dicts with
+each array as nested lists.
+
 format_float, the CSV rows' %.17g float text, has no caller in the package;
 it stays while the benchmark's tracer counts its calls by name.
 """
@@ -13,6 +18,7 @@ import json
 
 import numpy as np
 
+from .basis import _read_only
 from .errors import DomainError, _array, _integer, _shown
 
 
@@ -21,13 +27,20 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def matrix_to_dict(matrix: np.ndarray) -> dict:
+def _listed(payload: dict) -> dict:
+    """payload with each array as its nested lists: the dict that json.dumps writes."""
+    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in payload.items()}
+
+
+def _matrix_payload(matrix) -> dict:
+    """The matrix schema, its "re" and "im" read-only float64 views of the complex matrix."""
     m = np.asarray(matrix, dtype=complex)
-    return {
-        "dim": m.shape[0],
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
+    re, im = _read_only(m.real, m.imag)  # new view objects: the caller's flags stay
+    return {"dim": m.shape[0], "re": re, "im": im}
+
+
+def matrix_to_dict(matrix: np.ndarray) -> dict:
+    return _listed(_matrix_payload(matrix))
 
 
 def matrix_from_dict(data) -> np.ndarray:
@@ -46,8 +59,14 @@ def matrix_from_dict(data) -> np.ndarray:
         return re + 1j * im
 
 
+def _bloch_payload(dim: int, coords) -> dict:
+    """The Bloch vector schema, its "coords" a read-only float64 view of coords."""
+    (view,) = _read_only(np.asarray(coords, dtype=float).view())
+    return {"dim": dim, "coords": view}
+
+
 def bloch_to_dict(dim: int, coords: np.ndarray) -> dict:
-    return {"dim": dim, "coords": np.asarray(coords, dtype=float).tolist()}
+    return _listed(_bloch_payload(dim, coords))
 
 
 def bloch_from_dict(data) -> tuple[int, np.ndarray]:

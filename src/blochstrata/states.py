@@ -19,7 +19,7 @@ from enum import Enum, EnumType
 
 import numpy as np
 
-from .basis import BasisSet, _check_basis, _coordinates, _diagonal, _traceless_part
+from .basis import BasisSet, _center_plus, _check_basis, _coordinates, _diagonal, _traceless_part
 from .errors import DomainError, NumericError, _array, _first_failure, _integer, _real, _shown
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -243,9 +243,7 @@ def from_bloch(basis: BasisSet, vector) -> np.ndarray:
         raise DomainError("Bloch vector has non-finite entries")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            rho = maximally_mixed(n)
-            rho += _traceless_part(v[None], n)[0]  # in place: no third N x N array
-            return rho
+            return _center_plus(1.0, _traceless_part(v[None], n)[0])
     except FloatingPointError as exc:
         raise NumericError(f"matrix of this Bloch vector is not finite: {exc}") from exc
 

@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import blochstrata.cli as cli
 from blochstrata import (
     NumericError,
     SamplerConfig,
     boundary_state,
+    build_basis,
     harriman_check,
     maximally_mixed,
     sample_state,
@@ -959,10 +961,44 @@ _HERMITIAN = st.integers(1, 10).flatmap(
 )
 
 
+def _hermitian_matrix(parts) -> np.ndarray:
+    """The complex matrix of _hermitian_parts' re and im, their bits kept (-0.0 too)."""
+    re = np.array(parts["re"])
+    m = np.empty(re.shape, complex)
+    m.real, m.imag = re, parts["im"]
+    return m
+
+
+def _listed(value):
+    """value with each array as its .tolist(), at any depth: what json.dumps writes."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _listed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_listed(item) for item in value]
+    return value
+
+
+# float64 arrays of every kind the writer tells apart: non-empty and finite or not, of
+# 0 to 3 axes, contiguous or strided (the real and imaginary views of a complex matrix)
+_FLOAT_ARRAYS = st.one_of(
+    arrays(float, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6)),
+    arrays(float, array_shapes(min_dims=1, max_dims=3), elements=st.floats(-1e300, 1e300)),
+    _HERMITIAN.map(_hermitian_matrix).map(lambda m: {"re": m.real, "im": m.imag}),
+)
+# a complex Hermitian matrix, whose real and imaginary parts are strided views
+_STRIDED = _hermitian_matrix(_hermitian_parts(3, [0.5, -0.25, 0.0, 0.25, -0.0, 1e-300]))
+# the (len, N**2, 2) cells of the basis command's JSON at N = 3
+_BASIS_CELLS = np.stack(
+    (build_basis(3).elements.real, build_basis(3).elements.imag), axis=-1
+).reshape(8, 9, 2)
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     st.recursive(
-        _JSON_LEAVES,
+        st.one_of(_JSON_LEAVES, _FLOAT_ARRAYS),
         lambda children: st.one_of(
             st.lists(children),
             st.lists(children).map(tuple),
@@ -991,16 +1027,46 @@ _HERMITIAN = st.integers(1, 10).flatmap(
 @example(_hermitian_parts(1, [1.0]))
 @example(_hermitian_parts(2, [0.5, -0.25, -0.0]))
 @example(_hermitian_parts(7, [0.125, -1e-300, 0.0, -0.0, 3.5, 5e-324, -2.0] * 4))
+@example({"re": _STRIDED.real, "im": _STRIDED.imag})
+@example({"mu": np.array([0.75, 0.125, -0.25, -0.625])[::-1]})
+@example([np.array([-0.0, 0.0]), np.array([[-0.0, 0.0], [0.0, -0.0]])])
+@example([np.array([5e-324, -5e-324]), np.array([[5e-324], [-5e-324]])])
+@example([np.array([nan, 1.0]), np.array([[0.5, nan]]), np.array([[[nan]]])])
+@example([np.array([inf, -inf]), np.array([[1.0, -inf]]), np.array(inf)])
+@example([np.array([]), np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((2, 0, 2))])
+@example({"elements": _BASIS_CELLS})
+@example({1: np.array([0.5, 1.0]), None: [np.array([[nan]])]})
 def test_json_text_is_json_dumps_with_indent_2(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+    assert cli._json_text(value) == json.dumps(_listed(value), indent=2)
 
 
-def test_every_matrix_of_finite_floats_takes_the_table():
-    for rows in ([[0.5]], [[0.5] * 9] * 7, [[0.5] * 8] * 8, ((1.0, -0.0), [0.0, -1.0])):
-        assert cli._float_rows(rows, "\n") is not None
-    not_matrices = ([], [0.5, 1.0], [[0.5], []], [[np.float64(0.5)]], [[nan]], [[1]])
-    for rows in not_matrices:
-        assert cli._float_rows(rows, "\n") is None
+def test_every_finite_float64_matrix_takes_the_table(monkeypatch):
+    # lists of floats no longer do: no payload holds one, and a list is written item by item
+    taken = []
+
+    def float_rows(a, pad, rows=cli._float_rows):
+        taken.append(a.shape)
+        return rows(a, pad)
+
+    monkeypatch.setattr(cli, "_float_rows", float_rows)
+    hermitian = _hermitian_matrix(_hermitian_parts(4, [0.5, -0.25, 0.0, 0.25, -0.0] * 2))
+    matrices = [
+        np.array([[0.5]]), np.full((7, 9), 0.5), np.eye(8), np.array([[1.0, -0.0], [0.0, -1.0]]),
+        hermitian.real, hermitian.imag, np.arange(12.0).reshape(4, 3).T,
+    ]
+    for a in matrices:
+        cli._json_text(a)
+    assert taken == [a.shape for a in matrices]
+    cli._json_text(_BASIS_CELLS)  # 8 cells of 9 x 2: a table each
+    assert taken[len(matrices):] == [(9, 2)] * 8
+    not_matrices = [
+        [[0.5]], [[0.5] * 9] * 7, ((1.0, -0.0), [0.0, -1.0]), np.array([0.5, 1.0]), np.array(0.5),
+        np.array([[nan]]), np.array([[inf, 1.0]]), np.zeros((0, 2)), np.zeros((2, 0)),
+        np.array([[1, 2]]), np.array([[0.5]], dtype=np.float32), np.array([[True]]),
+    ]
+    for value in not_matrices:
+        cli._json_text(value)
+    assert len(taken) == len(matrices) + 8
 
 
 JSON_MATRIX_COMMANDS = [
@@ -1008,31 +1074,36 @@ JSON_MATRIX_COMMANDS = [
     ["convert", "--in", "bloch.json", "--out", "back.json"],
     ["basis", "--dim", "3", "--format", "json", "--out", "basis.json"],
     ["antipode", "--dim", "4", "--q", "2", "--length", "0.1", "--out", "antipode.json"],
+    ["direction", "--dim", "4", "--seed", "1", "--out", "direction.json"],
 ]
 # SHA-256 of the outputs of JSON_MATRIX_COMMANDS at SOURCE_DATE_EPOCH=0, in their order,
 # by the OpenBLAS core that ran them (see conftest.py); recorded at 0.2.0, where each
 # output differs only in its manifest version from the one of the code that formatted
-# every entry on its own (git archive d3e5b95 src).  Every matrix here, from the 9 x 2
-# cells of a basis element to the 12 x 12 state, now takes cli._float_rows' table of
-# magnitudes
+# every entry on its own (git archive d3e5b95 src).  The direction output was pinned
+# from the code that handed the writer its direction and mu as lists (git archive 61ab817
+# src).  Every matrix here, from the 9 x 2 cells of a basis element to the 12 x 12 state,
+# is an array that takes cli._float_rows' table of magnitudes
 PINNED_JSON_MATRICES = {
     "SkylakeX": (
         "9d2138f4e9bd7549bda2dcd6f907a30dd0e8d196b2e3c94532ea1c6c34c82858",
         "c82c4e90bb142ca5a8821bc002ce80eb8bcd73561bbdbf62b64f2de929fbb5e6",
         "bb97142c65fa75659af72d1c8517d1acc69f7d50e340c0dc44738d5bcb7a3218",
         "4bf5b66c57c6d11e6a7d11f3b61d6d7d0abcc9627cd9d3fbeb8d23379f79f8bf",
+        "b8c87184d2483b3b9eb9dda83a6b7d3ed654e5a54ab2de1a3809458a0194c32f",
     ),
     "Haswell": (
         "514835642d6277f6573d44f014b121461cbd50df9480df883a0578c0ceb3c72f",
         "0d49f9bf7216803b158180abcd280b8e0794f483c75f9a8b5e90f56b0b0da06c",
         "bb97142c65fa75659af72d1c8517d1acc69f7d50e340c0dc44738d5bcb7a3218",
         "4bf5b66c57c6d11e6a7d11f3b61d6d7d0abcc9627cd9d3fbeb8d23379f79f8bf",
+        "3119ea392af1f6e646c0300ca6039600a754dcb8a10974de4c9183caa6d6d09e",
     ),
     "Sandybridge": (
         "0593e1e75638c38f47abdf2dc5343b99a0dbcc4fb1ffbc646db99d17015561a9",
         "0b38998111f5dfeaa4b4a01bc8c254bd5bbaf261c537a3600d3a2125e54d4f44",
         "bb97142c65fa75659af72d1c8517d1acc69f7d50e340c0dc44738d5bcb7a3218",
         "4bf5b66c57c6d11e6a7d11f3b61d6d7d0abcc9627cd9d3fbeb8d23379f79f8bf",
+        "3119ea392af1f6e646c0300ca6039600a754dcb8a10974de4c9183caa6d6d09e",
     ),
 }
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from blochstrata import DomainError
 from blochstrata.cli import _CSV_BOOL
 from blochstrata.serialize import (
+    _bloch_payload,
+    _matrix_payload,
     bloch_from_dict,
     bloch_to_dict,
     format_float,
@@ -55,6 +57,28 @@ def test_bloch_round_trip():
     dim, back = bloch_from_dict(bloch_to_dict(2, coords))
     assert dim == 2
     np.testing.assert_array_equal(back, coords)
+
+
+def test_public_dicts_hold_lists_and_payloads_hold_read_only_views():
+    m = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.5]])
+    coords = np.array([0.1, -0.0, 0.3])
+    d, b = matrix_to_dict(m), bloch_to_dict(2, coords)
+    assert d == {"dim": 2, "re": m.real.tolist(), "im": m.imag.tolist()}
+    assert b == {"dim": 2, "coords": coords.tolist()}
+    entries = [x for row in d["re"] + d["im"] for x in row] + b["coords"]
+    assert {type(x) for x in entries} == {float}
+    payload, bloch = _matrix_payload(m), _bloch_payload(2, coords)
+    assert payload["dim"] == 2 and bloch["dim"] == 2
+    views = (payload["re"], payload["im"], bloch["coords"])
+    for view, whole in zip(views, (m, m, coords)):
+        assert view.dtype == np.float64 and not view.flags.writeable
+        assert view is not whole and np.shares_memory(view, whole)  # a view, not a copy
+    np.testing.assert_array_equal(payload["re"], m.real)
+    np.testing.assert_array_equal(payload["im"], m.imag)
+    assert bloch["coords"].tobytes() == coords.tobytes()
+    assert m.flags.writeable and coords.flags.writeable  # the caller's arrays stay writable
+    m[0, 0] = 0.25  # and a write shows through the views
+    assert payload["re"][0, 0] == 0.25
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from blochstrata import (
     stratum_reports,
     to_bloch,
 )
+from blochstrata.basis import _traceless_part
 from blochstrata.states import PSD_TOL
 
 
@@ -98,6 +99,20 @@ def test_closed_form_from_bloch_matches_dense_contraction(dim):
         v = rng.uniform(-1, 1, dim * dim - 1)
         dense = maximally_mixed(dim) + np.tensordot(v, b.elements, axes=(0, 0))
         assert np.abs(from_bloch(b, v) - dense).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_from_bloch_has_the_bits_of_the_center_plus_the_traceless_part(dim):
+    # from_bloch builds the state in its sum of v_j T_j; this is the sum it replaced
+    d = dim * dim - 1
+    rng = np.random.default_rng(dim)
+    vectors = [scale * rng.standard_normal(d) for scale in (1e-300, 1e-8, 1.0, 1e150)]
+    vectors += [sign * e for e in np.eye(d) for sign in (1.0, -1.0, 0.0, -0.0)]
+    vectors += [np.full(d, -0.0), np.where(np.arange(d) % 2, -0.0, rng.standard_normal(d))]
+    b = build_basis(dim)
+    for v in vectors:
+        expected = maximally_mixed(dim) + _traceless_part(v[None], dim)[0]
+        assert from_bloch(b, v).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 7])
@@ -359,11 +374,16 @@ def test_one_item_reports_at_a_new_dimension_hold_no_array():
 _PEAK_DIM = 500
 # the peak of each one-item call in complex N x N matrices at N = 500, past the arrays it
 # is passed: T_n and three arrays of N(N-1)/2 floats, a quarter matrix each, from the
-# index formulas (1.75); the gate's m^H and m - m^H (2); the eigensolve's m/2 and its
-# conjugate, summed in place (2); T_n, then the cap built in it, beside an eigensolve (3)
+# index formulas, the state then built in T_n (1.75); the gate's m^H and m - m^H (2); the
+# eigensolve's m/2 and its conjugate, summed in place (2); T_n, then the cap built in it,
+# beside an eigensolve (3)
 _PEAKS = {
     "state_along": (lambda basis, v, rho: state_along(basis, v, 0.1), 1.75),
     "antipodal_state": (lambda basis, v, rho: antipodal_state(basis, v, 0.1), 1.75),
+    "from_bloch": (lambda basis, v, rho: from_bloch(basis, v), 1.75),
+    "spectrum": (lambda basis, v, rho: spectrum(rho), 2.0),
+    "check_density": (lambda basis, v, rho: check_density(rho), 2.0),
+    "stratum_report": (lambda basis, v, rho: stratum_report(rho), 2.0),
     "classify": (lambda basis, v, rho: classify(rho), 2.0),
     "to_bloch": (lambda basis, v, rho: to_bloch(basis, rho), 2.0),
     "direction_report": (lambda basis, v, rho: direction_report(basis, v), 3.0),
