@@ -20,7 +20,16 @@ from enum import Enum, EnumType
 import numpy as np
 
 from .basis import BasisSet, _center_plus, _check_basis, _coordinates, _diagonal, _traceless_part
-from .errors import DomainError, NumericError, _array, _first_failure, _integer, _real, _shown
+from .errors import (
+    DomainError,
+    NumericError,
+    _array,
+    _first_failure,
+    _integer,
+    _real,
+    _shown,
+    _zeros,
+)
 
 DEFAULT_ZERO_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -99,17 +108,13 @@ def check_density(matrix) -> np.ndarray:
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, or of each matrix of a stack, ascending.
 
-    The input is symmetrized as (m + m^H)/2 first, so solver-dependent
-    complex dust on nearly-Hermitian inputs is discarded.
+    The solver (LAPACK ?heevd) reads only the lower triangle and the real
+    part of the diagonal, so any dust above the diagonal is discarded.
     """
-    # halving first cannot overflow, and gives the bits of (m + m^H)/2
-    # wherever that is finite and not subnormal
-    half = matrix / 2.0
-    np.add(half, half.conj().swapaxes(-1, -2), out=half)  # in place: one N x N copy fewer
     try:
-        return np.linalg.eigvalsh(half)
+        return np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed on shape {half.shape}: {exc}") from exc
+        raise NumericError(f"eigensolver failed on shape {matrix.shape}: {exc}") from exc
 
 
 # _spectra's zero_tol when no zeros are counted; a caller's None is a bad tolerance
@@ -147,7 +152,10 @@ def _spectra(m: np.ndarray, *, zero_tol=_UNCOUNTED, psd: bool = False, unit_trac
         zero_tol = _real(zero_tol, "zero_tol", positive=True)
     # inf - inf is NaN, finite entries may overflow to inf; both fail the checks
     with np.errstate(invalid="ignore", over="ignore"):
-        dev = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        # m^H, then m - m^H, in one guarded buffer, never in m: it may be the caller's array
+        d = _zeros(m.shape, f"Hermitian check of matrices of dimension {m.shape[1]}", complex)
+        np.conjugate(m.swapaxes(1, 2), out=d)
+        dev = np.abs(np.subtract(m, d, out=d)).max(axis=(1, 2))
         ok = dev <= HERMITICITY_TOL
         if unit_trace:
             tr = m.trace(axis1=1, axis2=2).real

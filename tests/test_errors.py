@@ -36,6 +36,7 @@ from blochstrata import (
     boundary_state,
     build_basis,
     check_density,
+    check_hermitian,
     classify,
     direction_report,
     direction_reports,
@@ -206,8 +207,10 @@ def test_dimensions_numpy_cannot_allocate_are_numeric_errors(call):
         (lambda: extremal_spectra(4), "eigenvalue profile"),
         (lambda: build_basis(3).elements, "basis tensor of dimension 3"),
         (lambda: _traceless_part(np.full((1, 8), 0.01), 3), "matrix of this Bloch vector"),
+        (lambda: check_hermitian(np.eye(3)), "Hermitian check of matrices of dimension 3"),
     ],
-    ids=["maximally_mixed", "extremal_spectra", "basis_elements", "from_bloch_traceless_part"],
+    ids=["maximally_mixed", "extremal_spectra", "basis_elements", "from_bloch_traceless_part",
+         "check_hermitian"],
 )
 def test_an_allocation_that_fails_is_a_numeric_error(call, what, monkeypatch):
     # a MemoryError stands in for a size numpy accepts but cannot get; nothing large is allocated

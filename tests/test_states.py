@@ -14,7 +14,9 @@ from blochstrata import (
     DomainError,
     NumericError,
     StateKind,
+    SamplerConfig,
     antipodal_state,
+    antipode_of_boundary,
     build_basis,
     check_density,
     check_hermitian,
@@ -29,14 +31,17 @@ from blochstrata import (
     maximally_mixed,
     purity,
     sample_direction,
+    sample_state,
+    sample_states,
     spectrum,
     state_along,
     stratum_report,
     stratum_reports,
     to_bloch,
 )
-from blochstrata.basis import _traceless_part
-from blochstrata.states import PSD_TOL
+from blochstrata.basis import _center_plus, _traceless_part
+from blochstrata.direction import _directional_matrices
+from blochstrata.states import PSD_TOL, hermitian_eigenvalues
 
 
 @pytest.fixture(scope="module")
@@ -153,12 +158,36 @@ def test_non_finite_results_are_numeric_errors():
 
 
 def test_eigenvalues_of_entries_near_float_max():
-    # (m + m^H)/2 would overflow to inf and feed NaN to the eigensolver
+    # the eigensolver reads the entries as they are: no sum with m^H overflows to inf
     huge = np.array([[0.5, 1.7e308], [1.7e308, 0.5]], dtype=complex)
     np.testing.assert_allclose(spectrum(huge).values, [1.7e308, -1.7e308])
     assert classify(huge).kind is StateKind.NONPOSITIVE
     with pytest.raises(DomainError, match="positive semidefinite"):
         check_density(huge)
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_hermitian_eigenvalues_are_eigvalsh_bit_for_bit(dim):
+    # no copy is made first, of a sampled state, a T_n or a cap state alike
+    stacks = [np.stack(list(sample_states(SamplerConfig(7, dim, rank, 50))))
+              for rank in range(1, dim + 1)]
+    directions = np.stack([sample_direction(7, dim**2 - 1, i) for i in range(50)])
+    _, t = _directional_matrices(build_basis(dim), directions)
+    max_length = 1.0 / (dim * np.abs(np.linalg.eigvalsh(t)[:, 0]))
+    stacks += [t.copy(), _center_plus(max_length[:, None, None], t)]  # the caps built in t
+    for m in stacks:
+        assert hermitian_eigenvalues(m).tobytes() == np.linalg.eigvalsh(m).tobytes()
+
+
+def test_spectrum_discards_dust_above_the_diagonal():
+    rho = sample_state(SamplerConfig(3, 4, 4, 1), 0)
+    dusty = rho.copy()
+    upper = np.triu_indices(4, 1)
+    rng = np.random.default_rng(0)
+    dusty[upper] += 1e-13 * (rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6))
+    values = spectrum(dusty).values
+    assert values.tobytes() == np.linalg.eigvalsh(dusty)[::-1].tobytes()
+    assert values.tobytes() == np.linalg.eigvalsh(rho)[::-1].tobytes()
 
 
 def test_to_bloch_rejects_non_unit_trace(basis2):
@@ -374,19 +403,22 @@ def test_one_item_reports_at_a_new_dimension_hold_no_array():
 _PEAK_DIM = 500
 # the peak of each one-item call in complex N x N matrices at N = 500, past the arrays it
 # is passed: T_n and three arrays of N(N-1)/2 floats, a quarter matrix each, from the
-# index formulas, the state then built in T_n (1.75); the gate's m^H and m - m^H (2); the
-# eigensolve's m/2 and its conjugate, summed in place (2); T_n, then the cap built in it,
-# beside an eigensolve (3)
+# index formulas, the state then built in T_n (1.75); the gate's one buffer, m^H and then
+# m - m^H, and its real magnitude (1.5), the eigensolve reading its input as it is; the
+# coordinates from the upper and lower entries (2); T_n, then the cap built in it, beside
+# the gate (2.5); the antipodal cap, R(N-q) and R(q) (3)
 _PEAKS = {
     "state_along": (lambda basis, v, rho: state_along(basis, v, 0.1), 1.75),
     "antipodal_state": (lambda basis, v, rho: antipodal_state(basis, v, 0.1), 1.75),
     "from_bloch": (lambda basis, v, rho: from_bloch(basis, v), 1.75),
-    "spectrum": (lambda basis, v, rho: spectrum(rho), 2.0),
-    "check_density": (lambda basis, v, rho: check_density(rho), 2.0),
-    "stratum_report": (lambda basis, v, rho: stratum_report(rho), 2.0),
-    "classify": (lambda basis, v, rho: classify(rho), 2.0),
+    "check_hermitian": (lambda basis, v, rho: check_hermitian(rho), 1.5),
+    "spectrum": (lambda basis, v, rho: spectrum(rho), 1.5),
+    "check_density": (lambda basis, v, rho: check_density(rho), 1.5),
+    "stratum_report": (lambda basis, v, rho: stratum_report(rho), 1.5),
+    "classify": (lambda basis, v, rho: classify(rho), 1.5),
     "to_bloch": (lambda basis, v, rho: to_bloch(basis, rho), 2.0),
-    "direction_report": (lambda basis, v, rho: direction_report(basis, v), 3.0),
+    "direction_report": (lambda basis, v, rho: direction_report(basis, v), 2.5),
+    "antipode_of_boundary": (lambda basis, v, rho: antipode_of_boundary(_PEAK_DIM, 1), 3.0),
 }
 
 
