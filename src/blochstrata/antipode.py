@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, _center_plus, _diagonal
+from .basis import BasisSet, _center_plus
 from .direction import directional_matrix, directional_matrix_of_boundary
 from .errors import NumericError, _integer, _real
 from .states import (
@@ -59,11 +59,7 @@ def antipode_of_boundary(dim: int, rank: int) -> AntipodeReport:
     dim = _integer(dim, "dim", 2)
     rank = _integer(rank, "rank", 1, dim - 1)
     length = max_antipodal_length(dim, rank)
-    # (1/N) I - r T through the diagonal, as antipodal_family builds its state;
-    # T is dropped once read, so it is not held through the two eigensolves
-    shift = length * directional_matrix_of_boundary(dim, rank).diagonal()
-    cap, diagonal = _diagonal(dim, "antipodal cap")
-    diagonal[:] = 1.0 / dim - shift
+    cap = _center_plus(-length, directional_matrix_of_boundary(dim, rank))
     cap, _, w, _ = _validate(cap, psd=True)
     target = boundary_state(dim, dim - rank)
     dev = float(np.abs(w - hermitian_eigenvalues(target)).max())
@@ -82,26 +78,25 @@ def antipodal_family(dim: int, rank: int, length: float) -> tuple[np.ndarray, St
     Entries are 1/N - r sqrt((N-q)/(qN)) (q times) and
     1/N + r sqrt(q/(N(N-q))) (N-q times).  Interior for r strictly below the
     antipodal cap, a boundary state with q zeros at the cap, nonpositive
-    beyond.  Built directly from the diagonal formula, independently of the
-    basis-multiplication path, so the two routes can be cross-checked.  The
-    class comes from the diagonal too: the q small entries equal
+    beyond.  The state is (1/N) I - r T, built in the diagonal T of
+    directional_matrix_of_boundary as antipode_of_boundary builds its cap,
+    whose bits it has at the cap; it takes no Gell-Mann coordinates, so the
+    route through expand and antipodal_state cross-checks it.  The class
+    comes from the closed form: the q small entries equal
     sqrt((N-q)/(qN)) (cap - r), so they are measured against the cap and
     keep their sign at any length.  At large r the entries lose 1/N to
     rounding, and a state whose trace is then not 1 within the unit-trace
-    tolerance is a NumericError.  The state is one guarded complex array
-    filled through its diagonal: a dim whose N x N array cannot be allocated
-    is a NumericError naming it.
+    tolerance is a NumericError.  A dim whose N x N directional matrix
+    cannot be allocated is a NumericError naming it.
     """
     dim = _integer(dim, "dim", 2)
     rank = _integer(rank, "rank", 1, dim - 1)
     cap = max_antipodal_length(dim, rank)
     length = _real(length, "length")
     shrink = stratum_radius(dim, dim - rank)
-    state, diagonal = _diagonal(dim, "antipodal state")
-    diagonal[:rank] = 1.0 / dim - length * shrink
-    diagonal[rank:] = 1.0 / dim + length * cap
+    state = _center_plus(-length, directional_matrix_of_boundary(dim, rank))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trace fails below
-        trace = float(diagonal.real.sum())
+        trace = float(state.diagonal().real.sum())
     if not abs(trace - 1.0) <= UNIT_TRACE_TOL:
         raise NumericError(
             f"at length {length!r} the entries 1/N - r c and 1/N + r c lose 1/N to rounding: "

@@ -132,8 +132,9 @@ def _diagonal(n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _center_plus(scale, t: np.ndarray) -> np.ndarray:
     """(1/N) I + scale * t built in t, an N x N matrix or an (M, N, N) stack: the one builder
-    of the center plus a traceless part (from_bloch, state_along, antipodal_state and the
-    cap states of a direction scan), with the bits of that sum: the product first, in that
+    of the center plus a traceless part (from_bloch, state_along, antipodal_state, the cap
+    states of a direction scan, the cap of antipode_of_boundary and the state of
+    antipodal_family), with the bits of that sum: the product first, in that
     operand order, then + 0.0, which turns each -0.0 into the +0.0 that adding (1/N) I
     gives, then 1/N on the diagonal.  scale is a real, or an (M, 1, 1) array of them; no
     N x N array is allocated."""

@@ -30,7 +30,9 @@ from .basis import _read_only, build_basis
 from .direction import _direction_columns, direction_report
 from .errors import DomainError, NumericError, _integer, _real, _shown
 from .sampling import (
+    SCAN_BLOCK,
     SamplerConfig,
+    _block_size,
     _blocks,
     _direction_block,
     _state_block,
@@ -209,11 +211,13 @@ def _reject_ignored(args: argparse.Namespace, form: str, names) -> None:
         raise DomainError(f"{form} does not take {', '.join(ignored)}")
 
 
-def _scan(header, parts, columns, rows, tally=None, count_name="count") -> tuple[str, list]:
+def _scan(
+    header, parts, columns, rows, tally=None, count_name="count", block=SCAN_BLOCK
+) -> tuple[str, list]:
     """A CSV scan, the CLI's one block loop: (header, its blocks of rows, then its notes).
 
-    A part is (count, draw, note); each block of its indices goes draw(indices)
-    -> columns(stack) -> rows(*columns) (see sampling._blocks).  With a tally,
+    A part is (count, draw, note); each block of up to block of its indices goes
+    draw(indices) -> columns(stack) -> rows(*columns) (see sampling._blocks).  With a tally,
     the part's note line is note % the least tally(*columns) of its blocks.
     main writes the scan once every block is done.  A negative count is a
     DomainError, raised after the empty draw that checks the draw's arguments.
@@ -221,7 +225,7 @@ def _scan(header, parts, columns, rows, tally=None, count_name="count") -> tuple
     blocks, notes = [], []
     for count, draw, note in parts:
         least = math.inf
-        for stack in _blocks(count, draw):
+        for stack in _blocks(count, draw, block):
             cells = columns(stack)
             blocks.append(rows(*cells))
             if tally is not None:
@@ -309,7 +313,8 @@ def cmd_strata_scan(args: argparse.Namespace) -> tuple[str, list]:
          f"# min_slack rank={k} %.17g\n") for k in ranks
     ]
     columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
-    return _scan(STRATA_HEADER, parts, columns, _strata_rows, tally=_least_slack)
+    block = _block_size(config.dim)
+    return _scan(STRATA_HEADER, parts, columns, _strata_rows, tally=_least_slack, block=block)
 
 
 def cmd_direction(args: argparse.Namespace) -> dict | tuple[str, list]:
@@ -330,7 +335,10 @@ def cmd_direction(args: argparse.Namespace) -> dict | tuple[str, list]:
         draw = functools.partial(_direction_block, args.seed, n * n - 1)
         columns = functools.partial(_direction_columns, basis, zero_tol=args.zero_tol)
         parts = [(args.scan, draw, None)]
-        return _scan(DIRECTION_HEADER, parts, columns, _direction_rows, count_name="--scan")
+        return _scan(
+            DIRECTION_HEADER, parts, columns, _direction_rows, count_name="--scan",
+            block=_block_size(n),
+        )
     report = direction_report(basis, v, zero_tol=args.zero_tol)
     return {
         "dim": n,
@@ -398,7 +406,7 @@ def cmd_sample(args: argparse.Namespace) -> dict | tuple[str, list]:
         return {"states": [_matrix_payload(rho) for rho in sample_states(config)]}
     parts = [(config.count, functools.partial(_state_block, config), None)]
     columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
-    return _scan(STRATA_HEADER, parts, columns, _strata_rows)
+    return _scan(STRATA_HEADER, parts, columns, _strata_rows, block=_block_size(config.dim))
 
 
 @functools.cache

@@ -49,9 +49,12 @@ _MIN_GAUSSIAN_NORM = 1e-150  # a Gaussian draw this short has no usable directio
 _MIN_GINIBRE_TRACE = 1e-300
 _MAX_SEED = 2**64 - 1
 
-# Samples per block of a scan.  Speed was flat, within noise, from 64 to 1500;
-# a fixed block keeps the stack's memory constant whatever the count.
+# Samples per block of a scan, at most.  Speed was flat, within noise, from 64 to
+# 1500; a bounded block keeps the stacks' memory constant whatever the count.
 SCAN_BLOCK = 256
+# Bytes of one (M, N, N) complex stack of a block, at most: 256 items fit up to
+# N = 64, so a large N does not make a block's stacks grow with N**2.
+_BLOCK_STACK_BYTES = 16 * 2**20
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe) on 32-bit words, pool of 4
 _WORD = 2**32
@@ -201,8 +204,16 @@ def _index_list(seed: int, indices=()) -> tuple[int, list[int]]:
     return seed, list(map(operator.index, indices))
 
 
-def _blocks(count: int, draw):
-    """Stacks draw(indices) over consecutive blocks of up to SCAN_BLOCK indices.
+def _block_size(dim: int) -> int:
+    """Items per scan block at dimension dim: SCAN_BLOCK, or fewer, at least 1, so
+    that an (M, N, N) complex stack takes at most _BLOCK_STACK_BYTES.  256 for
+    N <= 64, 248 at N = 65, 1 from N = 725."""
+    per_item = np.dtype(complex).itemsize * dim * dim
+    return max(1, min(SCAN_BLOCK, _BLOCK_STACK_BYTES // per_item))
+
+
+def _blocks(count: int, draw, size: int):
+    """Stacks draw(indices) over consecutive blocks of up to size indices.
 
     A block is drawn only once the stacks before it are taken, and a draw
     that raises yields nothing of its block, so a caller that reports each
@@ -211,8 +222,8 @@ def _blocks(count: int, draw):
     """
     if count <= 0:
         draw(range(0))
-    for start in range(0, count, SCAN_BLOCK):
-        yield draw(range(start, min(start + SCAN_BLOCK, count)))
+    for start in range(0, count, size):
+        yield draw(range(start, min(start + size, count)))
 
 
 @dataclass(frozen=True)
@@ -264,11 +275,13 @@ def sample_state(config: SamplerConfig, index: int) -> np.ndarray:
 def sample_states(config: SamplerConfig) -> Iterator[np.ndarray]:
     """The full stream of config.count states, in index order.
 
-    The states are drawn in blocks of SCAN_BLOCK; a block whose draw fails
-    raises after the states of the blocks before it, and yields none of its own.
+    The states are drawn in blocks of _block_size(config.dim), SCAN_BLOCK up to
+    N = 64; a block whose draw fails raises after the states of the blocks
+    before it, and yields none of its own.
     """
     _check_config(config)
-    for stack in _blocks(config.count, lambda indices: _state_block(config, indices)):
+    size = _block_size(config.dim)
+    for stack in _blocks(config.count, lambda indices: _state_block(config, indices), size):
         yield from stack
 
 

@@ -32,11 +32,13 @@ from blochstrata.antipode import SPECTRAL_MATCH_TOL
 
 @pytest.mark.parametrize("dim", range(2, 13))
 def test_antipodal_cap_is_the_center_minus_the_scaled_direction(dim):
-    # the cap is filled through its diagonal; (1/N) I - r T gives the same bits
+    # the cap is (1/N) I - r T, and antipodal_family at the cap length has its bits
     for rank in range(1, dim):
         t = directional_matrix_of_boundary(dim, rank)
-        cap = maximally_mixed(dim) - max_antipodal_length(dim, rank) * t
+        length = max_antipodal_length(dim, rank)
+        cap = maximally_mixed(dim) - length * t
         assert antipode_of_boundary(dim, rank).antipodal_cap.tobytes() == cap.tobytes()
+        assert antipodal_family(dim, rank, length)[0].tobytes() == cap.tobytes()
 
 
 def test_antipode_of_boundary_holds_three_matrices_at_its_peak():
@@ -50,8 +52,8 @@ def test_antipode_of_boundary_holds_three_matrices_at_its_peak():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the cap, R(N-q) and R(q): the eigensolves copy nothing, the gate's buffer is
-        # dropped once the cap is checked, and the direction matrix once the cap is filled
+        # the cap, R(N-q) and R(q): the cap is built in the direction matrix, the
+        # eigensolves copy nothing, and the gate's buffer is dropped once the cap is checked
         assert peak <= 3.5 * matrix
 
 

@@ -25,11 +25,14 @@ from blochstrata import (
     SamplerConfig,
     boundary_state,
     build_basis,
+    direction_report,
     harriman_check,
     maximally_mixed,
+    sample_direction,
     sample_state,
     sample_unit_sum_tuple,
     stratum_radius,
+    stratum_report,
 )
 from blochstrata.cli import _CSV_BOOL
 from blochstrata.errors import _shown
@@ -901,6 +904,46 @@ def test_sample_csv(capsys):
     lines = out.splitlines()
     assert lines[1] == "N,p,distance,radius_p,on_sphere,satisfied"
     assert len(lines) == 2 + 4
+
+
+def _strata_row(config, index):
+    r = stratum_report(sample_state(config, index))
+    flags = _CSV_BOOL[r.on_sphere], _CSV_BOOL[r.satisfied]
+    return cli._STRATA_ROW % (r.dim, r.zero_count, r.distance, r.radius, *flags)
+
+
+def _direction_row(basis, seed, index):
+    n = basis.dim
+    r = direction_report(basis, sample_direction(seed, n * n - 1, index))
+    return cli._DIRECTION_ROW % (n, r.mu[-1], r.mu[0], r.max_length, r.cap_zero_count)
+
+
+@pytest.mark.parametrize(
+    "argv,limit_mib,one_item_row",
+    [
+        ("sample --dim 100 --rank 1 --count 256 --seed 1 --format csv", 45,
+         lambda i: _strata_row(SamplerConfig(1, 100, 1, 256), i)),
+        ("direction --dim 100 --scan 256 --seed 1", 65,
+         lambda i: _direction_row(build_basis(100), 1, i)),
+    ],
+    ids=["sample", "direction"],
+)
+def test_a_scan_past_n_64_holds_a_block_of_at_most_16_mib_per_stack(
+    argv, limit_mib, one_item_row, tmp_path
+):
+    out = tmp_path / "scan.csv"
+    cli.main([*argv.replace("256", "1").split(), "--out", str(out)])  # imports, caches
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv.split(), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # blocks of 104 items, each (104, 100, 100) complex stack 16.6 MB; blocks of 256
+    # peaked at 97.7 MiB (sample) and 117.5 MiB (direction)
+    assert peak <= limit_mib * 2**20
+    rows = out.read_text().splitlines()[2:]
+    assert rows == [one_item_row(i) for i in range(256)]
 
 
 def test_scan_reproducibility_bytes(tmp_path, monkeypatch):

@@ -232,7 +232,7 @@ _WIDE = SamplerConfig(1, 4 * 10**6, 1, 1)
     [
         (lambda: boundary_state(10**7, 1), "boundary state"),
         (lambda: directional_matrix_of_boundary(10**7, 1), "directional matrix"),
-        (lambda: antipodal_family(10**7, 1, 0.1), "antipodal state"),
+        (lambda: antipodal_family(10**7, 1, 0.1), "directional matrix"),
         (lambda: antipode_of_boundary(10**7, 1), "directional matrix"),
         (lambda: sample_state(_WIDE, 0), "Gram matrices of dimension 4000000"),
         (lambda: next(sample_states(_WIDE)), "Gram matrices of dimension 4000000"),

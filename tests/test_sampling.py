@@ -384,11 +384,33 @@ def test_blocks_report_the_draws_before_a_failing_one_first():
             raise NumericError("synthetic failure")
         return np.array(indices)[:, None]
 
-    stacks = sampling._blocks(3 * block, draw)
+    stacks = sampling._blocks(3 * block, draw, block)
     assert next(stacks).ravel().tolist() == list(range(block))
     # the failing block yields none of the draws before its failing index
     with pytest.raises(NumericError, match="synthetic failure"):
         next(stacks)
+
+
+def test_a_block_is_256_items_up_to_n_64_then_16_mib_per_complex_stack():
+    assert [sampling._block_size(n) for n in range(2, 65)] == [sampling.SCAN_BLOCK] * 63
+    assert sampling._block_size(65) == 248  # 16 MiB over 65 x 65 x 16 bytes
+    assert sampling._block_size(724) == 2
+    assert sampling._block_size(725) == sampling._block_size(10**7) == 1
+
+
+def test_a_state_stream_past_n_64_is_drawn_in_smaller_blocks(monkeypatch):
+    sizes = []
+    draw = sampling._state_block
+
+    def counted(config, indices):
+        sizes.append(len(indices))
+        return draw(config, indices)
+
+    monkeypatch.setattr(sampling, "_state_block", counted)
+    config = SamplerConfig(seed=3, dim=65, rank=1, count=250)
+    states = list(sample_states(config))
+    assert sizes == [248, 2]
+    assert all(rho.tobytes() == sample_state(config, i).tobytes() for i, rho in enumerate(states))
 
 
 def test_state_stream_yields_the_states_before_a_failing_draw(monkeypatch):
