@@ -1,12 +1,12 @@
 """Command-line interface: basis dumps, conversions, classification, and scans.
 
 Each cmd_* handler returns its output and writes nothing: a JSON payload as a
-dict, or a CSV header and its blocks of lines.  main reads the run manifest
-once, before the handler runs, puts it first in a JSON output or as the
-leading comment line of a CSV one, and writes the text once.  Exit codes: 0
-success, 2 domain/input error or a failed write, 3 numeric error.  Set
-SOURCE_DATE_EPOCH to pin the manifest timestamp when byte-reproducible output
-files are required.
+dict, or a CSV header and its blocks of lines, which a scan draws as main joins
+them.  main reads the run manifest once, before the handler runs, puts it first
+in a JSON output or as the leading comment line of a CSV one, and writes the
+text once.  Exit codes: 0 success, 2 domain/input error or a failed write, 3
+numeric error.  Set SOURCE_DATE_EPOCH to pin the manifest timestamp when
+byte-reproducible output files are required.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import astuple, replace
 from itertools import groupby, repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -30,9 +31,7 @@ from .basis import _read_only, build_basis
 from .direction import _direction_columns, direction_report
 from .errors import DomainError, NumericError, _integer, _real, _shown
 from .sampling import (
-    SCAN_BLOCK,
     SamplerConfig,
-    _block_size,
     _blocks,
     _direction_block,
     _state_block,
@@ -211,29 +210,27 @@ def _reject_ignored(args: argparse.Namespace, form: str, names) -> None:
         raise DomainError(f"{form} does not take {', '.join(ignored)}")
 
 
-def _scan(
-    header, parts, columns, rows, tally=None, count_name="count", block=SCAN_BLOCK
-) -> tuple[str, list]:
-    """A CSV scan, the CLI's one block loop: (header, its blocks of rows, then its notes).
+def _scan(parts, columns, rows, tally=None, count_name="count") -> Iterator[str]:
+    """A CSV scan, the CLI's one block loop: yields each block's rows when done, then the notes.
 
-    A part is (count, draw, note); each block of up to block of its indices goes
-    draw(indices) -> columns(stack) -> rows(*columns) (see sampling._blocks).  With a tally,
-    the part's note line is note % the least tally(*columns) of its blocks.
-    main writes the scan once every block is done.  A negative count is a
-    DomainError, raised after the empty draw that checks the draw's arguments.
+    A part is (count, draw, item_bytes, note); each block of its indices (sampling._blocks
+    sizes it from item_bytes) goes draw(indices) -> columns(stack) -> rows(*columns), and
+    with a tally the part's note line is note % the least tally(*columns) of its blocks.
+    main joins the texts into its one write.  A negative count is a DomainError, raised
+    after the empty draw that checks the draw's arguments.
     """
-    blocks, notes = [], []
-    for count, draw, note in parts:
+    notes = []
+    for count, draw, item_bytes, note in parts:
         least = math.inf
-        for stack in _blocks(count, draw, block):
+        for stack in _blocks(count, draw, item_bytes):
             cells = columns(stack)
-            blocks.append(rows(*cells))
+            yield rows(*cells)
             if tally is not None:
                 least = min(least, tally(*cells))
         _integer(count, count_name, 0)
         if tally is not None:
             notes.append(note % least)
-    return header, blocks + notes
+    yield from notes
 
 
 @functools.lru_cache(maxsize=64)
@@ -303,21 +300,20 @@ def cmd_classify(args: argparse.Namespace) -> dict | tuple[str, list]:
     return dict(zip(_STRATUM_KEYS, astuple(stratum_report(m, zero_tol=args.zero_tol))))
 
 
-def cmd_strata_scan(args: argparse.Namespace) -> tuple[str, list]:
+def cmd_strata_scan(args: argparse.Namespace) -> tuple[str, Iterator[str]]:
     # rank 1 fits every dimension: this checks seed, dimension and count before the ranks,
     # of which a count of 0 takes none, as no rank could add a row
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=1, count=args.count)
     ranks = range(1, config.dim + 1) if config.count else ()
     parts = [
         (config.count, functools.partial(_state_block, replace(config, rank=k)),
-         f"# min_slack rank={k} %.17g\n") for k in ranks
+         16 * config.dim**2, f"# min_slack rank={k} %.17g\n") for k in ranks
     ]
     columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
-    block = _block_size(config.dim)
-    return _scan(STRATA_HEADER, parts, columns, _strata_rows, tally=_least_slack, block=block)
+    return STRATA_HEADER, _scan(parts, columns, _strata_rows, tally=_least_slack)
 
 
-def cmd_direction(args: argparse.Namespace) -> dict | tuple[str, list]:
+def cmd_direction(args: argparse.Namespace) -> dict | tuple[str, Iterator[str]]:
     n = args.dim
     basis = build_basis(n)
     if args.vector is not None:
@@ -334,11 +330,8 @@ def cmd_direction(args: argparse.Namespace) -> dict | tuple[str, list]:
     else:
         draw = functools.partial(_direction_block, args.seed, n * n - 1)
         columns = functools.partial(_direction_columns, basis, zero_tol=args.zero_tol)
-        parts = [(args.scan, draw, None)]
-        return _scan(
-            DIRECTION_HEADER, parts, columns, _direction_rows, count_name="--scan",
-            block=_block_size(n),
-        )
+        parts = [(args.scan, draw, 16 * n**2, None)]  # a block's cap states are N x N
+        return DIRECTION_HEADER, _scan(parts, columns, _direction_rows, count_name="--scan")
     report = direction_report(basis, v, zero_tol=args.zero_tol)
     return {
         "dim": n,
@@ -384,29 +377,32 @@ def cmd_antipode(args: argparse.Namespace) -> dict | tuple[str, list]:
     return payload
 
 
-def cmd_lemma(args: argparse.Namespace) -> tuple[str, list]:
+def cmd_lemma(args: argparse.Namespace) -> tuple[str, Iterator[str]]:
     if args.tuples is not None:
         _reject_ignored(args, "--tuples", ("count", "size", "seed"))
         data = load_json(args.tuples)
         if not isinstance(data, list) or not all(isinstance(t, list) for t in data):
             raise DomainError("tuple file must contain a JSON list of lists of reals")
         # each run of equal-length tuples is a part, each block of it read when drawn
-        runs = [list(run) for _, run in groupby(data, len)]
-        parts = [(len(r), lambda i, r=r: _tuples(r[i.start : i.stop], 2), None) for r in runs]
+        runs = [(n, list(run)) for n, run in groupby(data, len)]
+        parts = [
+            (len(r), lambda i, r=r: _tuples(r[i.start : i.stop], 2), 8 * n, None) for n, r in runs
+        ]
     else:
         if args.seed is None or args.count is None or args.size is None:
             raise DomainError("lemma requires --tuples FILE or --count K --size n --seed S")
-        parts = [(args.count, functools.partial(_tuple_block, args.seed, args.size), None)]
-    return _scan(LEMMA_HEADER, parts, _harriman_columns, functools.partial(_rows, _LEMMA_ROW))
+        draw = functools.partial(_tuple_block, args.seed, args.size)
+        parts = [(args.count, draw, 8 * args.size, None)]
+    return LEMMA_HEADER, _scan(parts, _harriman_columns, functools.partial(_rows, _LEMMA_ROW))
 
 
-def cmd_sample(args: argparse.Namespace) -> dict | tuple[str, list]:
+def cmd_sample(args: argparse.Namespace) -> dict | tuple[str, Iterator[str]]:
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=args.rank, count=args.count)
     if args.format == "json":
         return {"states": [_matrix_payload(rho) for rho in sample_states(config)]}
-    parts = [(config.count, functools.partial(_state_block, config), None)]
+    parts = [(config.count, functools.partial(_state_block, config), 16 * config.dim**2, None)]
     columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
-    return _scan(STRATA_HEADER, parts, columns, _strata_rows, block=_block_size(config.dim))
+    return STRATA_HEADER, _scan(parts, columns, _strata_rows)
 
 
 @functools.cache

@@ -52,8 +52,9 @@ _MAX_SEED = 2**64 - 1
 # Samples per block of a scan, at most.  Speed was flat, within noise, from 64 to
 # 1500; a bounded block keeps the stacks' memory constant whatever the count.
 SCAN_BLOCK = 256
-# Bytes of one (M, N, N) complex stack of a block, at most: 256 items fit up to
-# N = 64, so a large N does not make a block's stacks grow with N**2.
+# Bytes of one stack of a block, at most, from each item's bytes (_block_size): 256
+# complex N x N matrices fit up to N = 64 and 256 float tuples up to 8192 entries, so
+# a large N or tuple does not make a block's stacks grow with it.
 _BLOCK_STACK_BYTES = 16 * 2**20
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe) on 32-bit words, pool of 4
@@ -204,16 +205,16 @@ def _index_list(seed: int, indices=()) -> tuple[int, list[int]]:
     return seed, list(map(operator.index, indices))
 
 
-def _block_size(dim: int) -> int:
-    """Items per scan block at dimension dim: SCAN_BLOCK, or fewer, at least 1, so
-    that an (M, N, N) complex stack takes at most _BLOCK_STACK_BYTES.  256 for
+def _block_size(item_bytes: int) -> int:
+    """Items per scan block of items of item_bytes bytes each: SCAN_BLOCK, or fewer, at
+    least 1, so that a block's stack takes at most _BLOCK_STACK_BYTES.  An item of
+    fewer than 1 byte counts as 1.  For a complex N x N matrix, 16 N**2 bytes: 256 for
     N <= 64, 248 at N = 65, 1 from N = 725."""
-    per_item = np.dtype(complex).itemsize * dim * dim
-    return max(1, min(SCAN_BLOCK, _BLOCK_STACK_BYTES // per_item))
+    return max(1, min(SCAN_BLOCK, _BLOCK_STACK_BYTES // max(item_bytes, 1)))
 
 
-def _blocks(count: int, draw, size: int):
-    """Stacks draw(indices) over consecutive blocks of up to size indices.
+def _blocks(count: int, draw, item_bytes: int):
+    """Stacks draw(indices) over consecutive blocks of _block_size(item_bytes) indices.
 
     A block is drawn only once the stacks before it are taken, and a draw
     that raises yields nothing of its block, so a caller that reports each
@@ -222,6 +223,7 @@ def _blocks(count: int, draw, size: int):
     """
     if count <= 0:
         draw(range(0))
+    size = _block_size(item_bytes)
     for start in range(0, count, size):
         yield draw(range(start, min(start + size, count)))
 
@@ -275,13 +277,13 @@ def sample_state(config: SamplerConfig, index: int) -> np.ndarray:
 def sample_states(config: SamplerConfig) -> Iterator[np.ndarray]:
     """The full stream of config.count states, in index order.
 
-    The states are drawn in blocks of _block_size(config.dim), SCAN_BLOCK up to
-    N = 64; a block whose draw fails raises after the states of the blocks
-    before it, and yields none of its own.
+    The states are drawn in blocks (_blocks), SCAN_BLOCK up to N = 64; a block
+    whose draw fails raises after the states of the blocks before it, and
+    yields none of its own.
     """
     _check_config(config)
-    size = _block_size(config.dim)
-    for stack in _blocks(config.count, lambda indices: _state_block(config, indices), size):
+    item_bytes = 16 * config.dim**2  # a complex N x N matrix
+    for stack in _blocks(config.count, lambda indices: _state_block(config, indices), item_bytes):
         yield from stack
 
 

@@ -403,6 +403,21 @@ def test_strata_rows_are_the_stratum_reports(dim, zero_tol, monkeypatch, capsys)
     assert scan_lines(["sample", *args, "--rank", "1", "--format", "csv"], capsys) == rows
 
 
+def test_a_strata_sample_of_rank_n_counts_an_eigenvalue_within_zero_tol(capsys):
+    # p counts the eigenvalues within zero_tol, not N - rank: this rank-5 state's least
+    # eigenvalue is 5.99e-10, so its row reports p = 1, off the sphere and satisfied
+    seed = 11700668258643392032
+    rho = sample_state(SamplerConfig(seed=seed, dim=5, rank=5, count=400), 277)
+    assert 0 < np.linalg.eigvalsh(rho)[0] < ZERO_TOL
+    r = stratum_report(rho)
+    assert (r.zero_count, r.on_sphere, r.satisfied) == (1, False, True)
+    row = "5,1,0.45365234713927427,0.22360679774997896,false,true"
+    assert stratum_report_row(r) == row
+    # rank 5 is the last of five ranks of 400 rows each
+    rows = scan_lines(["strata-scan", "--dim", "5", "--count", "400", "--seed", str(seed)], capsys)
+    assert rows[4 * 400 + 277] == row
+
+
 @pytest.mark.parametrize("dim", range(2, 7))
 def test_direction_rows_are_the_direction_reports(dim, monkeypatch, capsys):
     basis = build_basis(dim)
@@ -463,13 +478,13 @@ def test_a_direction_scan_solves_the_mu_and_the_cap_spectra_of_each_block(monkey
 def test_every_csv_scan_runs_through_the_one_scan_loop(argv, count, tmp_path, monkeypatch, capsys):
     tuples = tmp_path / "tuples.json"
     tuples.write_text("[[0.5, 0.5], [1.0], [0.2, 0.3, 0.5]]")
-    headers = []
+    calls = []
     scan = cli._scan
 
-    def recorded(header, *rest, **kwargs):
-        headers.append(header)
-        return scan(header, *rest, **kwargs)
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_scan", recorded)
     lines = scan_lines([str(tuples) if a == "TUPLES" else a for a in argv.split()], capsys)
-    assert len(headers) == 1 and len(lines) == count
+    assert len(calls) == 1 and len(lines) == count

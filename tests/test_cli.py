@@ -946,6 +946,27 @@ def test_a_scan_past_n_64_holds_a_block_of_at_most_16_mib_per_stack(
     assert rows == [one_item_row(i) for i in range(256)]
 
 
+def test_a_lemma_scan_of_long_tuples_holds_a_block_of_at_most_16_mib_per_stack(tmp_path):
+    out = tmp_path / "lemma.csv"
+    argv = ["lemma", "--size", "100000", "--seed", "1", "--out", str(out)]
+    cli.main([*argv, "--count", "1"])  # imports, caches
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--count", "256"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # blocks of 20 tuples, each (20, 100000) float stack 16 MB; blocks of 256 peaked
+    # at 391.6 MiB
+    assert peak <= 60 * 2**20
+    rows = out.read_text().splitlines()[2:]
+    checks = (harriman_check(sample_unit_sum_tuple(1, 100000, i)) for i in range(256))
+    assert rows == [
+        cli._LEMMA_ROW % (100000, r.sum_of_squares, r.bound, r.slack, _CSV_BOOL[r.equality])
+        for r in checks
+    ]
+
+
 def test_scan_reproducibility_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     a = tmp_path / "a.csv"

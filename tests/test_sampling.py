@@ -384,7 +384,7 @@ def test_blocks_report_the_draws_before_a_failing_one_first():
             raise NumericError("synthetic failure")
         return np.array(indices)[:, None]
 
-    stacks = sampling._blocks(3 * block, draw, block)
+    stacks = sampling._blocks(3 * block, draw, 8)  # an item of one int64: blocks of SCAN_BLOCK
     assert next(stacks).ravel().tolist() == list(range(block))
     # the failing block yields none of the draws before its failing index
     with pytest.raises(NumericError, match="synthetic failure"):
@@ -392,10 +392,16 @@ def test_blocks_report_the_draws_before_a_failing_one_first():
 
 
 def test_a_block_is_256_items_up_to_n_64_then_16_mib_per_complex_stack():
-    assert [sampling._block_size(n) for n in range(2, 65)] == [sampling.SCAN_BLOCK] * 63
-    assert sampling._block_size(65) == 248  # 16 MiB over 65 x 65 x 16 bytes
-    assert sampling._block_size(724) == 2
-    assert sampling._block_size(725) == sampling._block_size(10**7) == 1
+    # an item's bytes: 16 N**2 for a complex N x N matrix, 8 n for a tuple of n floats
+    def matrices(n):
+        return sampling._block_size(16 * n * n)
+
+    assert [matrices(n) for n in range(2, 65)] == [sampling.SCAN_BLOCK] * 63
+    assert matrices(65) == 248  # 16 MiB over 65 x 65 x 16 bytes
+    assert matrices(724) == 2
+    assert matrices(725) == matrices(10**7) == 1
+    assert sampling._block_size(8 * 8192) == 256
+    assert sampling._block_size(8 * 8193) == 255
 
 
 def test_a_state_stream_past_n_64_is_drawn_in_smaller_blocks(monkeypatch):
