@@ -20,7 +20,6 @@ from .states import (
     StateClass,
     _state_class,
     _validate,
-    hermitian_eigenvalues,
 )
 from .stratification import boundary_state, stratum_radius
 
@@ -54,15 +53,16 @@ def antipode_of_boundary(dim: int, rank: int) -> AntipodeReport:
 
     The comparison is spectral (sorted eigenvalues), since the construction
     places the zero eigenvalues first while R(N-q) places them last; the two
-    differ only by relabeling.
+    differ only by relabeling.  The cap's spectrum is the gate's eigensolve,
+    R(N-q)'s its sorted diagonal: q zeros, then N-q entries 1/(N-q).
     """
     dim = _integer(dim, "dim", 2)
     rank = _integer(rank, "rank", 1, dim - 1)
     length = max_antipodal_length(dim, rank)
     cap = _center_plus(-length, directional_matrix_of_boundary(dim, rank))
     cap, _, w, _ = _validate(cap, psd=True)
-    target = boundary_state(dim, dim - rank)
-    dev = float(np.abs(w - hermitian_eigenvalues(target)).max())
+    target = np.repeat((0.0, 1.0 / (dim - rank)), (rank, dim - rank))
+    dev = float(np.abs(w - target).max())
     return AntipodeReport(
         rank=rank,
         direction_state=boundary_state(dim, rank),

@@ -55,7 +55,7 @@ ANTIPODE_HEADER = "N,q,max_len,match"
 LEMMA_HEADER = "size,sum_of_squares,bound,slack,equality"
 
 # %.17g writes a float with full round-trip precision; a bool cell is a _CSV_BOOL entry.
-# A strata row is written from _strata_cells, which split this one around its distance.
+# A strata row is written from _strata_cells: this one, split at its distance.
 _STRATA_ROW = "%d,%d,%.17g,%.17g,%s,%s"
 _DIRECTION_ROW = "%d,%.17g,%.17g,%.17g,%d"
 _ANTIPODE_ROW = "%d,%d,%.17g,%s"
@@ -159,21 +159,19 @@ def _json_text(value, pad: str = "\n") -> str:
 
     With indent set, json.dumps takes its pure-Python encoder (CPython < 3.14).
     Here a dict of str keys and a non-empty list or tuple are written item by
-    item, and a non-empty, finite float64 array as numpy made it: a 1-D one
-    with one join of float.__repr__ (what json writes for a float), a 2-D one
-    from one table of texts (_float_rows), and a deeper one row by row.  Any
-    other array is written as its .tolist(), and every other value by
-    json.dumps itself, with each array in it as its .tolist().
+    item, and a non-empty, finite float64 array of one or two axes as numpy
+    made it: a 1-D one with one join of float.__repr__ (what json writes for
+    a float), a 2-D one from one table of texts (_float_rows).  Any other
+    array is written as its .tolist(), and every other value by json.dumps
+    itself, with each array in it as its .tolist().
     """
     inner = pad + "  "
     if isinstance(value, np.ndarray):
-        if value.dtype == float and value.ndim and value.size and np.isfinite(value).all():
+        if value.dtype == float and value.ndim in (1, 2) and value.size and np.isfinite(value).all():
             if value.ndim == 1:
                 items = map(float.__repr__, value.tolist())
-            elif value.ndim == 2:
-                items = _float_rows(value, inner)
             else:
-                items = (_json_text(row, inner) for row in value)
+                items = _float_rows(value, inner)
             return "[" + inner + ("," + inner).join(items) + pad + "]"
         value = value.tolist()
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
@@ -237,14 +235,14 @@ def _scan(parts, columns, rows, tally=None, count_name="count") -> Iterator[str]
 def _strata_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The texts of a strata row at dimension n around its distance, read-only.
 
-    heads[p] is "N,p," and tails[4p + 2 on_sphere + satisfied] is ",r_p,on_sphere,satisfied",
-    as _STRATA_ROW writes them, for p = 0..n-1 (r_p = 0 at p = 0); only the distance varies.
+    heads[p] is "N,p," and tails[4p + 2 on_sphere + satisfied] is ",r_p,on_sphere,satisfied":
+    _STRATA_ROW split at its distance and filled for p = 0..n-1 (r_p = 0 at p = 0).
     """
+    head, tail = _STRATA_ROW.split("%.17g", 1)
     radii = [stratum_radius(n, p) if p else 0.0 for p in range(n)]
-    heads = np.array(["%d,%d," % (n, p) for p in range(n)], dtype=object)
+    heads = np.array([head % (n, p) for p in range(n)], dtype=object)
     tails = np.array(
-        [",%.17g,%s,%s" % (r, on, ok) for r in radii for on in _CSV_BOOL for ok in _CSV_BOOL],
-        dtype=object,
+        [tail % (r, on, ok) for r in radii for on in _CSV_BOOL for ok in _CSV_BOOL], dtype=object
     )
     return _read_only(heads, tails)
 
@@ -274,7 +272,7 @@ def cmd_basis(args: argparse.Namespace) -> dict | tuple[str, list]:
     # one row per element: the real and the imaginary part of each entry, row-major
     cells = np.stack((b.elements.real, b.elements.imag), axis=-1).reshape(len(b), -1)
     if args.format == "json":
-        return {"dim": b.dim, "elements": cells.reshape(len(b), -1, 2)}
+        return {"dim": b.dim, "elements": list(cells.reshape(len(b), -1, 2))}
     header = "element," + ",".join(
         f"re_{r}_{c},im_{r}_{c}" for r in range(b.dim) for c in range(b.dim)
     )
@@ -539,8 +537,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, MemoryError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
+    except (NumericError, MemoryError) as exc:  # Python's own MemoryError has no text
+        print(f"numeric error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     return 0
 

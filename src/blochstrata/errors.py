@@ -90,25 +90,22 @@ def _zeros(shape, what: str, dtype=float) -> np.ndarray:
         raise NumericError(f"{what}: {exc}") from exc
 
 
-# what numpy reads as a number that is not one, by numpy dtype kind: a boolean (True as
-# 1.0), a string ("0.5" as 0.5) or a null (None as NaN; "z" here, as numpy has no kind for
-# it); in a real array also a complex number, whose imaginary part a cast would drop
-_NOT_NUMBERS = {
-    "b": "numbers, got a boolean",
-    "U": "numbers, got a string",
-    "S": "numbers, got a string",
-    "z": "numbers, got a null",
+# what numpy reads as a number that is not one, by numpy dtype kind: the types of such an
+# entry of a list or object array, and its message.  A boolean (True as 1.0), a string
+# ("0.5" as 0.5) or a null (None as NaN; "z" here, as numpy has no kind for it); in a real
+# array also a complex number ("c", real-only), whose imaginary part a cast would drop
+_NOT_REAL_NUMBERS = {
+    "b": ({bool, np.bool_}, "numbers, got a boolean"),
+    "U": ({str, np.str_}, "numbers, got a string"),
+    "S": ({bytes, np.bytes_}, "numbers, got a string"),
+    "z": ({type(None)}, "numbers, got a null"),
+    "c": (
+        {complex, np.complex64, np.complex128, np.clongdouble}, "real numbers, got a complex number"
+    ),
 }
-_NOT_REAL_NUMBERS = {**_NOT_NUMBERS, "c": "real numbers, got a complex number"}
-# the kind of an entry of a list or object array, by its type
-_ENTRY_KINDS = (
-    ("b", {bool, np.bool_}),
-    ("U", {str, np.str_, bytes, np.bytes_}),
-    ("z", {type(None)}),
-    ("c", {complex, np.complex64, np.complex128, np.clongdouble}),
-)
+_NOT_NUMBERS = {kind: rule for kind, rule in _NOT_REAL_NUMBERS.items() if kind != "c"}
 # all of those types: the entries of a list of plain numbers meet this one test
-_ENTRY_TYPES = frozenset().union(*(named for _, named in _ENTRY_KINDS))
+_ENTRY_TYPES = frozenset().union(*(named for named, _ in _NOT_REAL_NUMBERS.values()))
 
 
 def _depth(values) -> int:
@@ -136,7 +133,7 @@ def _array(values, what: str, dtype=float) -> np.ndarray:
     rules = _NOT_NUMBERS if dtype is complex else _NOT_REAL_NUMBERS
     kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
     if kind in rules:  # an ndarray is judged by its dtype, before numpy casts it
-        raise DomainError(f"{what} must be {rules[kind]}")
+        raise DomainError(f"{what} must be {rules[kind][1]}")
     types = set()
     if kind == "O":  # judged by the types of its entries; a 0-d array entry by its item's
         try:
@@ -146,14 +143,14 @@ def _array(values, what: str, dtype=float) -> np.ndarray:
             pass
         if np.ndarray in types:
             types.update(type(e[()]) for e in _entries(values, depth) if type(e) is np.ndarray)
-    if "c" in rules and not types.isdisjoint(_ENTRY_KINDS[-1][1]):  # before the cast drops 1j
-        raise DomainError(f"{what} must be {rules['c']}")
+    if "c" in rules and not types.isdisjoint(rules["c"][0]):  # before the cast drops 1j
+        raise DomainError(f"{what} must be {rules['c'][1]}")
     try:
         a = np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged, not numbers, or 10**400
         raise DomainError(f"{what} are not numeric: {exc}") from exc
     if not types.isdisjoint(_ENTRY_TYPES):
-        for kind, named in _ENTRY_KINDS:
-            if kind in rules and not types.isdisjoint(named):
-                raise DomainError(f"{what} must be {rules[kind]}")
+        for named, message in rules.values():
+            if not types.isdisjoint(named):
+                raise DomainError(f"{what} must be {message}")
     return a

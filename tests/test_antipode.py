@@ -28,6 +28,7 @@ from blochstrata import (
     to_bloch,
 )
 from blochstrata.antipode import SPECTRAL_MATCH_TOL
+from blochstrata.states import hermitian_eigenvalues
 
 
 @pytest.mark.parametrize("dim", range(2, 13))
@@ -41,7 +42,7 @@ def test_antipodal_cap_is_the_center_minus_the_scaled_direction(dim):
         assert antipodal_family(dim, rank, length)[0].tobytes() == cap.tobytes()
 
 
-def test_antipode_of_boundary_holds_three_matrices_at_its_peak():
+def test_antipode_of_boundary_holds_two_and_a_half_matrices_at_its_peak():
     dim = 300
     matrix = dim * dim * 16  # bytes of one complex N x N matrix
     antipode_of_boundary(dim, 1)  # imports and caches
@@ -52,9 +53,20 @@ def test_antipode_of_boundary_holds_three_matrices_at_its_peak():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the cap, R(N-q) and R(q): the cap is built in the direction matrix, the
-        # eigensolves copy nothing, and the gate's buffer is dropped once the cap is checked
-        assert peak <= 3.5 * matrix
+        # the cap beside the gate's buffer and its real magnitude: the cap is built in the
+        # direction matrix, the eigensolve copies nothing, R(N-q)'s spectrum is its diagonal,
+        # and the gate's buffer is dropped before R(q) is built
+        assert peak <= 2.75 * matrix
+
+
+@pytest.mark.parametrize("dim", range(2, 81))
+def test_the_complement_spectrum_is_the_eigensolvers_bit_for_bit(dim):
+    # antipode_of_boundary takes R(N-q)'s ascending spectrum from its diagonal, not an eigensolve
+    for rank in range(1, dim):
+        closed = np.repeat((0.0, 1.0 / (dim - rank)), (rank, dim - rank))
+        solved = hermitian_eigenvalues(boundary_state(dim, dim - rank))
+        assert closed.view(np.uint64).tolist() == solved.view(np.uint64).tolist()
+        assert antipode_of_boundary(dim, rank).matches_complement
 
 
 def test_zero_length_is_maximally_mixed():

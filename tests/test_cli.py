@@ -1053,7 +1053,7 @@ _FLOAT_ARRAYS = st.one_of(
 )
 # a complex Hermitian matrix, whose real and imaginary parts are strided views
 _STRIDED = _hermitian_matrix(_hermitian_parts(3, [0.5, -0.25, 0.0, 0.25, -0.0, 1e-300]))
-# the (len, N**2, 2) cells of the basis command's JSON at N = 3
+# the (len, N**2, 2) cells of the basis command's JSON at N = 3, which it hands as a list
 _BASIS_CELLS = np.stack(
     (build_basis(3).elements.real, build_basis(3).elements.imag), axis=-1
 ).reshape(8, 9, 2)
@@ -1104,6 +1104,16 @@ def test_json_text_is_json_dumps_with_indent_2(value):
     assert cli._json_text(value) == json.dumps(_listed(value), indent=2)
 
 
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_basis_json_is_json_dumps_of_its_cells(dim, capsys):
+    # the basis command hands its cells as a list of 2-D arrays, each written from the table
+    rc, out, err = run(["basis", "--dim", str(dim)], capsys)
+    assert (rc, err) == (0, "")
+    cells = [[[z.real, z.imag] for z in e.ravel().tolist()] for e in build_basis(dim).elements]
+    payload = {"manifest": json.loads(out)["manifest"], "dim": dim, "elements": cells}
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_every_finite_float64_matrix_takes_the_table(monkeypatch):
     # lists of floats no longer do: no payload holds one, and a list is written item by item
     taken = []
@@ -1121,7 +1131,7 @@ def test_every_finite_float64_matrix_takes_the_table(monkeypatch):
     for a in matrices:
         cli._json_text(a)
     assert taken == [a.shape for a in matrices]
-    cli._json_text(_BASIS_CELLS)  # 8 cells of 9 x 2: a table each
+    cli._json_text(list(_BASIS_CELLS))  # 8 cells of 9 x 2, as the basis command hands them
     assert taken[len(matrices):] == [(9, 2)] * 8
     not_matrices = [
         [[0.5]], [[0.5] * 9] * 7, ((1.0, -0.0), [0.0, -1.0]), np.array([0.5, 1.0]), np.array(0.5),
@@ -1402,6 +1412,16 @@ def test_an_allocation_failure_is_one_numeric_error_line(capsys, monkeypatch):
     rc, out, err = run(["strata-scan", "--dim", "2", "--count", "1", "--seed", "1"], capsys)
     assert (rc, out) == (3, "")
     assert err == "numeric error: Unable to allocate 58.2 TiB for an array\n"
+
+
+def test_an_allocation_failure_with_no_text_says_out_of_memory(capsys, monkeypatch):
+    # Python's own MemoryError, unlike numpy's, has no text
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_state_block", no_memory)
+    rc, out, err = run(["strata-scan", "--dim", "2", "--count", "1", "--seed", "1"], capsys)
+    assert (rc, out, err) == (3, "", "numeric error: out of memory\n")
 
 
 def test_a_strata_scan_of_count_0_draws_nothing(capsys, monkeypatch):

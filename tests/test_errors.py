@@ -418,10 +418,16 @@ def test_arrays_numpy_cannot_read_are_domain_errors(call, bad):
         (["0.5", 0.5], "string"),
         (np.array(["0.5", "0.5"]), "string"),
         ([b"0.5", 0.5], "string"),
+        (np.array([b"0.5", b"0.5"]), "string"),
         ([np.array(True), np.array(False)], "boolean"),
         ([np.array("0.5"), 0.5], "string"),
+        (["0.5", True], "boolean"),
+        ([None, b"0.5"], "string"),
     ],
-    ids=["bools", "bool-array", "numpy-bool", "str", "str-array", "bytes", "0d-bools", "0d-string"],
+    ids=[
+        "bools", "bool-array", "numpy-bool", "str", "str-array", "bytes", "bytes-array",
+        "0d-bools", "0d-string", "string-and-bool", "null-and-bytes",
+    ],
 )
 @pytest.mark.parametrize("call", list(ARRAY_CALLS.values()), ids=list(ARRAY_CALLS))
 def test_boolean_and_string_entries_numpy_reads_as_numbers_are_domain_errors(call, bad, kind):
@@ -506,6 +512,14 @@ def test_a_numpy_complex_entry_of_a_real_array_is_a_domain_error(bad):
             harriman_check(bad)
     assert str(exc.value) == "tuple entries must be real numbers, got a complex number"
     assert [str(w.message) for w in caught] == []
+
+
+def test_a_complex_entry_is_read_for_a_complex_dtype():
+    # and, as for a real dtype, a boolean entry is not
+    values = [[0.5, np.complex128(0.5j)], [-0.5j, np.complex64(0.5)]]
+    assert _array(values, "matrix entries", complex).tolist() == [[0.5, 0.5j], [-0.5j, 0.5]]
+    with pytest.raises(DomainError, match="^matrix entries must be numbers, got a boolean$"):
+        _array([1j, True], "matrix entries", complex)
 
 
 @pytest.mark.parametrize(

@@ -406,7 +406,7 @@ _PEAK_DIM = 500
 # index formulas, the state then built in T_n (1.75); the gate's one buffer, m^H and then
 # m - m^H, and its real magnitude (1.5), the eigensolve reading its input as it is; the
 # coordinates from the upper and lower entries (2); T_n, then the cap built in it, beside
-# the gate (2.5); the antipodal cap, R(N-q) and R(q) (3)
+# the gate (2.5), as for the antipodal cap, built in the directional matrix of R(q) (2.5)
 _PEAKS = {
     "state_along": (lambda basis, v, rho: state_along(basis, v, 0.1), 1.75),
     "antipodal_state": (lambda basis, v, rho: antipodal_state(basis, v, 0.1), 1.75),
@@ -418,7 +418,7 @@ _PEAKS = {
     "classify": (lambda basis, v, rho: classify(rho), 1.5),
     "to_bloch": (lambda basis, v, rho: to_bloch(basis, rho), 2.0),
     "direction_report": (lambda basis, v, rho: direction_report(basis, v), 2.5),
-    "antipode_of_boundary": (lambda basis, v, rho: antipode_of_boundary(_PEAK_DIM, 1), 3.0),
+    "antipode_of_boundary": (lambda basis, v, rho: antipode_of_boundary(_PEAK_DIM, 1), 2.5),
 }
 
 
