@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DomainError, _array, _integer, _shown, _zeros
+from .errors import DomainError, NumericError, _array, _integer, _shown, _zeros
 
 ELEMENT_HERMITICITY_TOL = 1e-14
 ELEMENT_TRACE_TOL = 1e-14
@@ -175,7 +175,8 @@ def _diagonal_scales(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coordinates(m: np.ndarray, n: int) -> np.ndarray:
-    """Tr{m T_j} for every element, from the index formulas; DomainError unless m is n x n.
+    """Tr{m T_j} for every element of a finite m, from the index formulas; DomainError unless
+    m is n x n, NumericError if a coordinate overflows (the one rule of expand and to_bloch).
 
     Each product is taken before the sum, in the order the dense contraction
     takes them, so the off-diagonal coordinates equal it bit for bit and stay
@@ -189,13 +190,17 @@ def _coordinates(m: np.ndarray, n: int) -> np.ndarray:
     c = 1.0 / sqrt(2.0)
     d = m.diagonal().real
     scale, top = _diagonal_scales(n)
-    return np.concatenate(
-        (
-            c * upper.real + c * lower.real,
-            c * lower.imag - c * upper.imag,
-            scale * np.cumsum(d[:-1]) - top * d[1:],
-        )
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return np.concatenate(
+                (
+                    c * upper.real + c * lower.real,
+                    c * lower.imag - c * upper.imag,
+                    scale * np.cumsum(d[:-1]) - top * d[1:],
+                )
+            )
+    except FloatingPointError as exc:
+        raise NumericError(f"Bloch coordinates of this matrix are not finite: {exc}") from exc
 
 
 def _traceless_part(v: np.ndarray, n: int) -> np.ndarray:
@@ -228,10 +233,14 @@ def expand(basis: BasisSet, matrix: np.ndarray) -> np.ndarray:
     """Coordinates Tr{M T_j} of a Hermitian matrix in the basis.
 
     The identity component of ``matrix`` does not contribute; for a traceless
-    Hermitian input the expansion reconstructs it exactly.
+    Hermitian input the expansion reconstructs it exactly.  A non-finite entry is a
+    DomainError, as in the validation gate, and a coordinate that overflows a NumericError.
     """
     _check_basis(basis)
-    return _coordinates(_array(matrix, "matrix entries", complex), basis.dim)
+    m = _array(matrix, "matrix entries", complex)
+    if not np.isfinite(m).all():
+        raise DomainError("matrix has non-finite entries")
+    return _coordinates(m, basis.dim)
 
 
 def verify_basis(basis: BasisSet) -> ValidationReport:

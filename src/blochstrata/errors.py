@@ -90,22 +90,18 @@ def _zeros(shape, what: str, dtype=float) -> np.ndarray:
         raise NumericError(f"{what}: {exc}") from exc
 
 
-# what numpy reads as a number that is not one, by numpy dtype kind: the types of such an
-# entry of a list or object array, and its message.  A boolean (True as 1.0), a string
-# ("0.5" as 0.5) or a null (None as NaN; "z" here, as numpy has no kind for it); in a real
-# array also a complex number ("c", real-only), whose imaginary part a cast would drop
-_NOT_REAL_NUMBERS = {
-    "b": ({bool, np.bool_}, "numbers, got a boolean"),
-    "U": ({str, np.str_}, "numbers, got a string"),
-    "S": ({bytes, np.bytes_}, "numbers, got a string"),
-    "z": ({type(None)}, "numbers, got a null"),
-    "c": (
-        {complex, np.complex64, np.complex128, np.clongdouble}, "real numbers, got a complex number"
-    ),
-}
-_NOT_NUMBERS = {kind: rule for kind, rule in _NOT_REAL_NUMBERS.items() if kind != "c"}
-# all of those types: the entries of a list of plain numbers meet this one test
-_ENTRY_TYPES = frozenset().union(*(named for named, _ in _NOT_REAL_NUMBERS.values()))
+# what numpy reads as a number that is not one, in the order an argument is judged: the
+# types of such an entry and its message.  For a real dtype first a complex number, whose
+# imaginary part a cast would drop (1j as 0.0); then, for any dtype, a boolean (True as 1.0),
+# a string ("0.5" as 0.5) and a null (None as NaN)
+_NOT_NUMBERS = (
+    ({complex, np.complex64, np.complex128, np.clongdouble}, "real numbers, got a complex number"),
+    ({bool, np.bool_}, "numbers, got a boolean"),
+    ({str, np.str_, bytes, np.bytes_}, "numbers, got a string"),
+    ({type(None)}, "numbers, got a null"),
+)
+# the rows each dtype is judged by: a complex dtype takes complex numbers
+_JUDGED_BY = {float: _NOT_NUMBERS, complex: _NOT_NUMBERS[1:]}
 
 
 def _depth(values) -> int:
@@ -127,15 +123,18 @@ def _entries(values, depth: int):
 
 
 def _array(values, what: str, dtype=float) -> np.ndarray:
-    """values as an array of dtype; DomainError if numpy cannot read them as numbers, or if
-    it would read an entry that is not one as a number (True as 1.0, "0.5" as 0.5, None as
-    NaN, and for a real dtype 1j as 0.0)."""
-    rules = _NOT_NUMBERS if dtype is complex else _NOT_REAL_NUMBERS
-    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
-    if kind in rules:  # an ndarray is judged by its dtype, before numpy casts it
-        raise DomainError(f"{what} must be {rules[kind][1]}")
-    types = set()
-    if kind == "O":  # judged by the types of its entries; a 0-d array entry by its item's
+    """values as an array of dtype; DomainError if an entry is not a number that numpy would
+    read as one (for a real dtype 1j as 0.0, and True as 1.0, "0.5" as 0.5, None as NaN), or
+    if numpy cannot read values as numbers.
+
+    Every argument is judged once, before the cast, against _NOT_NUMBERS in its order: an
+    ndarray that holds no objects by its dtype, a list or an object array by the types
+    of its entries, and a 0-d array entry by its item's.
+    """
+    if isinstance(values, np.ndarray) and not values.dtype.hasobject:
+        types = {values.dtype.type}
+    else:
+        types = set()
         try:
             depth = _depth(values)
             types = set(map(type, _entries(values, depth)))
@@ -143,14 +142,10 @@ def _array(values, what: str, dtype=float) -> np.ndarray:
             pass
         if np.ndarray in types:
             types.update(type(e[()]) for e in _entries(values, depth) if type(e) is np.ndarray)
-    if "c" in rules and not types.isdisjoint(rules["c"][0]):  # before the cast drops 1j
-        raise DomainError(f"{what} must be {rules['c'][1]}")
+    for named, message in _JUDGED_BY[dtype]:
+        if not types.isdisjoint(named):
+            raise DomainError(f"{what} must be {message}")
     try:
-        a = np.asarray(values, dtype=dtype)
+        return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged, not numbers, or 10**400
         raise DomainError(f"{what} are not numeric: {exc}") from exc
-    if not types.isdisjoint(_ENTRY_TYPES):
-        for named, message in rules.values():
-            if not types.isdisjoint(named):
-                raise DomainError(f"{what} must be {message}")
-    return a

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, EnumType
+from math import isfinite
 
 import numpy as np
 
@@ -204,9 +205,15 @@ def spectrum(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectrum:
 
 
 def purity(matrix) -> float:
-    """Tr{m^2} of a Hermitian matrix, computed as the squared Frobenius norm."""
+    """Tr{m^2} of a Hermitian matrix, computed as the squared Frobenius norm.
+
+    Raises NumericError if the sum overflows.
+    """
     m = check_hermitian(matrix)
-    return float(np.vdot(m, m).real)
+    p = float(np.vdot(m, m).real)
+    if not isfinite(p):
+        raise NumericError("purity of this matrix is not finite")
+    return p
 
 
 def classify(matrix, zero_tol: float = DEFAULT_ZERO_TOL) -> StateClass:
@@ -259,12 +266,7 @@ def from_bloch(basis: BasisSet, vector) -> np.ndarray:
 def to_bloch(basis: BasisSet, matrix) -> np.ndarray:
     """Bloch coordinates V_j = Tr{m T_j} of a unit-trace Hermitian matrix.
 
-    Raises NumericError if a coordinate overflows.
+    Raises NumericError if a coordinate overflows, by the rule expand keeps too.
     """
     _check_basis(basis)
-    m = _validate(matrix)[0]
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _coordinates(m, basis.dim)
-    except FloatingPointError as exc:
-        raise NumericError(f"Bloch coordinates of this matrix are not finite: {exc}") from exc
+    return _coordinates(_validate(matrix)[0], basis.dim)

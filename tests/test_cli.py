@@ -438,7 +438,7 @@ def _inf_tuples(tmp_path):
         ),
         pytest.param(
             lambda tmp: ["lemma", "--tuples", _text_tuples(tmp)],
-            "not numeric", id="lemma-non-numeric-tuple",
+            "tuple entries must be numbers, got a string", id="lemma-non-numeric-tuple",
         ),
         pytest.param(
             lambda tmp: ["lemma", "--tuples", _inf_tuples(tmp)],
@@ -502,6 +502,14 @@ def _inf_tuples(tmp_path):
         pytest.param(
             lambda tmp: ["lemma", "--tuples", _json_file(tmp, [["0.5", 0.5]])],
             "string", id="lemma-numeric-string",
+        ),
+        pytest.param(
+            lambda tmp: ["convert", "--in", _json_file(tmp, {"dim": 2, "coords": ["x", 0, 0]})],
+            "Bloch coordinates must be numbers, got a string", id="convert-text-string",
+        ),
+        pytest.param(
+            lambda tmp: ["lemma", "--tuples", _json_file(tmp, [[0.5, "x"], [1.0]])],
+            "tuple entries must be numbers, got a string", id="lemma-ragged-text-string",
         ),
         pytest.param(
             lambda tmp: ["lemma", "--tuples", _json_file(tmp, [[True, False]])],

@@ -42,6 +42,7 @@ from blochstrata import (
     direction_reports,
     directional_matrix,
     directional_matrix_of_boundary,
+    distance_to_max,
     expand,
     extremal_spectra,
     from_bloch,
@@ -49,11 +50,13 @@ from blochstrata import (
     harriman_checks,
     max_antipodal_length,
     maximally_mixed,
+    purity,
     sample_bloch_in_ball,
     sample_direction,
     sample_state,
     sample_states,
     sample_unit_sum_tuple,
+    spectrum,
     state_along,
     stratum_radius,
     stratum_report,
@@ -383,8 +386,12 @@ def test_a_bool_is_not_a_number(call, name, kind, flag):
 
 # every public call that reads an array argument, given that array
 ARRAY_CALLS = {
+    "check_hermitian": check_hermitian,
     "check_density": check_density,
+    "spectrum": spectrum,
+    "purity": purity,
     "classify": classify,
+    "distance_to_max": distance_to_max,
     "stratum_report": stratum_report,
     "stratum_reports": stratum_reports,
     "to_bloch": lambda x: to_bloch(build_basis(2), x),
@@ -400,8 +407,8 @@ ARRAY_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [[[1, 0], [0]], {"re": 1}, "x", 10**400, [[0.5, 0.5], 1]],
-                         ids=["ragged", "dict", "string", "huge-int", "mixed-depths"])
+@pytest.mark.parametrize("bad", [[[1, 0], [0]], {"re": 1}, 10**400, [[0.5, 0.5], 1]],
+                         ids=["ragged", "dict", "huge-int", "mixed-depths"])
 @pytest.mark.parametrize("call", list(ARRAY_CALLS.values()), ids=list(ARRAY_CALLS))
 def test_arrays_numpy_cannot_read_are_domain_errors(call, bad):
     with pytest.raises(DomainError, match=" are not numeric: ") as exc:
@@ -421,24 +428,30 @@ def test_arrays_numpy_cannot_read_are_domain_errors(call, bad):
         (np.array([b"0.5", b"0.5"]), "string"),
         ([np.array(True), np.array(False)], "boolean"),
         ([np.array("0.5"), 0.5], "string"),
+        ("x", "string"),
         (["0.5", True], "boolean"),
+        ([True, "x"], "boolean"),
         ([None, b"0.5"], "string"),
+        ([[1, "x"], [2]], "string"),
     ],
     ids=[
         "bools", "bool-array", "numpy-bool", "str", "str-array", "bytes", "bytes-array",
-        "0d-bools", "0d-string", "string-and-bool", "null-and-bytes",
+        "0d-bools", "0d-string", "bare-string", "string-and-bool", "bool-and-string",
+        "null-and-bytes", "ragged-with-string",
     ],
 )
 @pytest.mark.parametrize("call", list(ARRAY_CALLS.values()), ids=list(ARRAY_CALLS))
 def test_boolean_and_string_entries_numpy_reads_as_numbers_are_domain_errors(call, bad, kind):
-    # numpy reads True as 1.0 and "0.5" as 0.5; errors._array rejects both for every caller
+    # numpy reads True as 1.0 and "0.5" as 0.5; errors._array rejects both for every caller,
+    # before the cast: a bare or ragged string is named too, and a boolean before a string
     with pytest.raises(DomainError) as exc:
         call(bad)
     assert str(exc.value).endswith(f" must be numbers, got a {kind}")
     assert "\n" not in str(exc.value)
 
 
-@pytest.mark.parametrize("bad", [[None, 0.5], [[None]], None], ids=["list", "nested", "bare"])
+@pytest.mark.parametrize("bad", [[None, 0.5], [[None]], None, [[None, 1], [2]]],
+                         ids=["list", "nested", "bare", "ragged"])
 @pytest.mark.parametrize("call", list(ARRAY_CALLS.values()), ids=list(ARRAY_CALLS))
 def test_null_entries_numpy_reads_as_nan_are_domain_errors(call, bad):
     with pytest.raises(DomainError) as exc:

@@ -153,6 +153,12 @@ def test_non_finite_results_are_numeric_errors():
     huge = np.array([[0.5, 1.7e308], [1.7e308, 0.5]], dtype=complex)
     with pytest.raises(NumericError, match="not finite"):
         to_bloch(build_basis(2), huge)
+    # one rule in basis._coordinates for both callers, and no RuntimeWarning on the way
+    huge_traceless = [[1.7e308, 1.7e308], [1.7e308, -1.7e308]]
+    with pytest.raises(NumericError, match="^Bloch coordinates of this matrix are not finite: "):
+        expand(build_basis(2), huge_traceless)
+    with pytest.raises(NumericError, match="^purity of this matrix is not finite$"):
+        purity([[1e200, 0], [0, 0]])
     with pytest.raises(NumericError, match="not finite"):
         from_bloch(build_basis(8), np.full(63, 1e308))
 
@@ -249,13 +255,17 @@ def test_classify_rejects_non_hermitian():
 @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
 @pytest.mark.parametrize(
     "check",
-    [check_hermitian, check_density, classify, purity, lambda m: to_bloch(build_basis(2), m)],
-    ids=["check_hermitian", "check_density", "classify", "purity", "to_bloch"],
+    [
+        check_hermitian, check_density, classify, purity, lambda m: to_bloch(build_basis(2), m),
+        lambda m: expand(build_basis(2), m),
+    ],
+    ids=["check_hermitian", "check_density", "classify", "purity", "to_bloch", "expand"],
 )
 def test_non_finite_entries_are_rejected(check, where, bad):
+    # the gate's one line, which expand, reading no unit trace, also gives
     m = np.diag([0.5, 0.5]).astype(complex)
     m[where] = bad
-    with pytest.raises(DomainError, match="non-finite"):
+    with pytest.raises(DomainError, match="^matrix has non-finite entries$"):
         check(m)
 
 
