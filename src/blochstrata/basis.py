@@ -30,10 +30,9 @@ class BasisSet:
     :func:`expand`, :func:`~blochstrata.states.from_bloch` and every
     directional matrix T_n use the closed-form index formulas of this basis.
     ``elements``, the read-only complex array of shape (N**2 - 1, N, N), is
-    built on first read, by iteration, indexing, :func:`verify_basis` or the
-    ``basis`` command, and cached on the instance.  Instances are immutable
-    and safe to share between threads; threads that race on the first read
-    build equal arrays.
+    built on first read, by iteration, indexing or :func:`verify_basis`, and
+    cached on the instance.  Instances are immutable and safe to share between
+    threads; threads that race on the first read build equal arrays.
     """
 
     dim: int
@@ -98,7 +97,8 @@ def _gell_mann_tensor(n: int) -> np.ndarray:
 
     Written entry by entry from the definition, independently of the closed
     forms in _coordinates and _traceless_part, which the tests check against
-    it; no computation of the package reads it.
+    it.  It backs BasisSet.elements, which only verify_basis and the
+    accessors read; no conversion and no command of the CLI reads it.
     """
     mats = _zeros((n * n - 1, n, n), f"basis tensor of dimension {n}", complex)
     inv_sqrt2 = 1.0 / sqrt(2.0)
@@ -248,20 +248,21 @@ def verify_basis(basis: BasisSet) -> ValidationReport:
 
     Returns an empty report iff all elements are Hermitian within 1e-14,
     traceless within 1e-14, and the Gram matrix Tr{T_j T_k} equals the
-    identity within 1e-12 entrywise.
+    identity within 1e-12 entrywise.  Each check runs over the whole stack at
+    once; the Gram matrix is one matmul, of the (N**2 - 1, N**2) flattened
+    elements with their flattened transposes.  The violations come element by
+    element (Hermiticity, then trace), then the Gram entries in row-major order.
     """
     _check_basis(basis)
-    violations = []
     elems = basis.elements
-    for j, e in enumerate(elems):
-        herm_dev = float(np.abs(e - e.conj().T).max())
-        if herm_dev > ELEMENT_HERMITICITY_TOL:
-            violations.append(Violation("hermiticity", (j,), herm_dev))
-        trace_dev = float(abs(e.trace()))
-        if trace_dev > ELEMENT_TRACE_TOL:
-            violations.append(Violation("trace", (j,), trace_dev))
-    gram = np.einsum("aij,bji->ab", elems, elems)
-    gram_dev = np.abs(gram - np.eye(len(elems)))
-    for j, k in zip(*np.nonzero(gram_dev > GRAM_TOL)):
-        violations.append(Violation("gram", (int(j), int(k)), float(gram_dev[j, k])))
+    d = len(elems)
+    # one row per element: its deviation from Hermitian, then the modulus of its trace
+    herm = np.abs(elems - elems.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    devs = np.stack((herm, np.abs(elems.trace(axis1=1, axis2=2))), axis=1)
+    gram = elems.reshape(d, -1) @ elems.transpose(0, 2, 1).reshape(d, -1).T
+    gram.reshape(-1)[:: d + 1] -= 1.0  # in place: no second d x d array
+    over = np.argwhere(devs > (ELEMENT_HERMITICITY_TOL, ELEMENT_TRACE_TOL)).tolist()
+    violations = [Violation(("hermiticity", "trace")[i], (j,), float(devs[j, i])) for j, i in over]
+    over = np.argwhere(np.abs(gram) > GRAM_TOL).tolist()
+    violations += [Violation("gram", (j, k), float(abs(gram[j, k]))) for j, k in over]
     return ValidationReport(tuple(violations))

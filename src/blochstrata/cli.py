@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__
 from .antipode import antipodal_family, antipode_of_boundary
-from .basis import _read_only, build_basis
+from .basis import _read_only, _traceless_part, build_basis
 from .direction import _direction_columns, direction_report
-from .errors import DomainError, NumericError, _integer, _real, _shown
+from .errors import DomainError, NumericError, _integer, _real, _shown, _zeros
 from .sampling import (
     SamplerConfig,
     _blocks,
@@ -267,16 +267,27 @@ def _direction_rows(directions, mu, max_length, smallest, cap_zero_count, zero_t
     return _rows(_DIRECTION_ROW, mu.shape[1], mu[:, -1], mu[:, 0], max_length, cap_zero_count)
 
 
-def cmd_basis(args: argparse.Namespace) -> dict | tuple[str, list]:
-    b = build_basis(args.dim)
-    # one row per element: the real and the imaginary part of each entry, row-major
-    cells = np.stack((b.elements.real, b.elements.imag), axis=-1).reshape(len(b), -1)
+def _basis_block(n: int, indices: range) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, cells) of the basis elements indices: cells[r] holds element indices[r] as
+    N**2 rows of the real and the imaginary part of each entry, row-major.  An element is
+    the one builder of T_n applied to a row of the identity, BasisSet.elements bit for bit,
+    and its cells are its complex entries read as pairs of floats, not a copy."""
+    t = _traceless_part(np.eye(len(indices), n * n - 1, k=indices.start), n)
+    return np.array(indices), t.view(float).reshape(len(indices), n * n, 2)
+
+
+def cmd_basis(args: argparse.Namespace) -> dict | tuple[str, Iterator[str]]:
+    n = build_basis(args.dim).dim
+    # numpy refuses a shape whose bytes pass its index range even when it holds no entry,
+    # so a dump too big for the tensor fails here, before any header text or block is built
+    _zeros((n * n - 1, n, n, 0), f"basis tensor of dimension {n}", complex)
+    part = (n * n - 1, functools.partial(_basis_block, n), 16 * n**2)
     if args.format == "json":
-        return {"dim": b.dim, "elements": list(cells.reshape(len(b), -1, 2))}
-    header = "element," + ",".join(
-        f"re_{r}_{c},im_{r}_{c}" for r in range(b.dim) for c in range(b.dim)
-    )
-    return header, [_rows("%d" + ",%.17g" * cells.shape[1], np.arange(len(b)), *cells.T)]
+        return {"dim": n, "elements": [e for _, cells in _blocks(*part) for e in cells]}
+    header = "element," + ",".join(f"re_{r}_{c},im_{r}_{c}" for r in range(n) for c in range(n))
+    rows = functools.partial(_rows, "%d" + ",%.17g" * (2 * n * n))
+    # the columns of a block: the element index, then each cell
+    return header, _scan([(*part, None)], lambda b: (b[0], *b[1].reshape(len(b[0]), -1).T), rows)
 
 
 def cmd_convert(args: argparse.Namespace) -> dict:

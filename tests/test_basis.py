@@ -133,6 +133,43 @@ def test_verify_flags_non_hermitian_element():
     assert herm_violations[0].magnitude == pytest.approx(0.25, abs=1e-12)
 
 
+# the whole report of a dim-4 basis with element 1 scaled by 1.5, element 4 given a trace of
+# 2 and element 11 made non-Hermitian at (0, 2): element by element (Hermiticity, then
+# trace), then the Gram entries in row-major order, element 11 reaching the two elements
+# with an entry at (2, 0)
+_CORRUPTED_DIM4_VIOLATIONS = (
+    ("trace", (4,), 2.0),
+    ("hermiticity", (11,), 0.25),
+    ("gram", (1, 1), 1.2499999999999996),
+    ("gram", (1, 11), 0.2651650429449553),
+    ("gram", (4, 4), 1.0),
+    ("gram", (7, 11), 0.17677669529663687),
+    ("gram", (11, 1), 0.2651650429449553),
+    ("gram", (11, 7), 0.17677669529663687),
+)
+
+
+def test_verify_reports_every_violation_in_order():
+    elems = build_basis(4).elements.copy()
+    elems[1] *= 1.5
+    elems[4] += 0.5 * np.eye(4)
+    elems[11, 0, 2] += 0.25j
+    corrupted = build_basis(4)
+    vars(corrupted)["elements"] = elems
+    violations = verify_basis(corrupted).violations
+    assert [(v.invariant, v.location) for v in violations] == [
+        (invariant, location) for invariant, location, _ in _CORRUPTED_DIM4_VIOLATIONS
+    ]
+    for v, (_, _, magnitude) in zip(violations, _CORRUPTED_DIM4_VIOLATIONS):
+        assert type(v.magnitude) is float and v.magnitude == pytest.approx(magnitude, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [24, 33])
+def test_verify_passes_a_large_basis(dim):
+    # 575 and 1088 elements: a Gram matrix of 330 625 and 1 183 744 entries
+    assert verify_basis(build_basis(dim)).violations == ()
+
+
 def test_basis_is_read_only():
     b = build_basis(2)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -954,6 +955,26 @@ def test_a_scan_past_n_64_holds_a_block_of_at_most_16_mib_per_stack(
     assert rows == [one_item_row(i) for i in range(256)]
 
 
+def test_a_basis_csv_dump_holds_one_block_of_elements_at_a_time(tmp_path):
+    out = tmp_path / "basis.csv"
+    cli.main(["basis", "--dim", "2", "--format", "csv", "--out", str(out)])  # imports, caches
+    tracemalloc.start()
+    try:
+        assert cli.main(["basis", "--dim", "20", "--format", "csv", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 399 elements in blocks of 256 and 143: a block's (256, 20, 20) complex stack is 1.6 MB
+    # and its 204 800 cells as Python floats about 6.6 MB, and the text is 0.7 MB.  The dense
+    # tensor, a copy of its cells and every cell as a Python float at once peaked at 16.1 MiB
+    assert peak <= 12 * 2**20
+    rows = out.read_text().splitlines()[2:]
+    cells = np.array([row.split(",") for row in rows], dtype=float)
+    assert cells[:, 0].tolist() == list(range(399))
+    elements = build_basis(20).elements
+    assert cells[:, 1:].tobytes() == elements.view(float).reshape(399, -1).tobytes()
+
+
 def test_a_lemma_scan_of_long_tuples_holds_a_block_of_at_most_16_mib_per_stack(tmp_path):
     out = tmp_path / "lemma.csv"
     argv = ["lemma", "--size", "100000", "--seed", "1", "--out", str(out)]
@@ -1112,7 +1133,7 @@ def test_json_text_is_json_dumps_with_indent_2(value):
     assert cli._json_text(value) == json.dumps(_listed(value), indent=2)
 
 
-@pytest.mark.parametrize("dim", range(2, 7))
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 17])  # 17: 288 elements, in two blocks
 def test_basis_json_is_json_dumps_of_its_cells(dim, capsys):
     # the basis command hands its cells as a list of 2-D arrays, each written from the table
     rc, out, err = run(["basis", "--dim", str(dim)], capsys)
@@ -1400,6 +1421,8 @@ def test_a_count_of_0_or_less_fails_as_a_count_of_1(command, capsys):
     "args",
     [
         pytest.param(["basis", "--dim", "100000"], id="basis-tensor-too-big"),
+        # its header alone would hold 2 * 10**10 names
+        pytest.param(["basis", "--dim", "100000", "--format", "csv"], id="basis-csv-too-big"),
         pytest.param(["direction", "--dim", "2000000000", "--seed", "1"], id="draw-too-big"),
     ],
 )
@@ -1468,3 +1491,39 @@ def test_csv_floats_have_full_precision(capsys):
     rc, out, _ = run(["antipode", "--table", "--max-dim", "3"], capsys)
     # sqrt(1/2) rendered with 17 significant digits
     assert "0.70710678118654757" in out
+
+
+def _workflow_step(name: str) -> str:
+    """The run: | block of the step of tier1.yml with this name, read from the file."""
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+    lines = workflow.read_text().splitlines()
+    start = lines.index(f"      - name: {name}") + 1
+    assert lines[start].strip() == "run: |"
+    block = []
+    for line in lines[start + 1 :]:
+        if line.strip() and not line.startswith(" " * 10):
+            break
+        block.append(line[10:])
+    return "\n".join(block) + "\n"
+
+
+def test_the_installed_console_script_step_of_ci_passes(tmp_path):
+    # what the [project.scripts] entry point runs, first on PATH; the step runs as GitHub's
+    # default shell runs it, so a failing line, or a failing command of a pipe, fails it
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "blochstrata"
+    src, python = shlex.quote(str(Path(cli.__file__).parents[1])), shlex.quote(sys.executable)
+    shim.write_text(f'#!/bin/sh\nPYTHONPATH={src} exec {python} -m blochstrata.cli "$@"\n')
+    shim.chmod(0o755)
+    step = tmp_path / "step.sh"
+    step.write_text(_workflow_step("Installed console script"))
+    runner_temp = tmp_path / "runner"
+    runner_temp.mkdir()
+    env = {**os.environ, "PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
+           "RUNNER_TEMP": str(runner_temp)}
+    proc = subprocess.run(
+        ["bash", "--noprofile", "--norc", "-eo", "pipefail", str(step)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
