@@ -268,26 +268,26 @@ def _direction_rows(directions, mu, max_length, smallest, cap_zero_count, zero_t
 
 
 def _basis_block(n: int, indices: range) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, cells) of the basis elements indices: cells[r] holds element indices[r] as
-    N**2 rows of the real and the imaginary part of each entry, row-major.  An element is
+    """(indices, cells) of the basis elements indices: row r of cells holds element
+    indices[r], the real and the imaginary part of each entry, row-major.  An element is
     the one builder of T_n applied to a row of the identity, BasisSet.elements bit for bit,
-    and its cells are its complex entries read as pairs of floats, not a copy."""
+    and its cells are its complex entries read as floats, not a copy."""
     t = _traceless_part(np.eye(len(indices), n * n - 1, k=indices.start), n)
-    return np.array(indices), t.view(float).reshape(len(indices), n * n, 2)
+    return np.array(indices), t.view(float).reshape(len(indices), -1)
 
 
 def cmd_basis(args: argparse.Namespace) -> dict | tuple[str, Iterator[str]]:
     n = build_basis(args.dim).dim
-    # numpy refuses a shape whose bytes pass its index range even when it holds no entry,
-    # so a dump too big for the tensor fails here, before any header text or block is built
-    _zeros((n * n - 1, n, n, 0), f"basis tensor of dimension {n}", complex)
-    part = (n * n - 1, functools.partial(_basis_block, n), 16 * n**2)
+    # a dump fails where its dense tensor cannot be had, before any header text or block is
+    # built; np.zeros leaves the pages it gets untouched, and the tensor is dropped at once
+    _zeros((n * n - 1, n, n), f"basis tensor of dimension {n}", complex)
+    block = functools.partial(_basis_block, n)
     if args.format == "json":
-        return {"dim": n, "elements": [e for _, cells in _blocks(*part) for e in cells]}
+        return {"dim": n, "elements": list(block(range(n * n - 1))[1].reshape(-1, n * n, 2))}
     header = "element," + ",".join(f"re_{r}_{c},im_{r}_{c}" for r in range(n) for c in range(n))
     rows = functools.partial(_rows, "%d" + ",%.17g" * (2 * n * n))
     # the columns of a block: the element index, then each cell
-    return header, _scan([(*part, None)], lambda b: (b[0], *b[1].reshape(len(b[0]), -1).T), rows)
+    return header, _scan([(n * n - 1, block, 16 * n**2, None)], lambda b: (b[0], *b[1].T), rows)
 
 
 def cmd_convert(args: argparse.Namespace) -> dict:

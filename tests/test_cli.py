@@ -965,8 +965,9 @@ def test_a_basis_csv_dump_holds_one_block_of_elements_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     # 399 elements in blocks of 256 and 143: a block's (256, 20, 20) complex stack is 1.6 MB
-    # and its 204 800 cells as Python floats about 6.6 MB, and the text is 0.7 MB.  The dense
-    # tensor, a copy of its cells and every cell as a Python float at once peaked at 16.1 MiB
+    # and its 204 800 cells as Python floats about 6.6 MB, and the text is 0.7 MB; the 2.6 MB
+    # tensor asked for first is dropped before any block.  The dense tensor, a copy of its
+    # cells and every cell as a Python float at once peaked at 16.1 MiB
     assert peak <= 12 * 2**20
     rows = out.read_text().splitlines()[2:]
     cells = np.array([row.split(",") for row in rows], dtype=float)
@@ -1133,7 +1134,7 @@ def test_json_text_is_json_dumps_with_indent_2(value):
     assert cli._json_text(value) == json.dumps(_listed(value), indent=2)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 17])  # 17: 288 elements, in two blocks
+@pytest.mark.parametrize("dim", range(2, 7))
 def test_basis_json_is_json_dumps_of_its_cells(dim, capsys):
     # the basis command hands its cells as a list of 2-D arrays, each written from the table
     rc, out, err = run(["basis", "--dim", str(dim)], capsys)
@@ -1433,6 +1434,30 @@ def test_an_array_numpy_refuses_is_one_numeric_error_line(args, capsys):
     assert out == ""
     assert err.startswith("numeric error: ") and err.count("\n") == 1
     assert "array is too big" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_basis_dump_whose_tensor_cannot_be_had_fails_at_once(fmt, tmp_path):
+    # the 14.6 TiB tensor of dimension 1000 fits numpy's index range but not a 3 GiB address
+    # space, so the dump fails asking for it, before its header or any block is built; a dump
+    # that went on would hold terabytes of text
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    out = tmp_path / "basis.out"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    argv = ["basis", "--dim", "1000", "--format", fmt, "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "blochstrata.cli", *argv], env=env, preexec_fn=limit,
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("numeric error: basis tensor of dimension 1000: ")
+    assert "14.6 TiB" in proc.stderr and proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_an_allocation_failure_is_one_numeric_error_line(capsys, monkeypatch):
