@@ -2,11 +2,13 @@
 
 Each cmd_* handler returns its output and writes nothing: a JSON payload as a
 dict, or a CSV header and its blocks of lines, which a scan draws as main joins
-them.  main reads the run manifest once, before the handler runs, puts it first
-in a JSON output or as the leading comment line of a CSV one, and writes the
-text once.  Exit codes: 0 success, 2 domain/input error or a failed write, 3
-numeric error.  Set SOURCE_DATE_EPOCH to pin the manifest timestamp when
-byte-reproducible output files are required.
+them.  A scan's blocks are a _Scan, which also holds a record of what each part
+of the scan did, whole once main has joined them; main writes no record.  main
+reads the run manifest once, before the handler runs, puts it first in a JSON
+output or as the leading comment line of a CSV one, and writes the text once.
+Exit codes: 0 success, 2 domain/input error or a failed write, 3 numeric error.
+Set SOURCE_DATE_EPOCH to pin the manifest timestamp when byte-reproducible
+output files are required.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ import datetime
 import errno
 import functools
 import json
-import math
 import os
 import sys
-from dataclasses import astuple, replace
-from itertools import groupby, repeat
+from dataclasses import astuple, dataclass, replace
+from itertools import chain, groupby, repeat
+from time import perf_counter
 from typing import Iterator
 
 import numpy as np
@@ -208,27 +210,68 @@ def _reject_ignored(args: argparse.Namespace, form: str, names) -> None:
         raise DomainError(f"{form} does not take {', '.join(ignored)}")
 
 
-def _scan(parts, columns, rows, tally=None, count_name="count") -> Iterator[str]:
-    """A CSV scan, the CLI's one block loop: yields each block's rows when done, then the notes.
+@dataclass
+class _Part:
+    """What _scan did in one part of a scan: its items and blocks, the perf_counter
+    seconds spent drawing (inside next() on sampling._blocks), in columns and in rows,
+    and the merged summary of its blocks' columns (None without a summary)."""
 
-    A part is (count, draw, item_bytes, note); each block of its indices (sampling._blocks
-    sizes it from item_bytes) goes draw(indices) -> columns(stack) -> rows(*columns), and
-    with a tally the part's note line is note % the least tally(*columns) of its blocks.
-    main joins the texts into its one write.  A negative count is a DomainError, raised
-    after the empty draw that checks the draw's arguments.
+    items: int = 0
+    blocks: int = 0
+    draw_s: float = 0.0
+    columns_s: float = 0.0
+    rows_s: float = 0.0
+    summary: object = None
+
+
+@dataclass
+class _Scan:
+    """A CSV scan's texts, each block drawn as they are iterated, and its records: one
+    _Part per part, filled as its blocks are drained, so whole once the texts are."""
+
+    texts: Iterator[str]
+    records: list[_Part]
+
+    def __iter__(self) -> Iterator[str]:
+        return self.texts
+
+
+def _scan(parts, columns, rows, summary=None, count_name="count") -> _Scan:
+    """A CSV scan, the CLI's one block loop: its texts yield each block's rows when done.
+
+    A part is (count, draw, item_bytes); each block of its indices (sampling._blocks sizes
+    it from item_bytes) goes draw(indices) -> columns(stack) -> rows(*columns), and the
+    part's record counts the block and adds the seconds of each stage.  A summary is a
+    pair (reduce, merge): the record keeps reduce(*columns) of the part's first block, then
+    merge(kept, reduce(*columns)) after each later one, timed with the columns.  main joins
+    the texts into its one write.  A negative count is a DomainError, raised after the
+    empty draw that checks the draw's arguments.
     """
-    notes = []
-    for count, draw, item_bytes, note in parts:
-        least = math.inf
-        for stack in _blocks(count, draw, item_bytes):
-            cells = columns(stack)
-            yield rows(*cells)
-            if tally is not None:
-                least = min(least, tally(*cells))
-        _integer(count, count_name, 0)
-        if tally is not None:
-            notes.append(note % least)
-    yield from notes
+    records = [_Part() for _ in parts]
+
+    def texts():
+        for (count, draw, item_bytes), record in zip(parts, records):
+            start = perf_counter()
+            for indices, stack in _blocks(count, draw, item_bytes):
+                drawn = perf_counter()
+                cells = columns(stack)
+                if summary is not None:
+                    value = summary[0](*cells)
+                    record.summary = summary[1](record.summary, value) if record.blocks else value
+                made = perf_counter()
+                text = rows(*cells)
+                done = perf_counter()
+                record.items += len(indices)
+                record.blocks += 1
+                record.draw_s += drawn - start
+                record.columns_s += made - drawn
+                record.rows_s += done - made
+                yield text
+                start = perf_counter()
+            record.draw_s += perf_counter() - start  # the next() that ends the blocks
+            _integer(count, count_name, 0)
+
+    return _Scan(texts(), records)
 
 
 @functools.lru_cache(maxsize=64)
@@ -258,7 +301,13 @@ def _strata_rows(n, zeros, distance, radius, on_sphere, satisfied) -> str:
 
 
 def _least_slack(n, zeros, distance, radius, on_sphere, satisfied) -> float:
-    """The least distance - radius of _stratum_columns' columns: strata-scan's tally."""
+    """The least distance - radius of _stratum_columns' columns: strata-scan's summary.
+
+    The radius is r_p, but satisfied compares the distance with d_min(zero_tol)
+    (stratification._min_distance), which is below r_p.  So the least slack is above
+    -1e-9 only where that relaxation does not act, as at the default zero_tol; at
+    zero_tol 0.2, N = 3, it can read -0.225 on rows that all satisfy.
+    """
     return (distance - radius).min()
 
 
@@ -276,7 +325,7 @@ def _basis_block(n: int, indices: range) -> tuple[np.ndarray, np.ndarray]:
     return np.array(indices), t.view(float).reshape(len(indices), -1)
 
 
-def cmd_basis(args: argparse.Namespace) -> dict | tuple[str, Iterator[str]]:
+def cmd_basis(args: argparse.Namespace) -> dict | tuple[str, _Scan]:
     n = build_basis(args.dim).dim
     # a dump fails where its dense tensor cannot be had, before any header text or block is
     # built; np.zeros leaves the pages it gets untouched, and the tensor is dropped at once
@@ -287,7 +336,7 @@ def cmd_basis(args: argparse.Namespace) -> dict | tuple[str, Iterator[str]]:
     header = "element," + ",".join(f"re_{r}_{c},im_{r}_{c}" for r in range(n) for c in range(n))
     rows = functools.partial(_rows, "%d" + ",%.17g" * (2 * n * n))
     # the columns of a block: the element index, then each cell
-    return header, _scan([(n * n - 1, block, 16 * n**2, None)], lambda b: (b[0], *b[1].T), rows)
+    return header, _scan([(n * n - 1, block, 16 * n**2)], lambda b: (b[0], *b[1].T), rows)
 
 
 def cmd_convert(args: argparse.Namespace) -> dict:
@@ -309,20 +358,21 @@ def cmd_classify(args: argparse.Namespace) -> dict | tuple[str, list]:
     return dict(zip(_STRATUM_KEYS, astuple(stratum_report(m, zero_tol=args.zero_tol))))
 
 
-def cmd_strata_scan(args: argparse.Namespace) -> tuple[str, Iterator[str]]:
+def cmd_strata_scan(args: argparse.Namespace) -> tuple[str, _Scan]:
     # rank 1 fits every dimension: this checks seed, dimension and count before the ranks,
     # of which a count of 0 takes none, as no rank could add a row
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=1, count=args.count)
     ranks = range(1, config.dim + 1) if config.count else ()
-    parts = [
-        (config.count, functools.partial(_state_block, replace(config, rank=k)),
-         16 * config.dim**2, f"# min_slack rank={k} %.17g\n") for k in ranks
-    ]
+    draws = [functools.partial(_state_block, replace(config, rank=k)) for k in ranks]
+    parts = [(config.count, draw, 16 * config.dim**2) for draw in draws]
     columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
-    return STRATA_HEADER, _scan(parts, columns, _strata_rows, tally=_least_slack)
+    scan = _scan(parts, columns, _strata_rows, summary=(_least_slack, min))
+    # rank k's note is rendered from the k-th record, when the rows are drained and it is whole
+    notes = ("# min_slack rank=%d %.17g\n" % (k, r.summary) for k, r in enumerate(scan.records, 1))
+    return STRATA_HEADER, replace(scan, texts=chain(scan.texts, notes))
 
 
-def cmd_direction(args: argparse.Namespace) -> dict | tuple[str, Iterator[str]]:
+def cmd_direction(args: argparse.Namespace) -> dict | tuple[str, _Scan]:
     n = args.dim
     basis = build_basis(n)
     if args.vector is not None:
@@ -339,7 +389,7 @@ def cmd_direction(args: argparse.Namespace) -> dict | tuple[str, Iterator[str]]:
     else:
         draw = functools.partial(_direction_block, args.seed, n * n - 1)
         columns = functools.partial(_direction_columns, basis, zero_tol=args.zero_tol)
-        parts = [(args.scan, draw, 16 * n**2, None)]  # a block's cap states are N x N
+        parts = [(args.scan, draw, 16 * n**2)]  # a block's cap states are N x N
         return DIRECTION_HEADER, _scan(parts, columns, _direction_rows, count_name="--scan")
     report = direction_report(basis, v, zero_tol=args.zero_tol)
     return {
@@ -386,7 +436,7 @@ def cmd_antipode(args: argparse.Namespace) -> dict | tuple[str, list]:
     return payload
 
 
-def cmd_lemma(args: argparse.Namespace) -> tuple[str, Iterator[str]]:
+def cmd_lemma(args: argparse.Namespace) -> tuple[str, _Scan]:
     if args.tuples is not None:
         _reject_ignored(args, "--tuples", ("count", "size", "seed"))
         data = load_json(args.tuples)
@@ -394,22 +444,20 @@ def cmd_lemma(args: argparse.Namespace) -> tuple[str, Iterator[str]]:
             raise DomainError("tuple file must contain a JSON list of lists of reals")
         # each run of equal-length tuples is a part, each block of it read when drawn
         runs = [(n, list(run)) for n, run in groupby(data, len)]
-        parts = [
-            (len(r), lambda i, r=r: _tuples(r[i.start : i.stop], 2), 8 * n, None) for n, r in runs
-        ]
+        parts = [(len(r), lambda i, r=r: _tuples(r[i.start : i.stop], 2), 8 * n) for n, r in runs]
     else:
         if args.seed is None or args.count is None or args.size is None:
             raise DomainError("lemma requires --tuples FILE or --count K --size n --seed S")
         draw = functools.partial(_tuple_block, args.seed, args.size)
-        parts = [(args.count, draw, 8 * args.size, None)]
+        parts = [(args.count, draw, 8 * args.size)]
     return LEMMA_HEADER, _scan(parts, _harriman_columns, functools.partial(_rows, _LEMMA_ROW))
 
 
-def cmd_sample(args: argparse.Namespace) -> dict | tuple[str, Iterator[str]]:
+def cmd_sample(args: argparse.Namespace) -> dict | tuple[str, _Scan]:
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=args.rank, count=args.count)
     if args.format == "json":
         return {"states": [_matrix_payload(rho) for rho in sample_states(config)]}
-    parts = [(config.count, functools.partial(_state_block, config), 16 * config.dim**2, None)]
+    parts = [(config.count, functools.partial(_state_block, config), 16 * config.dim**2)]
     columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
     return STRATA_HEADER, _scan(parts, columns, _strata_rows)
 

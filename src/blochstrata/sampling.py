@@ -214,7 +214,8 @@ def _block_size(item_bytes: int) -> int:
 
 
 def _blocks(count: int, draw, item_bytes: int):
-    """Stacks draw(indices) over consecutive blocks of _block_size(item_bytes) indices.
+    """(indices, draw(indices)) over consecutive blocks of _block_size(item_bytes) indices,
+    each indices a range.
 
     A block is drawn only once the stacks before it are taken, and a draw
     that raises yields nothing of its block, so a caller that reports each
@@ -225,7 +226,8 @@ def _blocks(count: int, draw, item_bytes: int):
         draw(range(0))
     size = _block_size(item_bytes)
     for start in range(0, count, size):
-        yield draw(range(start, min(start + size, count)))
+        indices = range(start, min(start + size, count))
+        yield indices, draw(indices)
 
 
 @dataclass(frozen=True)
@@ -283,7 +285,7 @@ def sample_states(config: SamplerConfig) -> Iterator[np.ndarray]:
     """
     _check_config(config)
     item_bytes = 16 * config.dim**2  # a complex N x N matrix
-    for stack in _blocks(config.count, lambda indices: _state_block(config, indices), item_bytes):
+    for _, stack in _blocks(config.count, lambda i: _state_block(config, i), item_bytes):
         yield from stack
 
 

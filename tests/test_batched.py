@@ -10,6 +10,7 @@ exactly, for every block boundary.
 """
 
 from math import sqrt
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -468,23 +469,79 @@ def test_a_direction_scan_solves_the_mu_and_the_cap_spectra_of_each_block(monkey
     assert sizes == [BLOCK, BLOCK, BLOCK, BLOCK, 3, 3]
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """The _Scan of each cli._scan call, in order."""
+    made = []
+    scan = cli._scan
+
+    def recorded(*args, **kwargs):
+        made.append(scan(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "_scan", recorded)
+    return made
+
+
+# the record of each part of a scan below: its items and its blocks
+SCAN_PARTS = {
+    "strata-scan --dim 3 --count 5 --seed 1": [(5, 1)] * 3,  # each rank a part
+    "direction --dim 3 --scan 5 --seed 1": [(5, 1)],
+    "sample --dim 3 --rank 2 --count 5 --seed 1 --format csv": [(5, 1)],
+    "lemma --count 5 --size 3 --seed 1": [(5, 1)],
+    "lemma --tuples TUPLES": [(1, 1)] * 3,  # each run of equal-length tuples a part
+    "basis --dim 3 --format csv": [(8, 1)],
+}
+
+
 @pytest.mark.parametrize("argv,count", [
     ("strata-scan --dim 3 --count 5 --seed 1", 3 * 5 + 3),  # 5 rows and a note per rank
     ("direction --dim 3 --scan 5 --seed 1", 5),
     ("sample --dim 3 --rank 2 --count 5 --seed 1 --format csv", 5),
     ("lemma --count 5 --size 3 --seed 1", 5),
     ("lemma --tuples TUPLES", 3),
+    ("basis --dim 3 --format csv", 8),
 ])
-def test_every_csv_scan_runs_through_the_one_scan_loop(argv, count, tmp_path, monkeypatch, capsys):
+def test_every_csv_scan_runs_through_the_one_scan_loop(argv, count, tmp_path, scans, capsys):
     tuples = tmp_path / "tuples.json"
     tuples.write_text("[[0.5, 0.5], [1.0], [0.2, 0.3, 0.5]]")
-    calls = []
-    scan = cli._scan
-
-    def recorded(*args, **kwargs):
-        calls.append(args)
-        return scan(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "_scan", recorded)
     lines = scan_lines([str(tuples) if a == "TUPLES" else a for a in argv.split()], capsys)
-    assert len(calls) == 1 and len(lines) == count
+    assert len(scans) == 1 and len(lines) == count
+    assert [(r.items, r.blocks) for r in scans[0].records] == SCAN_PARTS[argv]
+
+
+def test_the_records_of_a_strata_scan_hold_its_counts_times_and_least_slacks(scans, capsys):
+    start = perf_counter()
+    lines = scan_lines(["strata-scan", "--dim", "3", "--count", "300", "--seed", "1"], capsys)
+    wall = perf_counter() - start
+    records = scans[0].records
+    assert [(r.items, r.blocks) for r in records] == [(300, 2)] * 3  # 256 + 44 per rank
+    notes = [line.split() for line in lines if line.startswith("#")]
+    assert [note[:2] for note in notes] == [["#", "min_slack"]] * 3
+    cells = [line.split(",")[2:4] for line in lines if not line.startswith("#")]
+    for rank, (note, record) in enumerate(zip(notes, records), 1):
+        assert note[2] == f"rank={rank}"
+        # the line's %.17g text reads back as the record's summary, bit for bit, and that is
+        # the least distance - radius_p of the rank's rows
+        assert np.float64(note[3]).tobytes() == np.float64(record.summary).tobytes()
+        rows = cells[300 * (rank - 1) : 300 * rank]
+        assert record.summary == min(float(d) - float(r) for d, r in rows)
+    stages = [s for r in records for s in (r.draw_s, r.columns_s, r.rows_s)]
+    assert min(stages) >= 0 and sum(stages) <= wall
+
+
+def test_a_scan_summary_keeps_the_first_block_value_and_merges_each_later_one():
+    def draw(indices):
+        return np.array(indices, dtype=float)
+
+    def rows(column):
+        return "".join(f"{x:g}\n" for x in column)
+
+    parts = [(600, draw, 8), (0, draw, 8)]  # blocks of 256, 256 and 88 items; none
+    merged = []
+    scan = cli._scan(parts, lambda s: (s,), rows, (np.max, lambda a, b: merged.append(b) or a + b))
+    assert "".join(scan) == "".join(f"{i}\n" for i in range(600))
+    assert merged == [511, 599]
+    assert [(r.items, r.blocks, r.summary) for r in scan.records] == [
+        (600, 3, 255 + 511 + 599), (0, 0, None)
+    ]

@@ -385,7 +385,8 @@ def test_blocks_report_the_draws_before_a_failing_one_first():
         return np.array(indices)[:, None]
 
     stacks = sampling._blocks(3 * block, draw, 8)  # an item of one int64: blocks of SCAN_BLOCK
-    assert next(stacks).ravel().tolist() == list(range(block))
+    indices, stack = next(stacks)
+    assert indices == range(block) and stack.ravel().tolist() == list(range(block))
     # the failing block yields none of the draws before its failing index
     with pytest.raises(NumericError, match="synthetic failure"):
         next(stacks)
