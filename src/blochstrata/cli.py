@@ -214,7 +214,7 @@ def _reject_ignored(args: argparse.Namespace, form: str, names) -> None:
 class _Part:
     """What _scan did in one part of a scan: its items and blocks, the perf_counter
     seconds spent drawing (inside next() on sampling._blocks), in columns and in rows,
-    and the merged summary of its blocks' columns (None without a summary)."""
+    and the least summary of its blocks' columns (None without a summary)."""
 
     items: int = 0
     blocks: int = 0
@@ -241,10 +241,9 @@ def _scan(parts, columns, rows, summary=None, count_name="count") -> _Scan:
 
     A part is (count, draw, item_bytes); each block of its indices (sampling._blocks sizes
     it from item_bytes) goes draw(indices) -> columns(stack) -> rows(*columns), and the
-    part's record counts the block and adds the seconds of each stage.  A summary is a
-    pair (reduce, merge): the record keeps reduce(*columns) of the part's first block, then
-    merge(kept, reduce(*columns)) after each later one, timed with the columns.  main joins
-    the texts into its one write.  A negative count is a DomainError, raised after the
+    part's record counts the block and adds the seconds of each stage.  With a summary the
+    record keeps the least summary(*columns) of the part's blocks, timed with the columns.
+    main joins the texts into its one write.  A negative count is a DomainError, raised after the
     empty draw that checks the draw's arguments.
     """
     records = [_Part() for _ in parts]
@@ -256,8 +255,8 @@ def _scan(parts, columns, rows, summary=None, count_name="count") -> _Scan:
                 drawn = perf_counter()
                 cells = columns(stack)
                 if summary is not None:
-                    value = summary[0](*cells)
-                    record.summary = summary[1](record.summary, value) if record.blocks else value
+                    value = summary(*cells)
+                    record.summary = value if record.summary is None else min(record.summary, value)
                 made = perf_counter()
                 text = rows(*cells)
                 done = perf_counter()
@@ -366,7 +365,7 @@ def cmd_strata_scan(args: argparse.Namespace) -> tuple[str, _Scan]:
     draws = [functools.partial(_state_block, replace(config, rank=k)) for k in ranks]
     parts = [(config.count, draw, 16 * config.dim**2) for draw in draws]
     columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
-    scan = _scan(parts, columns, _strata_rows, summary=(_least_slack, min))
+    scan = _scan(parts, columns, _strata_rows, summary=_least_slack)
     # rank k's note is rendered from the k-th record, when the rows are drained and it is whole
     notes = ("# min_slack rank=%d %.17g\n" % (k, r.summary) for k, r in enumerate(scan.records, 1))
     return STRATA_HEADER, replace(scan, texts=chain(scan.texts, notes))

@@ -530,18 +530,18 @@ def test_the_records_of_a_strata_scan_hold_its_counts_times_and_least_slacks(sca
     assert min(stages) >= 0 and sum(stages) <= wall
 
 
-def test_a_scan_summary_keeps_the_first_block_value_and_merges_each_later_one():
+def test_a_scan_summary_is_the_least_of_its_blocks_values():
     def draw(indices):
         return np.array(indices, dtype=float)
 
     def rows(column):
         return "".join(f"{x:g}\n" for x in column)
 
-    parts = [(600, draw, 8), (0, draw, 8)]  # blocks of 256, 256 and 88 items; none
-    merged = []
-    scan = cli._scan(parts, lambda s: (s,), rows, (np.max, lambda a, b: merged.append(b) or a + b))
-    assert "".join(scan) == "".join(f"{i}\n" for i in range(600))
-    assert merged == [511, 599]
+    # blocks of 256, 256 and 88 items: the block maxima rise in the first part, so its first
+    # block's value is kept, and fall in the second, so its last block's value is taken
+    parts = [(600, draw, 8), (600, lambda indices: 1000 - draw(indices), 8), (0, draw, 8)]
+    scan = cli._scan(parts, lambda s: (s,), rows, np.max)
+    assert "".join(scan) == "".join(f"{i}\n" for i in [*range(600), *range(1000, 400, -1)])
     assert [(r.items, r.blocks, r.summary) for r in scan.records] == [
-        (600, 3, 255 + 511 + 599), (0, 0, None)
+        (600, 3, 255), (600, 3, 488), (0, 0, None)
     ]
