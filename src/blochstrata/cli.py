@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import astuple, dataclass, replace
 from itertools import chain, groupby, repeat
+from operator import attrgetter
 from time import perf_counter
 from typing import Iterator
 
@@ -350,10 +351,11 @@ def cmd_convert(args: argparse.Namespace) -> dict:
     raise DomainError("input JSON is neither a matrix nor a Bloch vector")
 
 
-def cmd_classify(args: argparse.Namespace) -> dict | tuple[str, list]:
+def cmd_classify(args: argparse.Namespace) -> dict | tuple[str, _Scan]:
     m = matrix_from_dict(load_json(args.infile))
     if args.format == "csv":
-        return STRATA_HEADER, [_strata_rows(*_stratum_columns(m[None], args.zero_tol))]
+        columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
+        return STRATA_HEADER, _scan([(1, lambda indices: m[None], m.nbytes)], columns, _strata_rows)
     return dict(zip(_STRATUM_KEYS, astuple(stratum_report(m, zero_tol=args.zero_tol))))
 
 
@@ -401,19 +403,30 @@ def cmd_direction(args: argparse.Namespace) -> dict | tuple[str, _Scan]:
     }
 
 
-def cmd_antipode(args: argparse.Namespace) -> dict | tuple[str, list]:
+def _antipode_columns(block: tuple[int, range]) -> tuple:
+    """The columns of antipode --table for a block (N, ranks): N, then q, max_len and match
+    of antipode_of_boundary(N, q) for each q of ranks.  A report holds two N x N matrices,
+    so each is dropped once its two cells are taken, before the next report is made."""
+    n, ranks = block
+    reports = map(antipode_of_boundary, repeat(n), ranks)
+    cells = map(attrgetter("max_antipodal_length", "matches_complement"), reports)
+    lengths, matches = map(np.array, zip(*cells))
+    return n, np.array(ranks), lengths, matches
+
+
+def cmd_antipode(args: argparse.Namespace) -> dict | tuple[str, _Scan]:
     if args.table:
         if args.max_dim is None:
             raise DomainError("--table requires --max-dim M")
         _reject_ignored(args, "--table", ("dim", "q", "length"))
         max_dim = _integer(args.max_dim, "--max-dim", 2)
-        pairs = [(n, q) for n in range(2, max_dim + 1) for q in range(1, n)]
-        # each report holds two N x N matrices: keep its two cells, drop the report
-        reports = (antipode_of_boundary(n, q) for n, q in pairs)
-        cells = [(rep.max_antipodal_length, rep.matches_complement) for rep in reports]
-        dims, ranks = np.array(pairs).T
-        lengths, matches = map(np.array, zip(*cells))
-        return ANTIPODE_HEADER, [_rows(_ANTIPODE_ROW, dims, ranks, lengths, matches)]
+        # a part per N, whose items are q = 1..N-1; a block keeps two cells per item
+        parts = [
+            (n - 1, lambda i, n=n: (n, range(i.start + 1, i.stop + 1)), 16)
+            for n in range(2, max_dim + 1)
+        ]
+        rows = functools.partial(_rows, _ANTIPODE_ROW)
+        return ANTIPODE_HEADER, _scan(parts, _antipode_columns, rows)
     if args.dim is None or args.q is None:
         raise DomainError("antipode requires --dim N and --q Q (or --table --max-dim M)")
     if args.max_dim is not None:

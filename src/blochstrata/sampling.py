@@ -314,14 +314,20 @@ def _ball_block(seed: int, num_coords: int, radius: float, indices) -> np.ndarra
     _degenerate(seed, indices, norm, _MIN_GAUSSIAN_NORM, "ball")
     # the power in Python floats, as sample_bloch_in_ball of v0.1.0 takes it
     lengths = np.array([radius * x ** (1.0 / num_coords) for x in u.tolist()])
-    return z * (lengths / norm)[:, None]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return z * (lengths / norm)[:, None]
+    except FloatingPointError as exc:
+        raise NumericError(f"ball vector of radius {radius!r} is not finite: {exc}") from exc
 
 
 def sample_bloch_in_ball(seed: int, num_coords: int, radius: float, index: int) -> np.ndarray:
     """Uniform random vector strictly inside the ball of the given radius.
 
     Direction times radius * u**(1/d) with u uniform in [0, 1), so the
-    result's norm is strictly below the radius.
+    result's norm is strictly below the radius.  A radius near the top of
+    the float range can overflow the scaling of a short draw: that is a
+    NumericError, never a non-finite vector.
     """
     return _ball_block(seed, num_coords, radius, [index])[0]
 

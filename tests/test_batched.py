@@ -491,6 +491,8 @@ SCAN_PARTS = {
     "lemma --count 5 --size 3 --seed 1": [(5, 1)],
     "lemma --tuples TUPLES": [(1, 1)] * 3,  # each run of equal-length tuples a part
     "basis --dim 3 --format csv": [(8, 1)],
+    "classify --in MATRIX --format csv": [(1, 1)],
+    "antipode --table --max-dim 4": [(1, 1), (2, 1), (3, 1)],  # each N a part, of q = 1..N-1
 }
 
 
@@ -501,11 +503,14 @@ SCAN_PARTS = {
     ("lemma --count 5 --size 3 --seed 1", 5),
     ("lemma --tuples TUPLES", 3),
     ("basis --dim 3 --format csv", 8),
+    ("classify --in MATRIX --format csv", 1),
+    ("antipode --table --max-dim 4", 6),
 ])
 def test_every_csv_scan_runs_through_the_one_scan_loop(argv, count, tmp_path, scans, capsys):
-    tuples = tmp_path / "tuples.json"
-    tuples.write_text("[[0.5, 0.5], [1.0], [0.2, 0.3, 0.5]]")
-    lines = scan_lines([str(tuples) if a == "TUPLES" else a for a in argv.split()], capsys)
+    files = {"TUPLES": tmp_path / "tuples.json", "MATRIX": tmp_path / "matrix.json"}
+    files["TUPLES"].write_text("[[0.5, 0.5], [1.0], [0.2, 0.3, 0.5]]")
+    files["MATRIX"].write_text('{"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}')
+    lines = scan_lines([str(files.get(a, a)) for a in argv.split()], capsys)
     assert len(scans) == 1 and len(lines) == count
     assert [(r.items, r.blocks) for r in scans[0].records] == SCAN_PARTS[argv]
 

@@ -183,6 +183,21 @@ def test_reals_past_the_float_range_are_domain_errors(call, name):
         call()
 
 
+def test_a_ball_draw_that_overflows_is_a_numeric_error_and_a_finite_one_keeps_its_bits():
+    # at radius 1e308, index 0's scaling radius * u / |z| passes the float range
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError) as exc:
+            sample_bloch_in_ball(1, 1, 1e308, 0)
+    assert str(exc.value) == (
+        "ball vector of radius 1e+308 is not finite: overflow encountered in divide"
+    )
+    assert caught == []
+    # index 3 of the same call stays finite, with the bits it had before the check
+    v = sample_bloch_in_ball(1, 1, 1e308, 3)
+    assert v.tolist() == [-float.fromhex("0x1.1414b3b4c24e3p+1021")]
+
+
 @pytest.mark.parametrize(
     "call",
     [
