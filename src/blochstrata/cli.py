@@ -1,11 +1,13 @@
 """Command-line interface: basis dumps, conversions, classification, and scans.
 
 Each cmd_* handler returns its output and writes nothing: a JSON payload as a
-dict, or a CSV header and its blocks of lines, which a scan draws as main joins
-them.  A scan's blocks are a _Scan, which also holds a record of what each part
-of the scan did, whole once main has joined them; main writes no record.  main
-reads the run manifest once, before the handler runs, puts it first in a JSON
-output or as the leading comment line of a CSV one, and writes the text once.
+dict, or a CSV header and its blocks of lines.  Every output of many items is a
+scan, which draws its blocks as main joins them: a CSV one's lines, or a JSON
+list that is a payload value.  A scan's blocks are a _Scan, which also holds a
+record of what each part of the scan did, whole once main has joined them; main
+writes no record.  main reads the run manifest once, before the handler runs,
+puts it first in a JSON output or as the leading comment line of a CSV one, and
+writes the text once.
 Exit codes: 0 success, 2 domain/input error or a failed write, 3 numeric error.
 Set SOURCE_DATE_EPOCH to pin the manifest timestamp when byte-reproducible
 output files are required.
@@ -40,7 +42,6 @@ from .sampling import (
     _state_block,
     _tuple_block,
     sample_direction,
-    sample_states,
 )
 from .serialize import _bloch_payload, _matrix_payload, bloch_from_dict, load_json, matrix_from_dict
 from .states import DEFAULT_ZERO_TOL, from_bloch, to_bloch
@@ -166,7 +167,9 @@ def _json_text(value, pad: str = "\n") -> str:
     made it: a 1-D one with one join of float.__repr__ (what json writes for
     a float), a 2-D one from one table of texts (_float_rows).  Any other
     array is written as its .tolist(), and every other value by json.dumps
-    itself, with each array in it as its .tolist().
+    itself, with each array in it as its .tolist().  A _Scan is the list of its
+    blocks' texts, each written at the pad of an item of a list that is a
+    top-level payload value (_json_items), or [] if it had no items.
     """
     inner = pad + "  "
     if isinstance(value, np.ndarray):
@@ -183,8 +186,17 @@ def _json_text(value, pad: str = "\n") -> str:
     if isinstance(value, (list, tuple)) and value:
         items = (_json_text(item, inner) for item in value)
         return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, _Scan):  # one expression: no local holds a third copy of the text
+        text = "[" + inner + ("," + inner).join(value) + pad + "]"
+        return text if any(part.items for part in value.records) else "[]"
     # a scalar, an empty container or non-str keys; a non-finite float is NaN or Infinity
     return json.dumps(value, indent=2, default=np.ndarray.tolist).replace("\n", pad)
+
+
+def _json_items(*items) -> str:
+    """The JSON text of a JSON scan's block, its items at the pad of an item of a list
+    that is a top-level payload value, as _json_text joins a _Scan's blocks."""
+    return ",\n    ".join(_json_text(item, "\n    ") for item in items)
 
 
 def _rows(template: str, *columns) -> str:
@@ -227,7 +239,7 @@ class _Part:
 
 @dataclass
 class _Scan:
-    """A CSV scan's texts, each block drawn as they are iterated, and its records: one
+    """A scan's texts, each block drawn as they are iterated, and its records: one
     _Part per part, filled as its blocks are drained, so whole once the texts are."""
 
     texts: Iterator[str]
@@ -238,13 +250,14 @@ class _Scan:
 
 
 def _scan(parts, columns, rows, summary=None, count_name="count") -> _Scan:
-    """A CSV scan, the CLI's one block loop: its texts yield each block's rows when done.
+    """A scan, the CLI's one block loop: its texts yield each block's rows when done.
 
     A part is (count, draw, item_bytes); each block of its indices (sampling._blocks sizes
     it from item_bytes) goes draw(indices) -> columns(stack) -> rows(*columns), and the
     part's record counts the block and adds the seconds of each stage.  With a summary the
     record keeps the least summary(*columns) of the part's blocks, timed with the columns.
-    main joins the texts into its one write.  A negative count is a DomainError, raised after the
+    main joins the texts into its one write: a CSV output's lines, or a JSON list that is
+    a payload value (_json_text).  A negative count is a DomainError, raised after the
     empty draw that checks the draw's arguments.
     """
     records = [_Part() for _ in parts]
@@ -330,13 +343,13 @@ def cmd_basis(args: argparse.Namespace) -> dict | tuple[str, _Scan]:
     # a dump fails where its dense tensor cannot be had, before any header text or block is
     # built; np.zeros leaves the pages it gets untouched, and the tensor is dropped at once
     _zeros((n * n - 1, n, n), f"basis tensor of dimension {n}", complex)
-    block = functools.partial(_basis_block, n)
-    if args.format == "json":
-        return {"dim": n, "elements": list(block(range(n * n - 1))[1].reshape(-1, n * n, 2))}
+    parts = [(n * n - 1, functools.partial(_basis_block, n), 16 * n**2)]
+    if args.format == "json":  # an element is its N**2 x 2 cells
+        return {"dim": n, "elements": _scan(parts, lambda b: b[1].reshape(-1, n * n, 2), _json_items)}
     header = "element," + ",".join(f"re_{r}_{c},im_{r}_{c}" for r in range(n) for c in range(n))
     rows = functools.partial(_rows, "%d" + ",%.17g" * (2 * n * n))
     # the columns of a block: the element index, then each cell
-    return header, _scan([(n * n - 1, block, 16 * n**2)], lambda b: (b[0], *b[1].T), rows)
+    return header, _scan(parts, lambda b: (b[0], *b[1].T), rows)
 
 
 def cmd_convert(args: argparse.Namespace) -> dict:
@@ -467,9 +480,9 @@ def cmd_lemma(args: argparse.Namespace) -> tuple[str, _Scan]:
 
 def cmd_sample(args: argparse.Namespace) -> dict | tuple[str, _Scan]:
     config = SamplerConfig(seed=args.seed, dim=args.dim, rank=args.rank, count=args.count)
-    if args.format == "json":
-        return {"states": [_matrix_payload(rho) for rho in sample_states(config)]}
     parts = [(config.count, functools.partial(_state_block, config), 16 * config.dim**2)]
+    if args.format == "json":
+        return {"states": _scan(parts, lambda stack: map(_matrix_payload, stack), _json_items)}
     columns = functools.partial(_stratum_columns, zero_tol=args.zero_tol)
     return STRATA_HEADER, _scan(parts, columns, _strata_rows)
 

@@ -9,6 +9,7 @@ tensor).  The CLI scans and the batched library calls must reproduce them
 exactly, for every block boundary.
 """
 
+import json
 from math import sqrt
 from time import perf_counter
 
@@ -493,26 +494,37 @@ SCAN_PARTS = {
     "basis --dim 3 --format csv": [(8, 1)],
     "classify --in MATRIX --format csv": [(1, 1)],
     "antipode --table --max-dim 4": [(1, 1), (2, 1), (3, 1)],  # each N a part, of q = 1..N-1
+    "sample --dim 3 --rank 2 --count 5 --seed 1 --format json": [(5, 1)],
+    "sample --dim 3 --rank 2 --count 0 --seed 1 --format json": [(0, 0)],
+    "basis --dim 3": [(8, 1)],
 }
 
 
-@pytest.mark.parametrize("argv,count", [
-    ("strata-scan --dim 3 --count 5 --seed 1", 3 * 5 + 3),  # 5 rows and a note per rank
-    ("direction --dim 3 --scan 5 --seed 1", 5),
-    ("sample --dim 3 --rank 2 --count 5 --seed 1 --format csv", 5),
-    ("lemma --count 5 --size 3 --seed 1", 5),
-    ("lemma --tuples TUPLES", 3),
-    ("basis --dim 3 --format csv", 8),
-    ("classify --in MATRIX --format csv", 1),
-    ("antipode --table --max-dim 4", 6),
+# a JSON scan is the list of a payload key, whose items are counted instead of CSV lines
+@pytest.mark.parametrize("argv,count,key", [
+    ("strata-scan --dim 3 --count 5 --seed 1", 3 * 5 + 3, None),  # 5 rows and a note per rank
+    ("direction --dim 3 --scan 5 --seed 1", 5, None),
+    ("sample --dim 3 --rank 2 --count 5 --seed 1 --format csv", 5, None),
+    ("lemma --count 5 --size 3 --seed 1", 5, None),
+    ("lemma --tuples TUPLES", 3, None),
+    ("basis --dim 3 --format csv", 8, None),
+    ("classify --in MATRIX --format csv", 1, None),
+    ("antipode --table --max-dim 4", 6, None),
+    ("sample --dim 3 --rank 2 --count 5 --seed 1 --format json", 5, "states"),
+    ("sample --dim 3 --rank 2 --count 0 --seed 1 --format json", 0, "states"),
+    ("basis --dim 3", 8, "elements"),
 ])
-def test_every_csv_scan_runs_through_the_one_scan_loop(argv, count, tmp_path, scans, capsys):
+def test_every_scan_runs_through_the_one_scan_loop(argv, count, key, tmp_path, scans, capsys):
     files = {"TUPLES": tmp_path / "tuples.json", "MATRIX": tmp_path / "matrix.json"}
     files["TUPLES"].write_text("[[0.5, 0.5], [1.0], [0.2, 0.3, 0.5]]")
     files["MATRIX"].write_text('{"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}')
-    lines = scan_lines([str(files.get(a, a)) for a in argv.split()], capsys)
-    assert len(scans) == 1 and len(lines) == count
+    assert cli.main([str(files.get(a, a)) for a in argv.split()]) == 0
+    out = capsys.readouterr().out
+    items = out.splitlines()[2:] if key is None else json.loads(out)[key]
+    assert len(scans) == 1 and len(items) == count
     assert [(r.items, r.blocks) for r in scans[0].records] == SCAN_PARTS[argv]
+    if key is not None and not count:
+        assert f'"{key}": []' in out  # as json.dumps writes an empty list
 
 
 def test_the_records_of_a_strata_scan_hold_its_counts_times_and_least_slacks(scans, capsys):

@@ -31,6 +31,7 @@ from blochstrata import (
     maximally_mixed,
     sample_direction,
     sample_state,
+    sample_states,
     sample_unit_sum_tuple,
     stratum_radius,
     stratum_report,
@@ -305,6 +306,22 @@ def test_antipode_table_holds_no_report(tmp_path):
     # report until the next was made at 0.36 MiB
     assert peak <= 6 * 60 * 60 * 16
     assert len(out.read_text().splitlines()) == 2 + 1770
+
+
+def test_a_basis_dump_holds_its_json_text_at_most_twice(tmp_path):
+    out = tmp_path / "basis.json"
+    cli.main(["basis", "--dim", "3", "--out", str(out)])  # imports, caches
+    tracemalloc.start()
+    try:
+        assert cli.main(["basis", "--dim", "24", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the elements' 13.3 MiB of text is joined from its blocks' texts and then bracketed, and
+    # the file takes it encoded: two copies at a time, 2.01 times the file in a fresh
+    # interpreter.  Cells of every element made at once read 2.41 times, and the bracketed
+    # list made from a local that kept the joined text about 3 times
+    assert peak <= 2.2 * out.stat().st_size
 
 
 def test_lemma_from_file(tmp_path, capsys):
@@ -1136,14 +1153,36 @@ def test_json_text_is_json_dumps_with_indent_2(value):
     assert cli._json_text(value) == json.dumps(_listed(value), indent=2)
 
 
-@pytest.mark.parametrize("dim", range(2, 7))
+@pytest.mark.parametrize("dim", [*range(2, 7), 17])  # 17 has 288 elements: blocks of 256 and 32
 def test_basis_json_is_json_dumps_of_its_cells(dim, capsys):
-    # the basis command hands its cells as a list of 2-D arrays, each written from the table
+    # each block of the basis command hands its elements' cells as 2-D arrays, each written
+    # from the table
     rc, out, err = run(["basis", "--dim", str(dim)], capsys)
     assert (rc, err) == (0, "")
     cells = [[[z.real, z.imag] for z in e.ravel().tolist()] for e in build_basis(dim).elements]
     payload = {"manifest": json.loads(out)["manifest"], "dim": dim, "elements": cells}
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+# the states of a JSON sample are written a block at a time: 256 states of a 4 x 4 matrix, 214
+# of a 70 x 70 one (sampling._block_size); these counts end before, at and after a boundary
+@pytest.mark.parametrize("dim,count", [
+    *((4, count) for count in (0, 1, 255, 256, 257, 600)), (70, 215),
+])
+def test_sample_json_is_json_dumps_of_its_states_across_blocks(dim, count, capsys):
+    rc, out, err = run(["sample", "--dim", str(dim), "--rank", "2", "--count", str(count),
+                        "--seed", "1", "--format", "json"], capsys)
+    assert (rc, err) == (0, "")
+    states = [matrix_to_dict(rho) for rho in sample_states(SamplerConfig(1, dim, 2, count))]
+    payload = {"manifest": json.loads(out)["manifest"], "states": states}
+    # out is json.dumps(payload, indent=2) + "\n", read a chunk of the encoder at a time:
+    # json.dumps joins a list of all its small chunks, with which this test peaked at 506 MB
+    # of RSS at N = 70, against 296 MB
+    end = 0
+    for chunk in json.JSONEncoder(indent=2).iterencode(payload):
+        assert out.startswith(chunk, end), end
+        end += len(chunk)
+    assert out[end:] == "\n"
 
 
 def test_every_finite_float64_matrix_takes_the_table(monkeypatch):
@@ -1163,7 +1202,7 @@ def test_every_finite_float64_matrix_takes_the_table(monkeypatch):
     for a in matrices:
         cli._json_text(a)
     assert taken == [a.shape for a in matrices]
-    cli._json_text(list(_BASIS_CELLS))  # 8 cells of 9 x 2, as the basis command hands them
+    cli._json_items(*_BASIS_CELLS)  # 8 cells of 9 x 2, as a block of the basis command hands them
     assert taken[len(matrices):] == [(9, 2)] * 8
     not_matrices = [
         [[0.5]], [[0.5] * 9] * 7, ((1.0, -0.0), [0.0, -1.0]), np.array([0.5, 1.0]), np.array(0.5),
