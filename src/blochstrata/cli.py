@@ -249,16 +249,22 @@ class _Scan:
         return self.texts
 
 
-def _scan(parts, columns, rows, summary=None, count_name="count") -> _Scan:
+def _count(count, draw, name: str) -> int:
+    """count checked as name, >= 0; one <= 0 first draws range(0): it fails as a count of 1 would."""
+    if count <= 0:
+        draw(range(0))
+    return _integer(count, name, 0)
+
+
+def _scan(parts, columns, rows, summary=None) -> _Scan:
     """A scan, the CLI's one block loop: its texts yield each block's rows when done.
 
-    A part is (count, draw, item_bytes); each block of its indices (sampling._blocks sizes
-    it from item_bytes) goes draw(indices) -> columns(stack) -> rows(*columns), and the
-    part's record counts the block and adds the seconds of each stage.  With a summary the
-    record keeps the least summary(*columns) of the part's blocks, timed with the columns.
-    main joins the texts into its one write: a CSV output's lines, or a JSON list that is
-    a payload value (_json_text).  A negative count is a DomainError, raised after the
-    empty draw that checks the draw's arguments.
+    A part is (count, draw, item_bytes), its count an int >= 0; each block of its indices
+    (sampling._blocks sizes it from item_bytes) goes draw(indices) -> columns(stack) ->
+    rows(*columns), and the part's record counts the block and adds the seconds of each
+    stage.  With a summary the record keeps the least summary(*columns) of the part's
+    blocks, timed with the columns.  main joins the texts into its one write: a CSV
+    output's lines, or a JSON list that is a payload value (_json_text).
     """
     records = [_Part() for _ in parts]
 
@@ -282,7 +288,6 @@ def _scan(parts, columns, rows, summary=None, count_name="count") -> _Scan:
                 yield text
                 start = perf_counter()
             record.draw_s += perf_counter() - start  # the next() that ends the blocks
-            _integer(count, count_name, 0)
 
     return _Scan(texts(), records)
 
@@ -403,8 +408,8 @@ def cmd_direction(args: argparse.Namespace) -> dict | tuple[str, _Scan]:
     else:
         draw = functools.partial(_direction_block, args.seed, n * n - 1)
         columns = functools.partial(_direction_columns, basis, zero_tol=args.zero_tol)
-        parts = [(args.scan, draw, 16 * n**2)]  # a block's cap states are N x N
-        return DIRECTION_HEADER, _scan(parts, columns, _direction_rows, count_name="--scan")
+        parts = [(_count(args.scan, draw, "--scan"), draw, 16 * n**2)]  # cap states are N x N
+        return DIRECTION_HEADER, _scan(parts, columns, _direction_rows)
     report = direction_report(basis, v, zero_tol=args.zero_tol)
     return {
         "dim": n,
@@ -474,7 +479,7 @@ def cmd_lemma(args: argparse.Namespace) -> tuple[str, _Scan]:
         if args.seed is None or args.count is None or args.size is None:
             raise DomainError("lemma requires --tuples FILE or --count K --size n --seed S")
         draw = functools.partial(_tuple_block, args.seed, args.size)
-        parts = [(args.count, draw, 8 * args.size)]
+        parts = [(_count(args.count, draw, "count"), draw, 8 * args.size)]
     return LEMMA_HEADER, _scan(parts, _harriman_columns, functools.partial(_rows, _LEMMA_ROW))
 
 

@@ -219,11 +219,8 @@ def _blocks(count: int, draw, item_bytes: int):
 
     A block is drawn only once the stacks before it are taken, and a draw
     that raises yields nothing of its block, so a caller that reports each
-    stack as it comes fails there before any item of that block.  A count
-    <= 0 makes one empty draw, so the draw's argument checks run.
+    stack as it comes fails there before any item of that block.
     """
-    if count <= 0:
-        draw(range(0))
     size = _block_size(item_bytes)
     for start in range(0, count, size):
         indices = range(start, min(start + size, count))

@@ -1460,6 +1460,24 @@ def test_a_count_of_0_or_less_fails_as_a_count_of_1(command, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, name, header",
+    [
+        ("direction --dim 3 --seed 1 --scan {count}", "--scan", cli.DIRECTION_HEADER),
+        ("lemma --size 3 --seed 1 --count {count}", "count", cli.LEMMA_HEADER),
+    ],
+)
+def test_a_negative_count_fails_on_the_count_and_a_count_of_0_writes_the_header(
+    command, name, header, capsys
+):
+    rc, out, err = run(command.format(count=-1).split(), capsys)
+    assert (rc, out, err) == (2, "", f"error: {name} must be >= 0, got -1\n")
+    rc, out, err = run(command.format(count=0).split(), capsys)
+    manifest = out.split("\n", 1)[0]
+    assert rc == 0 and err == "" and out == f"{manifest}\n{header}\n"
+    assert json.loads(manifest[len("# manifest "):])["command"] == command.split()[0]
+
+
+@pytest.mark.parametrize(
     "args",
     [
         pytest.param(["basis", "--dim", "100000"], id="basis-tensor-too-big"),

@@ -392,6 +392,20 @@ def test_blocks_report_the_draws_before_a_failing_one_first():
         next(stacks)
 
 
+def test_a_count_of_0_yields_no_block_and_makes_no_draw(monkeypatch):
+    calls = []
+
+    def draw(indices):
+        calls.append(indices)
+        return np.array(indices)[:, None]
+
+    assert list(sampling._blocks(0, draw, 8)) == [] and calls == []
+    # a SamplerConfig has checked the count, so a stream of 0 states has nothing to draw
+    monkeypatch.setattr(sampling, "_state_block", lambda config, indices: draw(indices))
+    assert list(sample_states(SamplerConfig(seed=1, dim=3, rank=2, count=0))) == []
+    assert calls == []
+
+
 def test_a_block_is_256_items_up_to_n_64_then_16_mib_per_complex_stack():
     # an item's bytes: 16 N**2 for a complex N x N matrix, 8 n for a tuple of n floats
     def matrices(n):
